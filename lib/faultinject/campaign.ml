@@ -208,7 +208,7 @@ let tm_fast_forwarded = Tm.counter "campaign.fast_forwarded"
 let tm_simulated = Tm.counter "campaign.simulated"
 let tm_trace_hit = Tm.counter "campaign.trace.hit"
 let tm_trace_miss = Tm.counter "campaign.trace.miss"
-let tm_shard_wall = lazy (Tm.histogram "campaign.shard.ns")
+let tm_shard_wall = Tm.histogram "campaign.shard.ns"
 
 let record_shard_telemetry config records stats ~wall =
   let hw = ref 0 and sw = ref 0 and vm = ref 0 and ras = ref 0 and clean = ref 0 in
@@ -235,7 +235,7 @@ let record_shard_telemetry config records stats ~wall =
   Tm.add tm_simulated stats.simulated;
   Tm.add tm_trace_hit stats.trace_hits;
   Tm.add tm_trace_miss stats.trace_misses;
-  Tm.observe_span (Lazy.force tm_shard_wall) wall;
+  Tm.observe_span tm_shard_wall wall;
   Tm.event "campaign.shard"
     [
       ("seed", Tm.Int config.seed);
@@ -405,10 +405,14 @@ let run_shard_exhaustive config =
       records :=
         classify_faulted config ~req ~host ~golden_result ~fault ~det_result
           ~det_ras ~nat_host ~nat_result
-        :: !records
+        :: !records;
+      if nat_host != det_host then Hypervisor.release nat_host;
+      Hypervisor.release det_host
     done;
+    Hypervisor.release base;
     Hypervisor.retire host req
   done;
+  Hypervisor.release host;
   let n = config.injections * config.faults_per_run in
   ( List.rev !records,
     { zero_stats with planned = n; simulated = !simulated },
@@ -460,7 +464,8 @@ let run_shard_planned ?cached config =
   (* Detected run plus the assertion-retry natural run for one
      representative, from a caller-supplied materialize/resume pair
      (snapshot-based on the cold path, fork-at-pause on the warm
-     path). *)
+     path).  The returned host is the caller's to release; a detected
+     host the natural run replaces is released here. *)
   let faulted_pair ~materialize ~resume_on =
     let det_host = materialize () in
     Hypervisor.set_assertions_enabled det_host
@@ -469,6 +474,7 @@ let run_shard_planned ?cached config =
     let det_ras = Hypervisor.drain_ras det_host in
     match det_result.Cpu.stop with
     | Cpu.Assertion_failure _ ->
+        Hypervisor.release det_host;
         let h = materialize () in
         Hypervisor.set_assertions_enabled h false;
         let r = resume_on h in
@@ -534,7 +540,8 @@ let run_shard_planned ?cached config =
           Some
             (Tm.with_span "campaign.classify" (fun () ->
                  classify_faulted config ~req ~host ~golden_result ~fault
-                   ~det_result ~det_ras ~nat_host ~nat_result)))
+                   ~det_result ~det_ras ~nat_host ~nat_result));
+        Hypervisor.release nat_host)
       plan.Planner.reps;
     assemble req golden_result faults plan ~record_of_rep:(fun rep ->
         match rep_records.(rep) with None -> assert false | Some r -> r)
@@ -625,7 +632,8 @@ let run_shard_planned ?cached config =
                   Some
                     (Tm.with_span "campaign.classify" (fun () ->
                          classify_faulted config ~req ~host ~golden_result
-                           ~fault ~det_result ~det_ras ~nat_host ~nat_result)))
+                           ~fault ~det_result ~det_ras ~nat_host ~nat_result));
+                Hypervisor.release nat_host)
           plan.Planner.reps;
         assemble req golden_result faults plan ~record_of_rep:(fun rep ->
             match rep_records.(rep) with None -> assert false | Some r -> r)
@@ -647,6 +655,7 @@ let run_shard_planned ?cached config =
         emit req golden_result faults plan snaps);
     Hypervisor.retire host req
   done;
+  Hypervisor.release host;
   let n = config.injections * config.faults_per_run in
   ( List.rev !records,
     {
@@ -767,6 +776,10 @@ let execute_with_stats ?checkpoint ?traces (config : Config.t) =
         Xentry_util.Pool.map_list pool run_one
           (List.mapi (fun i shard -> (i, shard)) (shard_configs config))
       in
+      (* The calling domain ran shards too; what its pools still hold
+         would otherwise stay live for the rest of the process (worker
+         domains take theirs with them when they exit). *)
+      Memory.drop_pools ();
       let records = List.concat_map fst results in
       let stats =
         List.fold_left (fun acc (_, s) -> add_stats acc s) zero_stats results

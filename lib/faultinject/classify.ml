@@ -16,66 +16,153 @@ type diff =
   | Stack_diff
   | Guest_reg_diff of Xentry_isa.Reg.gpr * int64
 
-let differs ga fa ~addr ~len =
-  not (Memory.region_equal ga fa ~addr ~len)
+(* The diff table.  Every region [diffs] compares, in the order its
+   differences are reported, cut at page boundaries and grouped by
+   page: one table per domain (the vCPU page, shared info, event
+   channels, grants), one for the hypervisor-wide regions (time area,
+   globals, the four stack pages).  A call makes one sharing check per
+   distinct page and compares bytes only for regions on pages the two
+   hosts do not share — after a faulted run, a handful of the 18 pages
+   a 3-domain host has.  Built once at module initialisation, for every
+   domain a host can have; a call allocates nothing but the diffs it
+   returns. *)
+
+(* What a differing region reports. *)
+type report =
+  | Fixed of diff
+  | Gpr_slot of { dom : int; gpr : int }
+      (** [User_gpr], with the golden value read back *)
+
+(* A region's bytes on one page; [bit] is the page's index in its
+   table's [pages]. *)
+type chunk = { pn : int64; off : int; len : int; bit : int }
+
+type region = {
+  report : report;
+  addr : int64;
+  chunks : chunk array;  (** the region, cut at page boundaries *)
+}
+
+type table = { pages : int64 array; regions : region array }
+
+let table_of regions =
+  let pages = ref [] in
+  let page_index pn =
+    let rec find i = function
+      | [] ->
+          pages := !pages @ [ pn ];
+          i
+      | p :: rest -> if Int64.equal p pn then i else find (i + 1) rest
+    in
+    find 0 !pages
+  in
+  let region (report, addr, len) =
+    let rec cut pos acc =
+      if pos >= len then List.rev acc
+      else
+        let at = Int64.add addr (Int64.of_int pos) in
+        let pn = Memory.page_of at in
+        let off = Int64.to_int (Int64.logand at 0xFFFL) in
+        let n = min (Memory.page_size - off) (len - pos) in
+        cut (pos + n) ({ pn; off; len = n; bit = page_index pn } :: acc)
+    in
+    { report; addr; chunks = Array.of_list (cut 0 []) }
+  in
+  let regions = Array.of_list (List.map region regions) in
+  if List.length !pages >= Sys.int_size then
+    invalid_arg "Classify: a diff table spans too many pages";
+  { pages = Array.of_list !pages; regions }
 
 (* Per-domain sub-regions with their classes. *)
-let dom_subregions dom =
+let dom_table dom =
   let vcpu = Layout.vcpu_area ~dom ~vcpu:0 in
   let vi = Layout.vcpu_info ~dom ~vcpu:0 in
   let si = Layout.shared_info dom in
-  List.concat
-    [
-      List.init Xentry_isa.Reg.gpr_count (fun i ->
-          (`Gpr_slot i, Int64.add vcpu (Int64.of_int (i * 8)), 8));
-      [
-        (`Cls User_ctl, Int64.add vcpu Layout.vcpu_user_rip, 16);
-        ( `Cls Traps,
+  let cls c = Fixed (Dom_diff { dom; cls = c }) in
+  table_of
+    (List.init Xentry_isa.Reg.gpr_count (fun gpr ->
+         (Gpr_slot { dom; gpr }, Int64.add vcpu (Int64.of_int (gpr * 8)), 8))
+    @ [
+        (cls User_ctl, Int64.add vcpu Layout.vcpu_user_rip, 16);
+        ( cls Traps,
           Int64.add vcpu Layout.vcpu_pending_traps,
           Layout.vcpu_trap_slots * 8 );
-        (`Cls Vcpu_event, Int64.add vi Layout.vi_upcall_pending, 16);
-        (`Cls Vcpu_time, Int64.add vi Layout.vi_time_version, 24);
+        (cls Vcpu_event, Int64.add vi Layout.vi_upcall_pending, 16);
+        (cls Vcpu_time, Int64.add vi Layout.vi_time_version, 24);
         (* Shared-info event bitmaps (kernel state)... *)
-        (`Cls Kernel, si, 0x80);
+        (cls Kernel, si, 0x80);
         (* ...and the wallclock fields, which are time values. *)
-        (`Cls Vcpu_time, Int64.add si Layout.si_wc_sec, 16);
-        (`Cls Kernel, Layout.evtchn_entry ~dom ~port:0, Layout.evtchn_ports * 16);
-        (`Cls Kernel, Layout.grant_entry ~dom 0, Layout.grant_entries * 16);
-      ];
-    ]
+        (cls Vcpu_time, Int64.add si Layout.si_wc_sec, 16);
+        (cls Kernel, Layout.evtchn_entry ~dom ~port:0, Layout.evtchn_ports * 16);
+        (cls Kernel, Layout.grant_entry ~dom 0, Layout.grant_entries * 16);
+      ])
+
+let dom_tables = Array.init Layout.max_domains dom_table
+
+let host_table =
+  table_of
+    (List.map
+       (fun (_, addr, len) -> (Fixed Global_time_diff, addr, len))
+       (Vtime.time_regions ())
+    @ [
+        (Fixed Hv_global_diff, Layout.hv_global_base, 0x40);
+        (Fixed Stack_diff, Layout.hv_stack_base, Layout.hv_stack_size);
+      ])
+
+(* Bit [i] set when page [i] of the table is not shared. *)
+let unshared_pages ga fa table =
+  let m = ref 0 in
+  for i = 0 to Array.length table.pages - 1 do
+    if not (Memory.page_shared ga fa table.pages.(i)) then m := !m lor (1 lsl i)
+  done;
+  !m
+
+let region_differs ga fa ~unshared r =
+  let rec go i =
+    i < Array.length r.chunks
+    &&
+    let c = r.chunks.(i) in
+    (unshared land (1 lsl c.bit) <> 0
+    && not (Memory.page_range_equal ga fa c.pn ~off:c.off ~len:c.len))
+    || go (i + 1)
+  in
+  go 0
+
+(* [acc] extended, newest first, by the table's differing regions. *)
+let scan ga fa table acc =
+  let unshared = unshared_pages ga fa table in
+  if unshared = 0 then acc
+  else begin
+    let acc = ref acc in
+    for i = 0 to Array.length table.regions - 1 do
+      let r = table.regions.(i) in
+      if region_differs ga fa ~unshared r then
+        acc :=
+          (match r.report with
+          | Fixed d -> d
+          | Gpr_slot { dom; gpr } ->
+              Dom_diff { dom; cls = User_gpr (gpr, Memory.load64 ga r.addr) })
+          :: !acc
+    done;
+    !acc
+  end
+
+let guest_regs = Xentry_isa.Reg.[| RAX; RBX; RCX; RDX; RSI; RDI |]
 
 let diffs ~golden ~faulted =
   let ga = Hypervisor.memory golden and fa = Hypervisor.memory faulted in
   let acc = ref [] in
-  let ndoms = Array.length (Hypervisor.domains golden) in
-  for dom = 0 to ndoms - 1 do
-    List.iter
-      (fun (tag, addr, len) ->
-        if differs ga fa ~addr ~len then
-          let cls =
-            match tag with
-            | `Cls c -> c
-            | `Gpr_slot i -> User_gpr (i, Memory.load64 ga addr)
-          in
-          acc := Dom_diff { dom; cls } :: !acc)
-      (dom_subregions dom)
+  for dom = 0 to Array.length (Hypervisor.domains golden) - 1 do
+    acc := scan ga fa dom_tables.(dom) !acc
   done;
-  List.iter
-    (fun (_, addr, len) ->
-      if differs ga fa ~addr ~len then acc := Global_time_diff :: !acc)
-    (Vtime.time_regions ());
-  if differs ga fa ~addr:Layout.hv_global_base ~len:0x40 then
-    acc := Hv_global_diff :: !acc;
-  if
-    differs ga fa ~addr:Layout.hv_stack_base ~len:Layout.hv_stack_size
-  then acc := Stack_diff :: !acc;
+  acc := scan ga fa host_table !acc;
   (* Live guest registers at VM entry. *)
   let gc = Hypervisor.cpu golden and fc = Hypervisor.cpu faulted in
-  List.iter
-    (fun g ->
-      let gv = Cpu.get_gpr gc g in
-      if gv <> Cpu.get_gpr fc g then acc := Guest_reg_diff (g, gv) :: !acc)
-    Xentry_isa.Reg.[ RAX; RBX; RCX; RDX; RSI; RDI ];
+  for k = 0 to Array.length guest_regs - 1 do
+    let g = guest_regs.(k) in
+    let gv = Cpu.get_gpr gc g in
+    if gv <> Cpu.get_gpr fc g then acc := Guest_reg_diff (g, gv) :: !acc
+  done;
   List.rev !acc
 
 (* Pointer-like golden values crash when corrupted; small data values

@@ -55,6 +55,7 @@ type t = {
      unmapped; freezing a detached record is harmless. *)
   mutable owned : page list;
   mutable generation : int;
+  mutable released : bool;
   (* read TLB: page may be shared; safe for loads only *)
   r_tag : int64 array;
   r_gen : int array;
@@ -84,14 +85,15 @@ let tm_cow = Tm.counter "memory.cow.privatise"
 
 let no_bytes = Bytes.create 0
 
-let create () =
+let fresh id =
   {
-    id = fresh_id ();
+    id;
     pages = PageMap.empty;
     owned = [];
     (* Generation 1 with all-zero [gen] slots means a fresh TLB starts
        empty without initializing the tag arrays to a sentinel. *)
     generation = 1;
+    released = false;
     r_tag = Array.make tlb_slots 0L;
     r_gen = Array.make tlb_slots 0;
     r_data = Array.make tlb_slots no_bytes;
@@ -100,6 +102,115 @@ let create () =
     w_data = Array.make tlb_slots no_bytes;
   }
 
+(* Recycling.  A fault-injection campaign materialises a host per
+   simulated fault, runs a short suffix on it and throws it away.
+   Every page the host privatised on the way is a fresh 4 KiB
+   [Bytes.t] — too big for the minor heap, so it is allocated straight
+   into the major heap — and every memory carries six 128-slot TLB
+   arrays.  [release] hands both to small per-domain pools that
+   privatisation, [map_region] and [create]/[copy] draw from.
+
+   Safety rests on the ownership invariant: a page with
+   [owner = t.id] is referenced only by [t], because [copy] freezes
+   the owned pages before it shares the table and nothing else puts a
+   record into a second memory.  So [release] recycles exactly the
+   pages on [t.owned] that [t] still owns; a frozen page may be shared
+   and is never recycled.  A pooled frame is overwritten in full
+   before reuse (zeroed for [map_region], the source page for
+   privatisation).
+
+   The TLB pool holds the released memories themselves: a new memory
+   adopts a donor's six arrays and carries on from the donor's last
+   generation + 1, so every slot filled under the donor misses.  The
+   donor stays frozen at that generation, below everything the
+   adopter fills, so a use-after-release still misses the TLB and
+   lands in the slow path, which raises.
+
+   Pools are domain-local ([Domain.DLS], no locks) and small.  A
+   campaign's cold path keeps one faulted host alive at a time and
+   recycles as well with 8 frames and one TLB set as with 128 and 16;
+   the warm trace-cache path, which holds its forked hosts until the
+   golden run ends, reuses more with deeper pools.  But pooled frames
+   are live memory: at 128 and 16 they left the micro-reboot serve
+   benchmark, which trains its detector through campaigns first, about
+   1.3 MiB more resident after training.  See DESIGN.md §9. *)
+let frame_pool_cap = 32
+let tlb_pool_cap = 4
+
+type pool = {
+  frames : Bytes.t array;
+  mutable n_frames : int;
+  donors : t array;  (** released memories whose TLB arrays are free *)
+  mutable n_donors : int;
+}
+
+(* Filler for empty donor slots; never read or written. *)
+let placeholder = fresh frozen
+
+let pool_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        frames = Array.make frame_pool_cap no_bytes;
+        n_frames = 0;
+        donors = Array.make tlb_pool_cap placeholder;
+        n_donors = 0;
+      })
+
+let create () =
+  let p = Domain.DLS.get pool_key in
+  if p.n_donors = 0 then fresh (fresh_id ())
+  else begin
+    p.n_donors <- p.n_donors - 1;
+    let d = p.donors.(p.n_donors) in
+    p.donors.(p.n_donors) <- placeholder;
+    {
+      id = fresh_id ();
+      pages = PageMap.empty;
+      owned = [];
+      generation = d.generation + 1;
+      released = false;
+      r_tag = d.r_tag;
+      r_gen = d.r_gen;
+      r_data = d.r_data;
+      w_tag = d.w_tag;
+      w_gen = d.w_gen;
+      w_data = d.w_data;
+    }
+  end
+
+(* A pooled page frame with stale contents, or [no_bytes] when the
+   pool is empty. *)
+let pop_frame () =
+  let p = Domain.DLS.get pool_key in
+  if p.n_frames = 0 then no_bytes
+  else begin
+    p.n_frames <- p.n_frames - 1;
+    let f = p.frames.(p.n_frames) in
+    p.frames.(p.n_frames) <- no_bytes;
+    f
+  end
+
+(* The frame of a newly mapped page. *)
+let zero_frame () =
+  let f = pop_frame () in
+  if f == no_bytes then Bytes.make page_size '\000'
+  else begin
+    Bytes.fill f 0 page_size '\000';
+    f
+  end
+
+(* The frame of a private duplicate of [src]. *)
+let copy_frame src =
+  let f = pop_frame () in
+  if f == no_bytes then Bytes.copy src
+  else begin
+    Bytes.blit src 0 f 0 page_size;
+    f
+  end
+
+let released_arg fn = invalid_arg (fn ^ ": memory was released")
+let check_live t fn = if t.released then released_arg fn
+
 let page_of addr = Int64.shift_right_logical addr page_bits
 let offset_of addr = Int64.to_int (Int64.logand addr 0xFFFL)
 let slot_of pn = Int64.to_int pn land (tlb_slots - 1)
@@ -107,6 +218,7 @@ let slot_of pn = Int64.to_int pn land (tlb_slots - 1)
 let flush_tlb t = t.generation <- t.generation + 1
 
 let map_region t ~addr ~size =
+  check_live t "Memory.map_region";
   if size < 0 then invalid_arg "Memory.map_region: negative size";
   if size = 0 then ()
   else
@@ -115,7 +227,7 @@ let map_region t ~addr ~size =
     let rec go p =
       if Int64.compare p last <= 0 then begin
         if not (PageMap.mem p t.pages) then begin
-          let pg = { data = Bytes.make page_size '\000'; owner = t.id } in
+          let pg = { data = zero_frame (); owner = t.id } in
           t.pages <- PageMap.add p pg t.pages;
           t.owned <- pg :: t.owned
         end;
@@ -125,6 +237,7 @@ let map_region t ~addr ~size =
     go first
 
 let unmap_region t ~addr ~size =
+  check_live t "Memory.unmap_region";
   if size > 0 then begin
     let first = page_of addr in
     let last = page_of (Int64.add addr (Int64.of_int (size - 1))) in
@@ -149,13 +262,21 @@ let fill_write t slot pn data =
   t.w_gen.(slot) <- t.generation;
   t.w_data.(slot) <- data
 
+(* A released memory has an empty page table and a TLB generation no
+   slot carries, so every access to it ends here; it raises
+   [Invalid_argument], never [Fault], which the CPU would turn into a
+   simulated page fault and so hide the lifetime bug in a record. *)
+let unmapped t addr ~write =
+  if t.released then released_arg "Memory: access"
+  else raise (Fault { addr; write })
+
 let read_page_slow t addr pn slot =
   Tm.incr tm_read_miss;
   match PageMap.find_opt pn t.pages with
   | Some p ->
       fill_read t slot pn p.data;
       p.data
-  | None -> raise (Fault { addr; write = false })
+  | None -> unmapped t addr ~write:false
 
 let read_page t addr =
   let pn = page_of addr in
@@ -180,13 +301,13 @@ let write_page_slow t addr pn slot =
       p.data
   | Some p ->
       Tm.incr tm_cow;
-      let priv = { data = Bytes.copy p.data; owner = t.id } in
+      let priv = { data = copy_frame p.data; owner = t.id } in
       t.pages <- PageMap.add pn priv t.pages;
       t.owned <- priv :: t.owned;
       fill_write t slot pn priv.data;
       fill_read t slot pn priv.data;
       priv.data
-  | None -> raise (Fault { addr; write = true })
+  | None -> unmapped t addr ~write:true
 
 let write_page t addr =
   let pn = page_of addr in
@@ -197,7 +318,9 @@ let write_page t addr =
   end
   else write_page_slow t addr pn slot
 
-let is_mapped t addr = PageMap.mem (page_of addr) t.pages
+let is_mapped t addr =
+  check_live t "Memory.is_mapped";
+  PageMap.mem (page_of addr) t.pages
 
 let load8 t addr = Char.code (Bytes.get (read_page t addr) (offset_of addr))
 
@@ -240,60 +363,77 @@ let blit_out t ~addr ~len =
   done;
   out
 
-(* Page-at-a-time comparison: ranges are walked in within-page chunks
-   so the hot path is a direct byte loop over two resident pages —
-   and pages still shared between the two memories (the common case
-   for golden-vs-faulted hosts cloned from one snapshot) are skipped
-   without reading a byte. *)
+(* Page-at-a-time comparison.  A page bound to one record in both
+   memories — shared since a snapshot and written by neither side — or
+   unmapped in both is equal by construction and never read; a page
+   mapped on one side only differs at its first byte; two distinct
+   records are compared word by word.  [absent] stands in for an
+   unmapped page so lookups allocate no option. *)
+let absent = { data = no_bytes; owner = frozen }
+
+let find_page t pn =
+  match PageMap.find pn t.pages with p -> p | exception Not_found -> absent
+
+(* Offset of the first differing byte of two page frames in
+   [off, off + len), or -1: word-at-a-time, dropping to bytes only to
+   pin down the exact byte inside a mismatching word (and for the
+   sub-word tail). *)
+let frame_difference da db ~off ~len =
+  let rec byte_scan i limit =
+    if i >= limit then if limit = len then -1 else word_scan limit
+    else if Bytes.get da (off + i) <> Bytes.get db (off + i) then i
+    else byte_scan (i + 1) limit
+  and word_scan i =
+    if len - i >= 8 then
+      if
+        Int64.equal
+          (Bytes.get_int64_ne da (off + i))
+          (Bytes.get_int64_ne db (off + i))
+      then word_scan (i + 8)
+      else byte_scan i (i + 8)
+    else byte_scan i len
+  in
+  word_scan 0
+
 let first_difference a b ~addr ~len =
+  check_live a "Memory.first_difference";
+  check_live b "Memory.first_difference";
   let rec walk pos =
     if pos >= len then None
     else
       let at = Int64.add addr (Int64.of_int pos) in
-      let in_page = page_size - offset_of at in
-      let chunk = min in_page (len - pos) in
-      let pa = PageMap.find_opt (page_of at) a.pages in
-      let pb = PageMap.find_opt (page_of at) b.pages in
-      match (pa, pb) with
-      | None, None -> walk (pos + chunk)
-      | Some pg_a, Some pg_b when pg_a == pg_b ->
-          (* Shared since a snapshot and never written by either side:
-             identical by construction. *)
-          walk (pos + chunk)
-      | Some pg_a, Some pg_b ->
-          let off = offset_of at in
-          (* Word-at-a-time scan, dropping to bytes only to pin down
-             the exact first differing address inside a mismatching
-             word (and for the sub-word tail). *)
-          let rec byte_scan i limit =
-            if i >= limit then walk (pos + chunk)
-            else if Bytes.get pg_a.data (off + i) <> Bytes.get pg_b.data (off + i)
-            then Some (Int64.add at (Int64.of_int i))
-            else byte_scan (i + 1) limit
-          in
-          let rec scan i =
-            if chunk - i >= 8 then
-              if
-                Int64.equal
-                  (Bytes.get_int64_ne pg_a.data (off + i))
-                  (Bytes.get_int64_ne pg_b.data (off + i))
-              then scan (i + 8)
-              else byte_scan i (i + 8)
-            else byte_scan i chunk
-          in
-          scan 0
-      | Some pg, None | None, Some pg ->
-          (* A mapped page only matches an unmapped one when... never:
-             mapped-vs-unmapped differs at the first byte of the
-             chunk per the documented semantics. *)
-          ignore pg;
-          Some at
+      let off = offset_of at in
+      let chunk = min (page_size - off) (len - pos) in
+      let pn = page_of at in
+      let pa = find_page a pn and pb = find_page b pn in
+      if pa == pb then walk (pos + chunk)
+      else if pa == absent || pb == absent then Some at
+      else
+        match frame_difference pa.data pb.data ~off ~len:chunk with
+        | -1 -> walk (pos + chunk)
+        | i -> Some (Int64.add at (Int64.of_int i))
   in
   walk 0
 
 let region_equal a b ~addr ~len = first_difference a b ~addr ~len = None
 
+let page_shared a b pn =
+  check_live a "Memory.page_shared";
+  check_live b "Memory.page_shared";
+  find_page a pn == find_page b pn
+
+let page_range_equal a b pn ~off ~len =
+  check_live a "Memory.page_range_equal";
+  check_live b "Memory.page_range_equal";
+  if off < 0 || len < 0 || off + len > page_size then
+    invalid_arg "Memory.page_range_equal: range leaves the page";
+  let pa = find_page a pn and pb = find_page b pn in
+  pa == pb
+  || (pa != absent && pb != absent
+     && frame_difference pa.data pb.data ~off ~len = -1)
+
 let copy t =
+  check_live t "Memory.copy";
   (* Freeze: after the snapshot neither side owns the shared pages, so
      the first write on either side duplicates rather than mutates.
      The source's cached translations die with the generation bump:
@@ -310,7 +450,41 @@ let copy t =
     t.owned <- [];
     flush_tlb t
   end;
-  { (create ()) with pages = t.pages }
+  let c = create () in
+  c.pages <- t.pages;
+  c
+
+let release t =
+  check_live t "Memory.release";
+  let p = Domain.DLS.get pool_key in
+  let rec recycle = function
+    | [] -> ()
+    | pg :: rest ->
+        if pg.owner = t.id && p.n_frames < frame_pool_cap then begin
+          p.frames.(p.n_frames) <- pg.data;
+          p.n_frames <- p.n_frames + 1
+        end;
+        recycle rest
+  in
+  recycle t.owned;
+  t.released <- true;
+  t.pages <- PageMap.empty;
+  t.owned <- [];
+  flush_tlb t;
+  (* The pool must not keep the frames of other memories alive. *)
+  Array.fill t.r_data 0 tlb_slots no_bytes;
+  Array.fill t.w_data 0 tlb_slots no_bytes;
+  if p.n_donors < tlb_pool_cap then begin
+    p.donors.(p.n_donors) <- t;
+    p.n_donors <- p.n_donors + 1
+  end
+
+let drop_pools () =
+  let p = Domain.DLS.get pool_key in
+  Array.fill p.frames 0 p.n_frames no_bytes;
+  p.n_frames <- 0;
+  Array.fill p.donors 0 p.n_donors placeholder;
+  p.n_donors <- 0
 
 (* {2 Fault-injection strikes}
 
@@ -319,6 +493,7 @@ let copy t =
    copied from. *)
 
 let flip_word t addr ~mask =
+  check_live t "Memory.flip_word";
   let last = Int64.add addr 7L in
   if is_mapped t addr && is_mapped t last then begin
     store64 t addr (Int64.logxor (load64 t addr) mask);
@@ -327,6 +502,7 @@ let flip_word t addr ~mask =
   else false
 
 let strike_tlb t ~page ~bit =
+  check_live t "Memory.strike_tlb";
   let alias = Int64.logxor page (Int64.shift_left 1L bit) in
   match PageMap.find_opt page t.pages with
   | None -> false

@@ -48,6 +48,18 @@ val region_equal : t -> t -> addr:int64 -> len:int -> bool
 val first_difference : t -> t -> addr:int64 -> len:int -> int64 option
 (** Address of the first differing byte in the range, if any. *)
 
+val page_shared : t -> t -> int64 -> bool
+(** [page_shared a b pn]: page number [pn] is unmapped in both
+    memories, or bound to one page record in both (shared since a
+    {!copy} and written by neither side since), so its bytes are equal
+    without reading one.  [false] does not imply a difference. *)
+
+val page_range_equal : t -> t -> int64 -> off:int -> len:int -> bool
+(** {!region_equal} over [len] bytes at offset [off] of page number
+    [pn]; a shared page compares equal without reading a byte.
+    Allocates nothing.
+    @raise Invalid_argument if the range leaves the page. *)
+
 val copy : t -> t
 (** Snapshot via copy-on-write: every page is shared between source
     and copy and frozen; either side's first write to a shared page
@@ -55,6 +67,23 @@ val copy : t -> t
     other's subsequent writes.  Cloning is O(pages) pointer work, not
     O(bytes), and ranges neither side has written compare equal in
     O(1) per page ({!first_difference} skips shared pages). *)
+
+val release : t -> unit
+(** Recycle a memory that will not be used again.  The page frames it
+    owns exclusively (mapped or privatised since its last {!copy}) and
+    its software-TLB arrays go to small per-domain pools, which
+    {!map_region}, copy-on-write privatisation, {!create} and {!copy}
+    draw from before allocating.  Pages it shares with snapshots or
+    copies are untouched: those stay valid for the other memories.
+
+    Afterwards every operation on the memory — loads, stores,
+    {!copy}, mapping, strikes, comparisons and a second [release] —
+    raises [Invalid_argument], never {!Fault}. *)
+
+val drop_pools : unit -> unit
+(** Empty the calling domain's pools, so that a process done with a
+    burst of {!release}s — a finished campaign — keeps none of the
+    recycled frames and TLB arrays alive. *)
 
 val page_of : int64 -> int64
 (** The page number an address belongs to ([addr >> 12]). *)

@@ -35,12 +35,12 @@ let image_bytes img =
 
 type context = { host : Hypervisor.t; req : Request.t }
 
-let tm_captures = lazy (Telemetry.counter "recover.captures")
-let tm_reboots = lazy (Telemetry.counter "recover.microboots")
-let tm_reboot_ns = lazy (Telemetry.histogram "recover.reboot_ns")
+let tm_captures = Telemetry.counter "recover.captures"
+let tm_reboots = Telemetry.counter "recover.microboots"
+let tm_reboot_ns = Telemetry.histogram "recover.reboot_ns"
 
 let capture host req =
-  if !Telemetry.enabled_ref then Telemetry.incr (Lazy.force tm_captures);
+  if !Telemetry.enabled_ref then Telemetry.incr tm_captures;
   { host = Hypervisor.clone host; req }
 
 let request ctx = ctx.req
@@ -61,7 +61,7 @@ let reboot image ctx =
   List.iter (write_back mem) image.chunks;
   Hypervisor.restage fresh ctx.req;
   if !Telemetry.enabled_ref then begin
-    Telemetry.incr (Lazy.force tm_reboots);
-    Telemetry.observe_span (Lazy.force tm_reboot_ns) (Clock.monotonic () -. t0)
+    Telemetry.incr tm_reboots;
+    Telemetry.observe_span tm_reboot_ns (Clock.monotonic () -. t0)
   end;
   fresh

@@ -133,9 +133,9 @@ let tm_microboots = Tm.counter "serve.microboots"
 let tm_restarts = Tm.counter "serve.restarts"
 let tm_retrained = Tm.counter "serve.lifecycle.retrained"
 let tm_swapped = Tm.counter "serve.lifecycle.swapped"
-let tm_latency = lazy (Tm.histogram "serve.latency_us")
-let tm_level = lazy (Tm.histogram "serve.degraded_level")
-let tm_recovery = lazy (Tm.histogram "serve.recovery_us")
+let tm_latency = Tm.histogram "serve.latency_us"
+let tm_level = Tm.histogram "serve.degraded_level"
+let tm_recovery = Tm.histogram "serve.recovery_us"
 
 (* --- the engine ----------------------------------------------------- *)
 
@@ -333,7 +333,7 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
     tally.t_recovery_s <- tally.t_recovery_s +. dt;
     tally.t_recovery_us <- (dt *. 1e6) :: tally.t_recovery_us;
     if !Tm.enabled_ref then
-      Tm.observe (Lazy.force tm_recovery) (int_of_float (dt *. 1e6));
+      Tm.observe tm_recovery (int_of_float (dt *. 1e6));
     if neighbour <> w then set_home_owner w;
     replayed
   in
@@ -442,7 +442,7 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
       end;
       Tm.incr tm_completed;
       if !Tm.enabled_ref then
-        Tm.observe (Lazy.force tm_latency) (int_of_float (latency *. 1e6))
+        Tm.observe tm_latency (int_of_float (latency *. 1e6))
     end
   in
   let rec loop () =
@@ -697,7 +697,7 @@ let run (cfg : config) =
     time_at_rung.(Ladder.rung !ladder) <-
       time_at_rung.(Ladder.rung !ladder) +. dt;
     if !Tm.enabled_ref then
-      Tm.observe (Lazy.force tm_level) (Ladder.rung !ladder);
+      Tm.observe tm_level (Ladder.rung !ladder);
     Unix.sleepf cfg.tick_s
   done;
   (* Shutdown: stop admitting, then let workers shed the backlog as

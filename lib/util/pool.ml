@@ -39,13 +39,13 @@ let recommended_jobs () = Stdlib.Domain.recommended_domain_count ()
    emits one summary event per batch.  Workers write into their own
    domain-local buffers; [map] joins every worker before returning, so
    a drain that follows the batch sees all of it. *)
-let tm_item = lazy (Telemetry.histogram "pool.item.ns")
-let tm_wait = lazy (Telemetry.histogram "pool.queue_wait.ns")
+let tm_item = Telemetry.histogram "pool.item.ns"
+let tm_wait = Telemetry.histogram "pool.queue_wait.ns"
 
 let timed_apply f x =
   let start = Clock.monotonic () in
   let v = f x in
-  Telemetry.observe_span (Lazy.force tm_item) (Clock.monotonic () -. start);
+  Telemetry.observe_span tm_item (Clock.monotonic () -. start);
   v
 
 let map t f arr =
@@ -67,7 +67,7 @@ let map t f arr =
         if i < n && Atomic.get failure = None then begin
           let start = if telemetry then Clock.monotonic () else 0.0 in
           if telemetry then
-            Telemetry.observe_span (Lazy.force tm_wait) (start -. t0);
+            Telemetry.observe_span tm_wait (start -. t0);
           (match f arr.(i) with
           | v -> results.(i) <- Some v
           | exception e ->
@@ -76,7 +76,7 @@ let map t f arr =
               ignore (Atomic.compare_and_set failure None (Some e)));
           if telemetry then begin
             let dur = Clock.monotonic () -. start in
-            Telemetry.observe_span (Lazy.force tm_item) dur;
+            Telemetry.observe_span tm_item dur;
             incr items;
             busy := !busy +. dur
           end;

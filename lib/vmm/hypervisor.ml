@@ -235,26 +235,23 @@ let restage t req = stage ~refill:false t req
 (* Telemetry: per-exit-reason execution counts, engine usage and a
    dynamic-instruction histogram.  [execute] checks the enabled flag
    once per call (outside the CPU loop, so the interpreter hot path is
-   untouched) and hands off to [record_execute]. *)
+   untouched) and hands off to [record_execute].  The handles are
+   registered at module initialisation: a [lazy] forced by two domains
+   at once raises [CamlinternalLazy.Undefined]. *)
 let tm_exit_counters =
-  lazy
-    (Array.map
-       (fun r -> Telemetry.counter ("hv.exit." ^ Exit_reason.name r))
-       Exit_reason.all)
+  Array.map
+    (fun r -> Telemetry.counter ("hv.exit." ^ Exit_reason.name r))
+    Exit_reason.all
 
-let tm_engine_fast = lazy (Telemetry.counter "hv.engine.fast")
-let tm_engine_ref = lazy (Telemetry.counter "hv.engine.ref")
-let tm_steps = lazy (Telemetry.histogram "hv.steps")
+let tm_engine_fast = Telemetry.counter "hv.engine.fast"
+let tm_engine_ref = Telemetry.counter "hv.engine.ref"
+let tm_steps = Telemetry.histogram "hv.steps"
 
 let record_execute t (req : Request.t) (result : Cpu.run_result) =
+  Telemetry.incr tm_exit_counters.(Exit_reason.to_id req.Request.reason);
   Telemetry.incr
-    (Lazy.force tm_exit_counters).(Exit_reason.to_id req.Request.reason);
-  Telemetry.incr
-    (Lazy.force
-       (match t.engine with
-       | Cpu.Fast -> tm_engine_fast
-       | Cpu.Ref -> tm_engine_ref));
-  Telemetry.observe (Lazy.force tm_steps) result.Cpu.steps
+    (match t.engine with Cpu.Fast -> tm_engine_fast | Cpu.Ref -> tm_engine_ref);
+  Telemetry.observe tm_steps result.Cpu.steps
 
 let seed_cpu t (req : Request.t) =
   let open Xentry_isa.Reg in
@@ -321,6 +318,8 @@ let clone t =
     engine = t.engine;
     exits = t.exits;
   }
+
+let release t = Memory.release t.mem
 
 (* --- mid-run snapshots and fast-forwarding ----------------------------- *)
 

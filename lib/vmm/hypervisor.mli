@@ -93,6 +93,15 @@ val clone : t -> t
     CPU starts with a fresh (empty) RAS bank: error records are
     per-host diagnostic state, not guest-visible memory. *)
 
+val release : t -> unit
+(** Discard a host that will not be used again, recycling its memory
+    ({!Xentry_machine.Memory.release}): the page frames it privatised
+    and its TLB arrays go back to per-domain pools for the next hosts
+    created or cloned on this domain.  Hosts it was cloned from, and
+    clones or snapshots taken of it, are unaffected.  Any later memory
+    access through the host, and a second [release], raise
+    [Invalid_argument]. *)
+
 val drain_ras : t -> Xentry_ras.Ras.record list
 (** Poll-and-clear the CPU's RAS error-record bank, in log order —
     the hypervisor-side half of the RAS detection channel (the

@@ -22,8 +22,7 @@ let verdict_of_label l =
 
 (* Telemetry: feature-comparison counts per classification — the
    per-VM-entry work the detector adds (the paper's overhead knob). *)
-let tm_comparisons =
-  lazy (Xentry_util.Telemetry.histogram "detector.comparisons")
+let tm_comparisons = Xentry_util.Telemetry.histogram "detector.comparisons"
 
 let classify_features_raw t features =
   match t.classifier with
@@ -45,7 +44,7 @@ let classify_features_raw t features =
 let classify_features t features =
   let ((_, comparisons) as r) = classify_features_raw t features in
   if !Xentry_util.Telemetry.enabled_ref then
-    Xentry_util.Telemetry.observe (Lazy.force tm_comparisons) comparisons;
+    Xentry_util.Telemetry.observe tm_comparisons comparisons;
   r
 
 let classify t ~reason snapshot =

@@ -1,8 +1,8 @@
-(* Prune smoke check: a small campaign run four ways — exhaustive,
-   planned without a trace cache, planned against a cold cache and
-   planned against the now-warm cache — diffed record by record.  Any
-   divergence prints the first mismatching index with both records and
-   exits non-zero.  This is the planner invariant (pruned and
+(* Prune smoke check: a small campaign over all six fault classes, run
+   four ways — exhaustive, planned without a trace cache, planned
+   against a cold cache and planned against the now-warm cache —
+   diffed record by record.  Any divergence prints the first
+   mismatching index with both records and exits non-zero.  This is the planner invariant (pruned and
    fast-forwarded campaigns are verdict-identical to exhaustive ones)
    exercised end-to-end through the store-backed cache path, cheap
    enough to run on every `dune runtest`. *)
@@ -11,8 +11,8 @@ open Xentry_faultinject
 
 let config ~prune =
   Campaign.Config.make ~jobs:2 ~benchmark:Xentry_workload.Profile.Postmark
-    ~injections:30 ~seed:814 ~fuel:2000 ~faults_per_run:16 ~prune
-    ~snapshot_interval:32 ()
+    ~fault_classes:(Array.to_list Fault.all_classes) ~injections:30 ~seed:814
+    ~fuel:2000 ~faults_per_run:16 ~prune ~snapshot_interval:32 ()
 
 let diff_records ~label expected actual =
   let ne = List.length expected and na = List.length actual in

@@ -423,9 +423,11 @@ let test_detector_improves_campaign_coverage () =
 
 (* --- Planner: pruning, fast-forwarding, verdict identity ------------------------------ *)
 
-let planner_config ~prune ~jobs ~seed ~injections ~faults_per_run () =
-  Campaign.Config.make ~jobs ~benchmark:Xentry_workload.Profile.Postmark
-    ~injections ~seed ~fuel:2000 ~faults_per_run ~prune ~snapshot_interval:32 ()
+let planner_config ?fault_classes ~prune ~jobs ~seed ~injections
+    ~faults_per_run () =
+  Campaign.Config.make ?fault_classes ~jobs
+    ~benchmark:Xentry_workload.Profile.Postmark ~injections ~seed ~fuel:2000
+    ~faults_per_run ~prune ~snapshot_interval:32 ()
 
 let with_trace_dir f =
   let dir =
@@ -443,13 +445,15 @@ let with_trace_dir f =
    campaigns produce records structurally identical to exhaustive
    ones, for any worker count, on every planner path — no cache
    (periodic snapshots), cold cache (recording) and warm cache
-   (survivors forked off the paused golden run). *)
+   (survivors forked off the paused golden run) — with faults drawn
+   from all six classes, so the mem, tlb and pte strikes' page-table
+   and copy-on-write paths are covered too. *)
 let test_planned_verdicts_identical_any_jobs () =
   List.iter
     (fun jobs ->
       let cfg prune =
-        planner_config ~prune ~jobs ~seed:29 ~injections:6 ~faults_per_run:16
-          ()
+        planner_config ~fault_classes:(Array.to_list Fault.all_classes) ~prune
+          ~jobs ~seed:29 ~injections:6 ~faults_per_run:16 ()
       in
       let exhaustive = Campaign.execute (cfg false) in
       let planned = Campaign.execute (cfg true) in
@@ -627,6 +631,113 @@ let prop_microboot_identity =
           && Classify.diffs ~golden ~faulted:rebooted
              |> List.for_all (fun d -> d = Classify.Stack_diff))
 
+(* The region walk [Classify.diffs] made before its table was grouped
+   by page: the region list rebuilt per call and every region compared
+   with [Memory.region_equal].  Kept as the reference the page-grouped
+   diff must match list for list. *)
+let region_walk_diffs ~golden ~faulted =
+  let ga = Hypervisor.memory golden and fa = Hypervisor.memory faulted in
+  let differs ~addr ~len = not (Memory.region_equal ga fa ~addr ~len) in
+  let dom_subregions dom =
+    let vcpu = Layout.vcpu_area ~dom ~vcpu:0 in
+    let vi = Layout.vcpu_info ~dom ~vcpu:0 in
+    let si = Layout.shared_info dom in
+    List.init Xentry_isa.Reg.gpr_count (fun i ->
+        (`Gpr_slot i, Int64.add vcpu (Int64.of_int (i * 8)), 8))
+    @ Classify.
+        [
+          (`Cls User_ctl, Int64.add vcpu Layout.vcpu_user_rip, 16);
+          ( `Cls Traps,
+            Int64.add vcpu Layout.vcpu_pending_traps,
+            Layout.vcpu_trap_slots * 8 );
+          (`Cls Vcpu_event, Int64.add vi Layout.vi_upcall_pending, 16);
+          (`Cls Vcpu_time, Int64.add vi Layout.vi_time_version, 24);
+          (`Cls Kernel, si, 0x80);
+          (`Cls Vcpu_time, Int64.add si Layout.si_wc_sec, 16);
+          (`Cls Kernel, Layout.evtchn_entry ~dom ~port:0, Layout.evtchn_ports * 16);
+          (`Cls Kernel, Layout.grant_entry ~dom 0, Layout.grant_entries * 16);
+        ]
+  in
+  let acc = ref [] in
+  for dom = 0 to Array.length (Hypervisor.domains golden) - 1 do
+    List.iter
+      (fun (tag, addr, len) ->
+        if differs ~addr ~len then
+          let cls =
+            match tag with
+            | `Cls c -> c
+            | `Gpr_slot i -> Classify.User_gpr (i, Memory.load64 ga addr)
+          in
+          acc := Classify.Dom_diff { dom; cls } :: !acc)
+      (dom_subregions dom)
+  done;
+  List.iter
+    (fun (_, addr, len) ->
+      if differs ~addr ~len then acc := Classify.Global_time_diff :: !acc)
+    (Vtime.time_regions ());
+  if differs ~addr:Layout.hv_global_base ~len:0x40 then
+    acc := Classify.Hv_global_diff :: !acc;
+  if differs ~addr:Layout.hv_stack_base ~len:Layout.hv_stack_size then
+    acc := Classify.Stack_diff :: !acc;
+  let gc = Hypervisor.cpu golden and fc = Hypervisor.cpu faulted in
+  List.iter
+    (fun g ->
+      let gv = Cpu.get_gpr gc g in
+      if gv <> Cpu.get_gpr fc g then acc := Classify.Guest_reg_diff (g, gv) :: !acc)
+    Xentry_isa.Reg.[ RAX; RBX; RCX; RDX; RSI; RDI ];
+  List.rev !acc
+
+(* Golden/faulted pairs the way campaigns make them: a host evolved by
+   a few requests, a golden run with mid-run snapshots, and faults of
+   every class injected both from the nearest snapshot and from a
+   pre-run clone; plus the pre-run clone against the post-run host,
+   which differ almost everywhere. *)
+let prop_page_grouped_diffs_match_region_walk =
+  QCheck.Test.make ~name:"page-grouped diffs equal the region walk" ~count:60
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 6))
+    (fun (seed, warmup) ->
+      let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
+      let rng = Xentry_util.Rng.create seed in
+      let next_request () =
+        Xentry_workload.Profile.sample_request profile Xentry_workload.Profile.PV rng
+      in
+      let host = Hypervisor.create ~seed () in
+      for _ = 1 to warmup do
+        ignore (Hypervisor.handle host (next_request ()))
+      done;
+      let req = next_request () in
+      Hypervisor.prepare host req;
+      let base = Hypervisor.clone host in
+      let golden_result, snaps =
+        Hypervisor.execute_plain host ~fuel:2000
+          ~snapshot_at:[| 0; 8; 16; 32; 64; 128 |] req
+      in
+      let agree faulted =
+        Classify.diffs ~golden:host ~faulted = region_walk_diffs ~golden:host ~faulted
+      in
+      agree base
+      && List.for_all
+           (fun _ ->
+             let fault =
+               Fault.sample ~classes:(Array.to_list Fault.all_classes) rng
+                 ~max_step:(max 1 golden_result.Cpu.steps)
+             in
+             let inject = Fault.to_injection fault in
+             let snap =
+               List.fold_left
+                 (fun best s ->
+                   if Hypervisor.snapshot_step s <= fault.Fault.step then s else best)
+                 (List.hd snaps) snaps
+             in
+             let resumed = Hypervisor.restore snap in
+             Hypervisor.set_assertions_enabled resumed false;
+             ignore (Hypervisor.resume resumed snap ~inject ~fuel:2000 req);
+             let rerun = Hypervisor.clone base in
+             Hypervisor.set_assertions_enabled rerun false;
+             ignore (Hypervisor.execute rerun ~inject ~fuel:2000 req);
+             agree resumed && agree rerun)
+           (List.init 8 Fun.id))
+
 let prop_consequence_total =
   QCheck.Test.make ~name:"every record has a coherent consequence" ~count:1
     QCheck.unit
@@ -644,7 +755,7 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [
         prop_consequence_total; prop_planned_equals_exhaustive;
-        prop_microboot_identity;
+        prop_microboot_identity; prop_page_grouped_diffs_match_region_walk;
       ]
   in
   Alcotest.run "xentry_faultinject"

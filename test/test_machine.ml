@@ -982,6 +982,290 @@ let prop_tlb_cow_with_reads =
       let image m = Memory.blit_out m ~addr:0x1000L ~len:region in
       image cow_parent = image ref_parent && image cow_copy = image ref_copy)
 
+(* --- qcheck: release and the frame/TLB pools vs a pure model ---------------- *)
+
+(* Random programs over up to four memory slots, run against
+   [Memory] and against a pure model of the copy-on-write page table:
+   page records with an owner (a memory's uid, 0 when frozen), bound
+   by page number.  The model has no TLB, no pools and no [release]
+   beyond marking a slot dead, so agreement means recycling changes
+   nothing observable: a released memory's frames and TLB arrays come
+   back zeroed or overwritten for the next memory ([Fresh], [Map],
+   privatising [Store]/[Flip]) and never show through a live one, and
+   every access to a released memory raises [Invalid_argument]. *)
+module Cow_model = struct
+  module IM = Map.Make (Int)
+
+  type record = { bytes : string; owner : int }
+  type mem = Live of { uid : int; pages : int IM.t } | Released
+
+  type t = {
+    records : record IM.t;
+    mems : mem IM.t;  (** slot -> memory *)
+    next : int;  (** next uid and record id *)
+  }
+
+  let slots = 4
+
+  let init =
+    {
+      records = IM.empty;
+      mems =
+        IM.of_seq
+          (Seq.init slots (fun i -> (i, Live { uid = i + 1; pages = IM.empty })));
+      next = slots + 1;
+    }
+
+  let lookup m slot pn =
+    match IM.find slot m.mems with
+    | Released -> None
+    | Live { pages; _ } ->
+        Option.map (fun r -> (IM.find r m.records).bytes) (IM.find_opt pn pages)
+
+  (* Write [v] at [off] of page [pn], privatising a page the memory
+     does not own.  The page is mapped. *)
+  let store m slot pn off v =
+    match IM.find slot m.mems with
+    | Released -> assert false
+    | Live { uid; pages } ->
+        let r = IM.find pn pages in
+        let { bytes; owner } = IM.find r m.records in
+        let b = Bytes.of_string bytes in
+        Bytes.set_int64_le b off v;
+        let bytes = Bytes.to_string b in
+        if owner = uid then
+          { m with records = IM.add r { bytes; owner } m.records }
+        else
+          {
+            records = IM.add m.next { bytes; owner = uid } m.records;
+            mems =
+              IM.add slot (Live { uid; pages = IM.add pn m.next pages }) m.mems;
+            next = m.next + 1;
+          }
+end
+
+type release_op =
+  | Fresh of int
+  | Map of int * int  (** slot, page number *)
+  | Store of int * int * int * int64  (** slot, page, offset, value *)
+  | Load of int * int * int
+  | Copy of int * int  (** from slot, into slot *)
+  | Flip of int * int * int * int64
+  | Strike of int * int * int  (** slot, page, bit *)
+  | Equal of int * int * int  (** slot, slot, page *)
+  | Release of int
+  | Drop_pools
+
+let show_release_op = function
+  | Fresh i -> Printf.sprintf "Fresh %d" i
+  | Map (i, p) -> Printf.sprintf "Map (%d, %d)" i p
+  | Store (i, p, o, v) -> Printf.sprintf "Store (%d, %d, %d, %LdL)" i p o v
+  | Load (i, p, o) -> Printf.sprintf "Load (%d, %d, %d)" i p o
+  | Copy (i, j) -> Printf.sprintf "Copy (%d, %d)" i j
+  | Flip (i, p, o, v) -> Printf.sprintf "Flip (%d, %d, %d, %LdL)" i p o v
+  | Strike (i, p, b) -> Printf.sprintf "Strike (%d, %d, %d)" i p b
+  | Equal (i, j, p) -> Printf.sprintf "Equal (%d, %d, %d)" i j p
+  | Release i -> Printf.sprintf "Release %d" i
+  | Drop_pools -> "Drop_pools"
+
+(* Pages 1-6 get mapped; strikes flip bits 0-2, so an alias can also
+   be the never-mapped page 0 or 7. *)
+let release_op_gen =
+  let open QCheck.Gen in
+  let slot = int_range 0 (Cow_model.slots - 1) in
+  let page = int_range 1 6 in
+  let off = oneofl [ 0; 8; 2044; 4088 ] in
+  let value = map Int64.of_int (int_range 1 1_000_000) in
+  frequency
+    [
+      (1, map (fun i -> Fresh i) slot);
+      (4, map2 (fun i p -> Map (i, p)) slot page);
+      ( 6,
+        slot >>= fun i ->
+        page >>= fun p ->
+        off >>= fun o -> map (fun v -> Store (i, p, o, v)) value );
+      (4, slot >>= fun i -> page >>= fun p -> map (fun o -> Load (i, p, o)) off);
+      (3, map2 (fun i j -> Copy (i, j)) slot slot);
+      ( 2,
+        slot >>= fun i ->
+        page >>= fun p ->
+        off >>= fun o -> map (fun v -> Flip (i, p, o, v)) value );
+      ( 1,
+        slot >>= fun i ->
+        page >>= fun p -> map (fun b -> Strike (i, p, b)) (int_range 0 2) );
+      ( 2,
+        slot >>= fun i -> slot >>= fun j -> map (fun p -> Equal (i, j, p)) page );
+      (2, map (fun i -> Release i) slot);
+      (1, return Drop_pools);
+    ]
+
+type release_outcome = Done | Value of int64 | Bool of bool | Faulted | Invalid
+
+let page_addr pn = Int64.of_int (pn * Memory.page_size)
+
+let op_slots = function
+  | Fresh _ | Drop_pools -> []
+  | Map (i, _)
+  | Store (i, _, _, _)
+  | Load (i, _, _)
+  | Copy (i, _)
+  | Flip (i, _, _, _)
+  | Strike (i, _, _)
+  | Release i ->
+      [ i ]
+  | Equal (i, j, _) -> [ i; j ]
+
+(* The model's outcome and next state for one op. *)
+let model_step (m : Cow_model.t) op =
+  let open Cow_model in
+  let live i =
+    match IM.find i m.mems with
+    | Live { uid; pages } -> (uid, pages)
+    | Released -> assert false
+  in
+  let set i uid pages = IM.add i (Live { uid; pages }) m.mems in
+  if List.exists (fun i -> IM.find i m.mems = Released) (op_slots op) then
+    (Invalid, m)
+  else
+    match op with
+    | Fresh i ->
+        (Done, { m with mems = set i m.next IM.empty; next = m.next + 1 })
+    | Release i -> (Done, { m with mems = IM.add i Released m.mems })
+    | Drop_pools -> (Done, m)
+    | Map (i, pn) ->
+        let uid, pages = live i in
+        if IM.mem pn pages then (Done, m)
+        else
+          let zeros =
+            { bytes = String.make Memory.page_size '\000'; owner = uid }
+          in
+          ( Done,
+            {
+              records = IM.add m.next zeros m.records;
+              mems = set i uid (IM.add pn m.next pages);
+              next = m.next + 1;
+            } )
+    | Load (i, pn, off) -> (
+        match lookup m i pn with
+        | None -> (Faulted, m)
+        | Some b -> (Value (String.get_int64_le b off), m))
+    | Store (i, pn, off, v) -> (
+        match lookup m i pn with
+        | None -> (Faulted, m)
+        | Some _ -> (Done, store m i pn off v))
+    | Flip (i, pn, off, mask) -> (
+        match lookup m i pn with
+        | None -> (Bool false, m)
+        | Some b ->
+            let v = Int64.logxor (String.get_int64_le b off) mask in
+            (Bool true, store m i pn off v))
+    | Copy (i, j) ->
+        let uid, pages = live i in
+        let freeze r = if r.owner = uid then { r with owner = 0 } else r in
+        ( Done,
+          {
+            records = IM.map freeze m.records;
+            mems = set j m.next pages;
+            next = m.next + 1;
+          } )
+    | Strike (i, pn, bit) ->
+        let uid, pages = live i in
+        if not (IM.mem pn pages) then (Bool false, m)
+        else
+          let pages =
+            match IM.find_opt (pn lxor (1 lsl bit)) pages with
+            | Some r -> IM.add pn r pages
+            | None -> IM.remove pn pages
+          in
+          (Bool true, { m with mems = set i uid pages })
+    | Equal (i, j, pn) -> (Bool (lookup m i pn = lookup m j pn), m)
+
+let impl_step mems op =
+  let addr pn off = Int64.add (page_addr pn) (Int64.of_int off) in
+  match
+    match op with
+    | Fresh i ->
+        mems.(i) <- Memory.create ();
+        Done
+    | Map (i, pn) ->
+        Memory.map_region mems.(i) ~addr:(page_addr pn) ~size:Memory.page_size;
+        Done
+    | Store (i, pn, off, v) ->
+        Memory.store64 mems.(i) (addr pn off) v;
+        Done
+    | Load (i, pn, off) -> Value (Memory.load64 mems.(i) (addr pn off))
+    | Copy (i, j) ->
+        mems.(j) <- Memory.copy mems.(i);
+        Done
+    | Flip (i, pn, off, mask) ->
+        Bool (Memory.flip_word mems.(i) (addr pn off) ~mask)
+    | Strike (i, pn, bit) ->
+        Bool (Memory.strike_tlb mems.(i) ~page:(Int64.of_int pn) ~bit)
+    | Equal (i, j, pn) ->
+        let whole =
+          Memory.region_equal mems.(i) mems.(j) ~addr:(page_addr pn)
+            ~len:Memory.page_size
+        in
+        let paged =
+          Memory.page_range_equal mems.(i) mems.(j) (Int64.of_int pn) ~off:0
+            ~len:Memory.page_size
+        in
+        if whole <> paged then
+          failwith "region_equal and page_range_equal disagree";
+        Bool whole
+    | Release i ->
+        Memory.release mems.(i);
+        Done
+    | Drop_pools ->
+        Memory.drop_pools ();
+        Done
+  with
+  | outcome -> outcome
+  | exception Memory.Fault _ -> Faulted
+  | exception Invalid_argument _ -> Invalid
+
+(* Every live slot maps exactly the model's pages (0-7), with the
+   model's bytes. *)
+let images_agree mems (m : Cow_model.t) =
+  let open Cow_model in
+  IM.for_all
+    (fun i mem ->
+      match mem with
+      | Released -> true
+      | Live _ ->
+          List.for_all
+            (fun pn ->
+              match lookup m i pn with
+              | None -> not (Memory.is_mapped mems.(i) (page_addr pn))
+              | Some b ->
+                  Memory.is_mapped mems.(i) (page_addr pn)
+                  && Bytes.to_string
+                       (Memory.blit_out mems.(i) ~addr:(page_addr pn)
+                          ~len:Memory.page_size)
+                     = b)
+            (List.init 8 Fun.id))
+    m.mems
+
+let prop_release_matches_model =
+  QCheck.Test.make ~name:"release recycles frames and TLBs invisibly" ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list show_release_op)
+       QCheck.Gen.(list_size (int_range 1 60) release_op_gen))
+    (fun ops ->
+      let mems = Array.init Cow_model.slots (fun _ -> Memory.create ()) in
+      (* Releasing one memory never changes what a live one reads:
+         whole images are compared after every release and at the
+         end, single words after every load. *)
+      let rec go m = function
+        | [] -> images_agree mems m
+        | op :: rest ->
+            let expected, m' = model_step m op in
+            impl_step mems op = expected
+            && (match op with Release _ -> images_agree mems m' | _ -> true)
+            && go m' rest
+      in
+      go Cow_model.init ops)
+
 (* --- qcheck: compiled engine vs reference engine ------------------------------ *)
 
 (* Random programs over the full ISA, with a label on every slot so
@@ -1272,6 +1556,7 @@ let () =
         prop_engines_agree;
         prop_recorder_matches_naive;
         prop_trace_fate_matches_live_watch;
+        prop_release_matches_model;
       ]
   in
   Alcotest.run "xentry_machine"
