@@ -10,8 +10,13 @@ let page_bits = 12
    in mapped pages; whichever side writes a shared or frozen page first
    replaces its own binding with a private duplicate.  The other
    side's binding still reaches the original record, so writes never
-   alias across a snapshot in either direction. *)
-type page = { data : Bytes.t; mutable owner : int }
+   alias across a snapshot in either direction.
+
+   [stamp] serves the undo journal (see [checkpoint]): the epoch of its
+   owner in which the record was created or last journaled, so a
+   record whose stamp is behind its owner's epoch has not yet been
+   written in place since the last checkpoint. *)
+type page = { data : Bytes.t; mutable owner : int; mutable stamp : int }
 
 (* The page table is a persistent map so that [copy] — the hot
    operation of snapshot capture and restore in injection campaigns —
@@ -36,6 +41,10 @@ module PageMap = Map.Make (Int64)
      pages shared with the snapshot;
    - [unmap_region]: cached translations would resurrect dead pages.
 
+   A [checkpoint] keeps ownership and the page table, so it only
+   clears the write slots: the next write to each page must reach the
+   slow path, which journals the page (see [checkpoint]).
+
    Privatisation (the first write to a shared/frozen page) replaces
    only this memory's own binding, so it refreshes the affected slots
    in place instead of bumping the generation.  The peer memory's TLB
@@ -56,6 +65,16 @@ type t = {
   mutable owned : page list;
   mutable generation : int;
   mutable released : bool;
+  (* Undo journal: [epoch] counts checkpoints (0 — never checkpointed),
+     [saved] is the page table at the last one, and [journal] pairs
+     each record written in place since then with a frozen record
+     holding its bytes at the checkpoint.  [journal_shared]: a
+     checkpoint copy binds those pre-image records, so they are no
+     longer this memory's to recycle. *)
+  mutable epoch : int;
+  mutable saved : page PageMap.t;
+  mutable journal : (page * page) list;
+  mutable journal_shared : bool;
   (* read TLB: page may be shared; safe for loads only *)
   r_tag : int64 array;
   r_gen : int array;
@@ -82,6 +101,7 @@ let tm_read_miss = Tm.counter "memory.tlb.read.miss"
 let tm_write_hit = Tm.counter "memory.tlb.write.hit"
 let tm_write_miss = Tm.counter "memory.tlb.write.miss"
 let tm_cow = Tm.counter "memory.cow.privatise"
+let tm_preimage = Tm.counter "memory.checkpoint.preimage"
 
 let no_bytes = Bytes.create 0
 
@@ -94,6 +114,10 @@ let fresh id =
        empty without initializing the tag arrays to a sentinel. *)
     generation = 1;
     released = false;
+    epoch = 0;
+    saved = PageMap.empty;
+    journal = [];
+    journal_shared = false;
     r_tag = Array.make tlb_slots 0L;
     r_gen = Array.make tlb_slots 0;
     r_data = Array.make tlb_slots no_bytes;
@@ -111,13 +135,16 @@ let fresh id =
    privatisation, [map_region] and [create]/[copy] draw from.
 
    Safety rests on the ownership invariant: a page with
-   [owner = t.id] is referenced only by [t], because [copy] freezes
-   the owned pages before it shares the table and nothing else puts a
-   record into a second memory.  So [release] recycles exactly the
-   pages on [t.owned] that [t] still owns; a frozen page may be shared
-   and is never recycled.  A pooled frame is overwritten in full
+   [owner = t.id] is referenced only by [t], because [copy] and
+   [copy_checkpoint] freeze the owned pages before they share the
+   table and nothing else puts a record into a second memory.  So
+   [release] recycles exactly the pages on [t.owned] that [t] still
+   owns; a frozen page may be shared and is never recycled.  The
+   checkpoint journal's pre-images follow the same rule: they are
+   recycled at the next checkpoint or [release] unless a
+   [copy_checkpoint] binds them.  A pooled frame is overwritten in full
    before reuse (zeroed for [map_region], the source page for
-   privatisation).
+   privatisation and pre-images).
 
    The TLB pool holds the released memories themselves: a new memory
    adopts a donor's six arrays and carries on from the donor's last
@@ -169,6 +196,10 @@ let create () =
       owned = [];
       generation = d.generation + 1;
       released = false;
+      epoch = 0;
+      saved = PageMap.empty;
+      journal = [];
+      journal_shared = false;
       r_tag = d.r_tag;
       r_gen = d.r_gen;
       r_data = d.r_data;
@@ -227,7 +258,7 @@ let map_region t ~addr ~size =
     let rec go p =
       if Int64.compare p last <= 0 then begin
         if not (PageMap.mem p t.pages) then begin
-          let pg = { data = zero_frame (); owner = t.id } in
+          let pg = { data = zero_frame (); owner = t.id; stamp = t.epoch } in
           t.pages <- PageMap.add p pg t.pages;
           t.owned <- pg :: t.owned
         end;
@@ -287,6 +318,19 @@ let read_page t addr =
   end
   else read_page_slow t addr pn slot
 
+(* The first in-place write of an epoch to a record the memory owned
+   at its last checkpoint: keep the record's bytes in a frozen
+   pre-image before they change.  A record stamped with the current
+   epoch was created after the checkpoint (mapping or privatisation),
+   so the saved page table does not bind it, or has been journaled
+   already.  A memory that never checkpoints stamps every record with
+   epoch 0, so the check never fires. *)
+let journal t p =
+  Tm.incr tm_preimage;
+  let pre = { data = copy_frame p.data; owner = frozen; stamp = 0 } in
+  t.journal <- (p, pre) :: t.journal;
+  p.stamp <- t.epoch
+
 (* The write path's copy-on-write step: a page this memory does not
    own is duplicated into a private binding before the first byte is
    touched.  Both TLB slots are refreshed with the private bytes —
@@ -296,12 +340,13 @@ let write_page_slow t addr pn slot =
   Tm.incr tm_write_miss;
   match PageMap.find_opt pn t.pages with
   | Some p when p.owner = t.id ->
+      if p.stamp <> t.epoch then journal t p;
       fill_write t slot pn p.data;
       fill_read t slot pn p.data;
       p.data
   | Some p ->
       Tm.incr tm_cow;
-      let priv = { data = copy_frame p.data; owner = t.id } in
+      let priv = { data = copy_frame p.data; owner = t.id; stamp = t.epoch } in
       t.pages <- PageMap.add pn priv t.pages;
       t.owned <- priv :: t.owned;
       fill_write t slot pn priv.data;
@@ -356,12 +401,35 @@ let store64 t addr v =
       store8 t (Int64.add addr (Int64.of_int i)) b
     done
 
+(* Bulk transfers go page by page through the same translation paths
+   as single bytes, so they fault at the first unmapped byte — having
+   moved every byte before it — exactly as a byte loop would. *)
 let blit_out t ~addr ~len =
   let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set out i (Char.chr (load8 t (Int64.add addr (Int64.of_int i))))
-  done;
+  let rec go pos =
+    if pos < len then begin
+      let at = Int64.add addr (Int64.of_int pos) in
+      let off = offset_of at in
+      let chunk = min (page_size - off) (len - pos) in
+      Bytes.blit (read_page t at) off out pos chunk;
+      go (pos + chunk)
+    end
+  in
+  go 0;
   out
+
+let blit_in t ~addr data =
+  let len = Bytes.length data in
+  let rec go pos =
+    if pos < len then begin
+      let at = Int64.add addr (Int64.of_int pos) in
+      let off = offset_of at in
+      let chunk = min (page_size - off) (len - pos) in
+      Bytes.blit data pos (write_page t at) off chunk;
+      go (pos + chunk)
+    end
+  in
+  go 0
 
 (* Page-at-a-time comparison.  A page bound to one record in both
    memories — shared since a snapshot and written by neither side — or
@@ -369,7 +437,7 @@ let blit_out t ~addr ~len =
    mapped on one side only differs at its first byte; two distinct
    records are compared word by word.  [absent] stands in for an
    unmapped page so lookups allocate no option. *)
-let absent = { data = no_bytes; owner = frozen }
+let absent = { data = no_bytes; owner = frozen; stamp = 0 }
 
 let find_page t pn =
   match PageMap.find pn t.pages with p -> p | exception Not_found -> absent
@@ -432,43 +500,102 @@ let page_range_equal a b pn ~off ~len =
   || (pa != absent && pb != absent
      && frame_difference pa.data pb.data ~off ~len = -1)
 
-let copy t =
-  check_live t "Memory.copy";
-  (* Freeze: after the snapshot neither side owns the shared pages, so
-     the first write on either side duplicates rather than mutates.
-     The source's cached translations die with the generation bump:
-     stale write entries would bypass the ownership check and scribble
-     on pages the snapshot now shares.  (Read entries are collateral
-     damage — they still point at the right bytes — but one wholesale
-     bump is cheaper than a tagged flush.)  A source that owns nothing
-     — typical of a snapshot being restored again — has no pages to
-     freeze and, since write translations are only ever filled for
-     owned pages, no stale write entries either, so both steps are
-     skipped. *)
+(* Freeze: after a copy neither side owns the shared pages, so the
+   first write on either side duplicates rather than mutates.  The
+   source's cached translations die with the generation bump: stale
+   write entries would bypass the ownership check and scribble on
+   pages the copy now shares.  (Read entries are collateral damage —
+   they still point at the right bytes — but one wholesale bump is
+   cheaper than a tagged flush.)  A source that owns nothing — typical
+   of a snapshot being restored again — has no pages to freeze and,
+   since write translations are only ever filled for owned pages, no
+   stale write entries either, so both steps are skipped. *)
+let freeze t =
   if t.owned <> [] then begin
     List.iter (fun p -> p.owner <- frozen) t.owned;
     t.owned <- [];
     flush_tlb t
-  end;
+  end
+
+let copy t =
+  check_live t "Memory.copy";
+  freeze t;
   let c = create () in
   c.pages <- t.pages;
+  c
+
+let push_frame p f =
+  if p.n_frames < frame_pool_cap then begin
+    p.frames.(p.n_frames) <- f;
+    p.n_frames <- p.n_frames + 1
+  end
+
+(* Hand the current epoch's pre-image frames to the pool, unless a
+   checkpoint copy binds them. *)
+let recycle_journal t =
+  if not t.journal_shared then begin
+    let p = Domain.DLS.get pool_key in
+    List.iter (fun (_, pre) -> push_frame p pre.data) t.journal
+  end;
+  t.journal <- [];
+  t.journal_shared <- false
+
+(* Undo journal.  A micro-rebooting server captures its live host
+   before every request and almost never needs the capture.  [copy]
+   would freeze every page the host owns, so the request's writes
+   would then duplicate each page they touch into a fresh frame.  A
+   checkpoint instead keeps the persistent page table as it stands —
+   an O(1) root — and lets the live host go on writing its own pages
+   in place: the first write of the epoch to such a page first copies
+   its bytes into a pooled frame (the pre-image, [journal]).  The
+   copy at the checkpoint is the saved table with every journaled
+   record replaced by its pre-image, wherever the table binds it.
+
+   The journal is keyed by record, not by page number: a TLB strike
+   can bind one record at two page numbers, or steer a page number at
+   a record the saved table binds elsewhere.  Records mapped or
+   privatised after the checkpoint are stamped with its epoch and
+   never journaled: the saved table does not bind them.  Write
+   translations are dropped at each checkpoint so that the first write
+   of the epoch to every page takes the slow path; read translations
+   stay valid, since the page table does not change. *)
+type checkpoint = { ck_mem : t; ck_epoch : int }
+
+let checkpoint t =
+  check_live t "Memory.checkpoint";
+  recycle_journal t;
+  t.saved <- t.pages;
+  t.epoch <- t.epoch + 1;
+  (* No generation is 0, so every write translation misses. *)
+  Array.fill t.w_gen 0 tlb_slots 0;
+  { ck_mem = t; ck_epoch = t.epoch }
+
+let copy_checkpoint { ck_mem = t; ck_epoch } =
+  check_live t "Memory.copy_checkpoint";
+  if ck_epoch <> t.epoch then
+    invalid_arg "Memory.copy_checkpoint: superseded by a later checkpoint";
+  (* The copy shares every record the saved table binds with [t], so
+     [t] must stop writing them in place, as for [copy]. *)
+  freeze t;
+  let overlay pn p pages =
+    match List.assq_opt p t.journal with
+    | Some pre -> PageMap.add pn pre pages
+    | None -> pages
+  in
+  let c = create () in
+  c.pages <-
+    (if t.journal = [] then t.saved else PageMap.fold overlay t.saved t.saved);
+  t.journal_shared <- true;
   c
 
 let release t =
   check_live t "Memory.release";
   let p = Domain.DLS.get pool_key in
-  let rec recycle = function
-    | [] -> ()
-    | pg :: rest ->
-        if pg.owner = t.id && p.n_frames < frame_pool_cap then begin
-          p.frames.(p.n_frames) <- pg.data;
-          p.n_frames <- p.n_frames + 1
-        end;
-        recycle rest
-  in
-  recycle t.owned;
+  List.iter (fun pg -> if pg.owner = t.id then push_frame p pg.data) t.owned;
+  recycle_journal t;
   t.released <- true;
   t.pages <- PageMap.empty;
+  t.saved <- PageMap.empty;
   t.owned <- [];
   flush_tlb t;
   (* The pool must not keep the frames of other memories alive. *)

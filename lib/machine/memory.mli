@@ -38,7 +38,14 @@ val load64 : t -> int64 -> int64
 val store64 : t -> int64 -> int64 -> unit
 
 val blit_out : t -> addr:int64 -> len:int -> Bytes.t
-(** Copy a mapped byte range out (for golden-run comparison). *)
+(** Copy a mapped byte range out, a page at a time.  Raises {!Fault}
+    at the first unmapped byte, as a loop of {!load8} would. *)
+
+val blit_in : t -> addr:int64 -> Bytes.t -> unit
+(** Write the bytes at [addr], a page at a time through the
+    copy-on-write write path.  Raises {!Fault} at the first unmapped
+    byte, with every byte before it written, as a loop of {!store8}
+    would. *)
 
 val region_equal : t -> t -> addr:int64 -> len:int -> bool
 (** Byte-wise comparison of the same range in two memories; unmapped
@@ -68,17 +75,55 @@ val copy : t -> t
     O(bytes), and ranges neither side has written compare equal in
     O(1) per page ({!first_difference} skips shared pages). *)
 
+(** {2 Checkpoints}
+
+    An undo journal for a memory that keeps running after a capture
+    and almost never needs it — a micro-rebooting server captures its
+    live host before every request.  {!copy} would freeze every page
+    the memory owns, so that the next writes duplicate each page they
+    touch into a fresh frame.  A checkpoint keeps the page table as it
+    stands instead and lets the memory go on writing its own pages in
+    place: the first write of an epoch to a page the memory owned at
+    the checkpoint first copies the page's bytes aside (a pre-image,
+    counted by the [memory.checkpoint.preimage] telemetry counter).
+    The pre-image frames come from and return to the same pool
+    {!release} feeds, so a steady run of checkpoints allocates no page
+    frame. *)
+
+type checkpoint
+(** The state of one memory at one {!val-checkpoint}.  Valid until the
+    next checkpoint of the same memory or its {!release}. *)
+
+val checkpoint : t -> checkpoint
+(** Start a new epoch: the previous epoch's pre-image frames go back
+    to the pool (unless a {!copy_checkpoint} binds them), and the
+    memory's contents as they are now become the new checkpoint. *)
+
+val copy_checkpoint : checkpoint -> t
+(** A new memory with the contents at the checkpoint: the saved page
+    table with the pre-images in place of the pages written since.
+    Like {!copy}, it freezes every page the checkpointed memory owns,
+    so neither side sees the other's later writes; the pre-images it
+    binds are never recycled, so one checkpoint can seed any number of
+    copies.  The copy itself has no journal, and neither has a
+    {!copy} of a memory that has one.
+    @raise Invalid_argument if the memory has checkpointed again since
+    or was released. *)
+
 val release : t -> unit
 (** Recycle a memory that will not be used again.  The page frames it
-    owns exclusively (mapped or privatised since its last {!copy}) and
-    its software-TLB arrays go to small per-domain pools, which
-    {!map_region}, copy-on-write privatisation, {!create} and {!copy}
-    draw from before allocating.  Pages it shares with snapshots or
-    copies are untouched: those stay valid for the other memories.
+    owns exclusively (mapped or privatised since its last {!copy}),
+    the pre-images of its current epoch that no {!copy_checkpoint}
+    binds, and its software-TLB arrays go to small per-domain pools,
+    which {!map_region}, copy-on-write privatisation, pre-images,
+    {!create} and {!copy} draw from before allocating.  Pages it shares
+    with snapshots or copies are untouched: those stay valid for the
+    other memories.
 
     Afterwards every operation on the memory — loads, stores,
-    {!copy}, mapping, strikes, comparisons and a second [release] —
-    raises [Invalid_argument], never {!Fault}. *)
+    {!copy}, mapping, strikes, comparisons, checkpoints and a second
+    [release] — raises [Invalid_argument], never {!Fault}; so does
+    {!copy_checkpoint} of any of its checkpoints. *)
 
 val drop_pools : unit -> unit
 (** Empty the calling domain's pools, so that a process done with a
@@ -121,5 +166,6 @@ val private_pages : t -> int
 val tlb_generation : t -> int
 (** Current generation of the software TLB fronting the page table.
     Translations cached at an older generation are dead; {!copy} and
-    {!unmap_region} bump it.  Observability hook for the TLB
+    {!unmap_region} bump it ({!val-checkpoint} drops only the write
+    translations and leaves it alone).  Observability hook for the TLB
     invalidation tests. *)

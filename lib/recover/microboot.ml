@@ -33,7 +33,7 @@ let capture_image host =
 let image_bytes img =
   List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 img.chunks
 
-type context = { host : Hypervisor.t; req : Request.t }
+type context = { ck : Hypervisor.checkpoint; req : Request.t }
 
 let tm_captures = Telemetry.counter "recover.captures"
 let tm_reboots = Telemetry.counter "recover.microboots"
@@ -41,24 +41,15 @@ let tm_reboot_ns = Telemetry.histogram "recover.reboot_ns"
 
 let capture host req =
   if !Telemetry.enabled_ref then Telemetry.incr tm_captures;
-  { host = Hypervisor.clone host; req }
+  { ck = Hypervisor.checkpoint host; req }
 
 let request ctx = ctx.req
 
-let write_back mem (addr, data) =
-  Bytes.iteri
-    (fun i byte ->
-      Memory.store8 mem (Int64.add addr (Int64.of_int i)) (Char.code byte))
-    data
-
 let reboot image ctx =
   let t0 = if !Telemetry.enabled_ref then Clock.monotonic () else 0.0 in
-  (* The context clone is the recovery source of record and may be
-     rebooted more than once (serve replays every queued request from
-     one context); never mutate it. *)
-  let fresh = Hypervisor.clone ctx.host in
+  let fresh = Hypervisor.copy_checkpoint ctx.ck in
   let mem = Hypervisor.memory fresh in
-  List.iter (write_back mem) image.chunks;
+  List.iter (fun (addr, data) -> Memory.blit_in mem ~addr data) image.chunks;
   Hypervisor.restage fresh ctx.req;
   if !Telemetry.enabled_ref then begin
     Telemetry.incr tm_reboots;

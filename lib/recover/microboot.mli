@@ -18,9 +18,13 @@
       boundary: everything guest-visible or guest-derived — domain
       blocks, vCPU areas, time areas, hypervisor globals, event
       channels, grant tables, page tables, the guest input buffer —
-      plus the scheduler, RNG cursor and TSC.  The capture is an O(1)
-      copy-on-write clone, not a byte copy: this is what makes
-      per-exit capture ~350 KiB cheaper than the §VI checkpoint.
+      plus the scheduler, RNG cursor and TSC.  The capture is a
+      journal epoch on the live host
+      ({!Xentry_vmm.Hypervisor.val-checkpoint}), not a byte copy: the
+      host keeps running on its own pages and copies a page aside only
+      on its first write after the capture, into a recycled frame.
+      This is what makes per-exit capture ~350 KiB cheaper than the
+      §VI checkpoint.
     - {b Replayed}: the in-flight request.  {!reboot} re-stages its
       exit context ({!Xentry_vmm.Hypervisor.restage} — no scheduler
       tick, no RNG advance) and the caller re-executes it; detection
@@ -51,14 +55,15 @@ val image_bytes : image -> int
     paid once per host lifetime, not per exit). *)
 
 type context
-(** Live state captured at a VM-exit boundary: an O(1) copy-on-write
-    clone of the whole host taken after
+(** Live state captured at a VM-exit boundary, after
     {!Xentry_vmm.Hypervisor.prepare} and before execution, plus the
-    in-flight request. *)
+    in-flight request.  A context is valid until the next {!capture} on
+    its host, or until that host is released: capture, run, then
+    either go on to the next request or reboot. *)
 
 val capture : Xentry_vmm.Hypervisor.t -> Xentry_vmm.Request.t -> context
 (** Capture the exit context for [req], already prepared on the
-    host. *)
+    host.  Supersedes the host's previous context. *)
 
 val request : context -> Xentry_vmm.Request.t
 (** The in-flight request to replay. *)
@@ -66,5 +71,8 @@ val request : context -> Xentry_vmm.Request.t
 val reboot : image -> context -> Xentry_vmm.Hypervisor.t
 (** Micro-reboot: a new host whose guest-visible state is the
     context's, whose hypervisor-private scratch is the boot image's,
-    with the in-flight request re-staged and ready to re-execute.  The
-    faulted host is left untouched (callers simply drop it). *)
+    with the in-flight request re-staged and ready to re-execute.  One
+    context can seed more than one reboot.  The faulted host keeps its
+    contents (callers simply drop it).
+    @raise Invalid_argument if the context was superseded by a later
+    {!capture} on its host, or the host was released. *)

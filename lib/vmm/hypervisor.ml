@@ -300,24 +300,51 @@ let handle t req =
   retire t req;
   result
 
-let clone t =
-  let mem = Memory.copy t.mem in
-  let doms =
-    Array.map (fun d -> { d with Domain.mem }) t.doms
-  in
+(* A host around [mem] with [t]'s domains, engine and hardening, and
+   the given scheduler, RNG and CPU-side state.  The CPU is fresh: its
+   registers are seeded by every execution, and its RAS bank is
+   per-host diagnostic state. *)
+let assemble t mem ~sched ~rng ~tsc ~assertions ~exits =
+  let doms = Array.map (fun d -> { d with Domain.mem }) t.doms in
   let cpu = Cpu.create ~cpu_id:0 mem in
-  Cpu.set_tsc cpu (Cpu.get_tsc t.cpu);
-  Cpu.set_assertions_enabled cpu (Cpu.assertions_enabled t.cpu);
+  Cpu.set_tsc cpu tsc;
+  Cpu.set_assertions_enabled cpu assertions;
+  { mem; cpu; doms; sched; rng; hardened = t.hardened; engine = t.engine; exits }
+
+let clone t =
+  assemble t (Memory.copy t.mem) ~sched:(Scheduler.copy t.sched)
+    ~rng:(Rng.copy t.rng) ~tsc:(Cpu.get_tsc t.cpu)
+    ~assertions:(Cpu.assertions_enabled t.cpu) ~exits:t.exits
+
+(* A checkpoint is a memory journal epoch plus copies of the little
+   OCaml-side state [clone] copies; the host itself runs on. *)
+type checkpoint = {
+  ck_host : t;
+  ck_mem : Memory.checkpoint;
+  ck_sched : Scheduler.t;
+  ck_rng : Rng.t;
+  ck_tsc : int64;
+  ck_assertions : bool;
+  ck_exits : int;
+}
+
+let checkpoint t =
   {
-    mem;
-    cpu;
-    doms;
-    sched = Scheduler.copy t.sched;
-    rng = Rng.copy t.rng;
-    hardened = t.hardened;
-    engine = t.engine;
-    exits = t.exits;
+    ck_host = t;
+    ck_mem = Memory.checkpoint t.mem;
+    ck_sched = Scheduler.copy t.sched;
+    ck_rng = Rng.copy t.rng;
+    ck_tsc = Cpu.get_tsc t.cpu;
+    ck_assertions = Cpu.assertions_enabled t.cpu;
+    ck_exits = t.exits;
   }
+
+(* The checkpoint's scheduler and RNG are copied again, so that one
+   checkpoint can seed more than one host. *)
+let copy_checkpoint ck =
+  assemble ck.ck_host (Memory.copy_checkpoint ck.ck_mem)
+    ~sched:(Scheduler.copy ck.ck_sched) ~rng:(Rng.copy ck.ck_rng)
+    ~tsc:ck.ck_tsc ~assertions:ck.ck_assertions ~exits:ck.ck_exits
 
 let release t = Memory.release t.mem
 

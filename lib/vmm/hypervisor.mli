@@ -93,14 +93,34 @@ val clone : t -> t
     CPU starts with a fresh (empty) RAS bank: error records are
     per-host diagnostic state, not guest-visible memory. *)
 
+type checkpoint
+(** The host's state at one {!val-checkpoint}: a memory journal epoch
+    ({!Xentry_machine.Memory.val-checkpoint}) plus copies of the
+    scheduler, RNG, TSC, assertion flag and exit count. *)
+
+val checkpoint : t -> checkpoint
+(** Capture the host as it stands and let it run on.  Unlike {!clone},
+    this leaves the host owning its pages: a page the host writes
+    after the checkpoint is copied aside once, into a recycled frame,
+    instead of being duplicated into a fresh private one.  The
+    checkpoint is valid until the next [checkpoint] of the same host
+    or its {!release}. *)
+
+val copy_checkpoint : checkpoint -> t
+(** A new host in the checkpointed state, as {!clone} at the
+    checkpoint would have made it; the checkpointed host is
+    unaffected.  One checkpoint can seed any number of hosts.
+    @raise Invalid_argument if the host has checkpointed again since,
+    or was released. *)
+
 val release : t -> unit
 (** Discard a host that will not be used again, recycling its memory
     ({!Xentry_machine.Memory.release}): the page frames it privatised
     and its TLB arrays go back to per-domain pools for the next hosts
     created or cloned on this domain.  Hosts it was cloned from, and
     clones or snapshots taken of it, are unaffected.  Any later memory
-    access through the host, and a second [release], raise
-    [Invalid_argument]. *)
+    access through the host, a second [release] and {!copy_checkpoint}
+    of its checkpoints raise [Invalid_argument]. *)
 
 val drain_ras : t -> Xentry_ras.Ras.record list
 (** Poll-and-clear the CPU's RAS error-record bank, in log order —

@@ -93,8 +93,8 @@ let sample_activation_rate t mode rng =
 
 (* --- Reason mixes --------------------------------------------------- *)
 
-let category_weights t mode =
-  match (mode, t.wclass) with
+let category_weights mode wclass =
+  match (mode, wclass) with
   | PV, Io_bound ->
       [ ("hypercall", 0.62); ("irq", 0.18); ("exception", 0.08);
         ("apic", 0.06); ("softirq", 0.04); ("tasklet", 0.02) ]
@@ -114,12 +114,12 @@ let category_weights t mode =
       [ ("exception", 0.55); ("apic", 0.15); ("irq", 0.12);
         ("hypercall", 0.12); ("softirq", 0.04); ("tasklet", 0.02) ]
 
-let reason_mix t mode = category_weights t mode
+let reason_mix t mode = category_weights mode t.wclass
 
-let hypercall_weights t =
+let hypercall_weights wclass =
   let open Hypercall in
   let hot =
-    match t.wclass with
+    match wclass with
     | Io_bound ->
         [ (Event_channel_op, 0.25); (Grant_table_op, 0.20); (Sched_op, 0.12);
           (Physdev_op, 0.08); (Set_timer_op, 0.08); (Iret, 0.07);
@@ -142,9 +142,9 @@ let hypercall_weights t =
          (h, base +. extra))
        Hypercall.all)
 
-let exception_weights t =
+let exception_weights wclass =
   let open Xentry_machine.Hw_exception in
-  let pf = match t.wclass with Memory_bound -> 0.70 | _ -> 0.55 in
+  let pf = match wclass with Memory_bound -> 0.70 | _ -> 0.55 in
   Array.to_list
     (Array.map
        (fun e ->
@@ -161,8 +161,8 @@ let exception_weights t =
          (e, w))
        all)
 
-let irq_weights t =
-  let io = t.wclass = Io_bound in
+let irq_weights wclass =
+  let io = wclass = Io_bound in
   List.init Exit_reason.irq_lines (fun line ->
       let w =
         if line = 0 then 0.30 (* platform timer *)
@@ -256,28 +256,47 @@ let request_for_reason reason rng =
       | Hypercall.Control ->
           mk [ Int64.of_int (Rng.int rng 4); Int64.of_int (1 + Rng.int rng 7) ] guest)
 
+(* The draw tables, built once per workload class and mode:
+   [sample_request] is on the serve request path, where rebuilding the
+   weight lists and arrays on every draw cost about a fifth of a
+   micro-reboot request's service time.  Built eagerly, not [lazy]: two
+   domains forcing one lazy value at once raise
+   [CamlinternalLazy.Undefined].  Each table holds its weight list in
+   order, so a draw from it equals a draw from the list. *)
+type tables = {
+  categories : (string * float) array;
+  hypercalls : (Hypercall.t * float) array;
+  exceptions : (Xentry_machine.Hw_exception.t * float) array;
+  irqs : (int * float) array;
+}
+
+let class_index = function Cpu_bound -> 0 | Memory_bound -> 1 | Io_bound -> 2
+
+let tables_for mode =
+  Array.map
+    (fun wclass ->
+      {
+        categories = Array.of_list (category_weights mode wclass);
+        hypercalls = Array.of_list (hypercall_weights wclass);
+        exceptions = Array.of_list (exception_weights wclass);
+        irqs = Array.of_list (irq_weights wclass);
+      })
+    [| Cpu_bound; Memory_bound; Io_bound |]
+
+let pv_tables = tables_for PV
+let hvm_tables = tables_for HVM
+let apic_table = Array.of_list apic_weights
+
 let sample_request t mode rng =
-  let category =
-    Rng.weighted_choice rng (Array.of_list (category_weights t mode))
+  let tables =
+    (match mode with PV -> pv_tables | HVM -> hvm_tables).(class_index t.wclass)
   in
   let reason =
-    match category with
-    | "hypercall" ->
-        let h =
-          Rng.weighted_choice rng (Array.of_list (hypercall_weights t))
-        in
-        Exit_reason.Hypercall h
-    | "exception" ->
-        let e =
-          Rng.weighted_choice rng (Array.of_list (exception_weights t))
-        in
-        Exit_reason.Exception e
-    | "irq" ->
-        let line = Rng.weighted_choice rng (Array.of_list (irq_weights t)) in
-        Exit_reason.Irq line
-    | "apic" ->
-        let a = Rng.weighted_choice rng (Array.of_list apic_weights) in
-        Exit_reason.Apic a
+    match Rng.weighted_choice rng tables.categories with
+    | "hypercall" -> Exit_reason.Hypercall (Rng.weighted_choice rng tables.hypercalls)
+    | "exception" -> Exit_reason.Exception (Rng.weighted_choice rng tables.exceptions)
+    | "irq" -> Exit_reason.Irq (Rng.weighted_choice rng tables.irqs)
+    | "apic" -> Exit_reason.Apic (Rng.weighted_choice rng apic_table)
     | "softirq" -> Exit_reason.Softirq
     | _ -> Exit_reason.Tasklet
   in

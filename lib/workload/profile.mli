@@ -47,6 +47,24 @@ val reason_mix : t -> virt_mode -> (string * float) list
 (** Category weights (irq/apic/softirq/tasklet/exception/hypercall)
     for reporting. *)
 
+(** {2 Draw weights}
+
+    The weights {!sample_request} draws from: a category
+    ({!reason_mix}), then the reason within it, then
+    {!request_for_reason}.  It builds these lists into arrays once, at
+    module initialisation, per workload class and mode. *)
+
+val hypercall_weights : workload_class -> (Xentry_vmm.Hypercall.t * float) list
+val exception_weights :
+  workload_class -> (Xentry_machine.Hw_exception.t * float) list
+val irq_weights : workload_class -> (int * float) list
+val apic_weights : (Xentry_vmm.Exit_reason.apic * float) list
+
+val request_for_reason :
+  Xentry_vmm.Exit_reason.t -> Xentry_util.Rng.t -> Xentry_vmm.Request.t
+(** A request for the given reason, with arguments drawn as
+    {!sample_request} draws them. *)
+
 val mean_handler_length : t -> virt_mode -> float
 (** Expected dynamic instructions per hypervisor execution under this
     profile (used by the fault-free overhead model). *)

@@ -39,13 +39,7 @@ let checkpoint_bytes t =
 
 let restore host t =
   let mem = Hypervisor.memory host in
-  List.iter
-    (fun { addr; data } ->
-      Bytes.iteri
-        (fun i byte ->
-          Memory.store8 mem (Int64.add addr (Int64.of_int i)) (Char.code byte))
-        data)
-    t.regions;
+  List.iter (fun { addr; data } -> Memory.blit_in mem ~addr data) t.regions;
   Cpu.set_tsc (Hypervisor.cpu host) t.tsc
 
 let recover host t ?fuel req =

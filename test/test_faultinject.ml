@@ -631,6 +631,112 @@ let prop_microboot_identity =
           && Classify.diffs ~golden ~faulted:rebooted
              |> List.for_all (fun d -> d = Classify.Stack_diff))
 
+(* The micro-reboot as it was before a capture became a journal epoch:
+   a copy-on-write clone of the host at capture, and at reboot a clone
+   of that clone, the boot image stored byte by byte, then the request
+   re-staged.  Kept as the reference the journal reboot must match. *)
+let clone_reboot ~image ~captured req =
+  let fresh = Hypervisor.clone captured in
+  let mem = Hypervisor.memory fresh in
+  List.iter
+    (fun (addr, data) ->
+      Bytes.iteri
+        (fun i byte ->
+          Memory.store8 mem (Int64.add addr (Int64.of_int i)) (Char.code byte))
+        data)
+    image;
+  Hypervisor.restage fresh req;
+  fresh
+
+(* Twin hosts from one seed run the same requests and the same fault
+   of any class: [live] captures every request as a journal epoch,
+   [twin] keeps a clone at the last capture.  Rebooting both must give
+   the same host: no diffs (stack included), the same page count, the
+   same replay and the same follow-up results. *)
+let prop_journal_reboot_matches_clone_reboot =
+  QCheck.Test.make ~name:"journal micro-reboot equals the clone-based reboot"
+    ~count:40
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 8) (int_range 0 1_000_000))
+    (fun (host_seed, warmup, seed) ->
+      let module Microboot = Xentry_recover.Microboot in
+      let fuel = 4000 in
+      let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
+      let rng = Xentry_util.Rng.create seed in
+      let next () =
+        Xentry_workload.Profile.sample_request profile Xentry_workload.Profile.PV rng
+      in
+      let live = Hypervisor.create ~seed:host_seed () in
+      let twin = Hypervisor.create ~seed:host_seed () in
+      let image = Microboot.capture_image live in
+      let twin_image =
+        List.map
+          (fun (_, addr, len) ->
+            (addr, Memory.blit_out (Hypervisor.memory twin) ~addr ~len))
+          Microboot.reinit_regions
+      in
+      for _ = 1 to warmup do
+        let req = next () in
+        Hypervisor.prepare live req;
+        ignore (Microboot.capture live req : Microboot.context);
+        ignore (Hypervisor.execute live ~fuel req : Cpu.run_result);
+        Hypervisor.retire live req;
+        ignore (Hypervisor.handle twin req : Cpu.run_result)
+      done;
+      let req = next () in
+      Hypervisor.prepare live req;
+      Hypervisor.prepare twin req;
+      let ctx = Microboot.capture live req in
+      let captured = Hypervisor.clone twin in
+      let golden = Hypervisor.execute (Hypervisor.clone captured) ~fuel req in
+      let fault =
+        Fault.sample ~classes:(Array.to_list Fault.all_classes) rng
+          ~max_step:(max 1 golden.Cpu.steps)
+      in
+      let inject = Fault.to_injection fault in
+      let faulted = Hypervisor.execute live ~inject ~fuel req in
+      let rebooted = Microboot.reboot image ctx in
+      let reference = clone_reboot ~image:twin_image ~captured req in
+      let same () = Classify.diffs ~golden:reference ~faulted:rebooted = [] in
+      let both f = f rebooted = f reference in
+      faulted = Hypervisor.execute twin ~inject ~fuel req
+      && same ()
+      && both (fun h -> Memory.page_count (Hypervisor.memory h))
+      && both (fun h -> Hypervisor.execute h ~fuel req)
+      && same ()
+      && begin
+           Hypervisor.retire rebooted req;
+           Hypervisor.retire reference req;
+           List.for_all
+             (fun _ ->
+               let fu = next () in
+               both (fun h -> Hypervisor.handle h fu))
+             [ 1; 2; 3 ]
+         end
+      && same ())
+
+(* A context lives until the next capture on its host, or until the
+   host is released. *)
+let test_microboot_superseded_context () =
+  let module Microboot = Xentry_recover.Microboot in
+  let host = Hypervisor.create ~seed:5 () in
+  let image = Microboot.capture_image host in
+  let rng = Xentry_util.Rng.create 5 in
+  let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
+  let req = Xentry_workload.Profile.sample_request profile Xentry_workload.Profile.PV rng in
+  Hypervisor.prepare host req;
+  let first = Microboot.capture host req in
+  let second = Microboot.capture host req in
+  let raises ctx =
+    match Microboot.reboot image ctx with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "superseded context raises" true (raises first);
+  Alcotest.(check bool) "current context reboots" false (raises second);
+  Alcotest.(check bool) "and reboots again" false (raises second);
+  Hypervisor.release host;
+  Alcotest.(check bool) "released host's context raises" true (raises second)
+
 (* The region walk [Classify.diffs] made before its table was grouped
    by page: the region list rebuilt per call and every region compared
    with [Memory.region_equal].  Kept as the reference the page-grouped
@@ -755,7 +861,8 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [
         prop_consequence_total; prop_planned_equals_exhaustive;
-        prop_microboot_identity; prop_page_grouped_diffs_match_region_walk;
+        prop_microboot_identity; prop_journal_reboot_matches_clone_reboot;
+        prop_page_grouped_diffs_match_region_walk;
       ]
   in
   Alcotest.run "xentry_faultinject"
@@ -806,6 +913,11 @@ let () =
             test_planned_verdicts_identical_any_jobs;
           Alcotest.test_case "fault step beyond run prunes" `Quick
             test_fault_step_beyond_run_prunes;
+        ] );
+      ( "microboot",
+        [
+          Alcotest.test_case "superseded context raises" `Quick
+            test_microboot_superseded_context;
         ] );
       ( "report",
         [

@@ -165,6 +165,75 @@ let test_tlb_privatisation_refreshes_read_slot () =
   Alcotest.(check int64) "copy reads its own write" 6L (Memory.load64 c 0x1000L);
   Alcotest.(check int64) "parent undisturbed" 5L (Memory.load64 m 0x1000L)
 
+(* Checkpoints.  Warm write translations must not let the first
+   write after a checkpoint skip the journal, and a copy must not see
+   the live memory's later writes; pre-images a copy binds must survive
+   the next checkpoint and the frame pool; pages mapped or privatised
+   after a checkpoint are never journaled; a struck page is journaled
+   by record, under every number the checkpoint binds it at. *)
+let test_checkpoint_copies () =
+  let page n = Int64.of_int (n * Memory.page_size) in
+  let module Telemetry = Xentry_util.Telemetry in
+  let preimages = Telemetry.counter "memory.checkpoint.preimage" in
+  let m = Memory.create () in
+  Memory.map_region m ~addr:(page 1) ~size:(3 * Memory.page_size);
+  Memory.store64 m (page 1) 1L (* warm write TLB *);
+  Telemetry.enable ();
+  let p0 = Telemetry.counter_value preimages in
+  let ck = Memory.checkpoint m in
+  Memory.store64 m (page 1) 2L;
+  Memory.store64 m (page 1) 2L;
+  Memory.map_region m ~addr:(page 6) ~size:Memory.page_size;
+  Memory.store64 m (page 6) 5L;
+  let a = Memory.copy_checkpoint ck and b = Memory.copy_checkpoint ck in
+  Memory.store64 m (page 1) 3L;
+  Memory.store64 m (page 2) 4L;
+  (* Drop every translation, so the next write takes the slow path. *)
+  Memory.unmap_region m ~addr:(page 9) ~size:Memory.page_size;
+  Memory.store64 m (page 1) 3L;
+  let journaled = Telemetry.counter_value preimages - p0 in
+  Telemetry.disable ();
+  Alcotest.(check int) "one pre-image" 1 journaled;
+  Alcotest.(check int64) "copy reads the checkpoint" 1L (Memory.load64 a (page 1));
+  Alcotest.(check int64) "second copy too" 1L (Memory.load64 b (page 1));
+  Alcotest.(check int64) "copy misses later writes" 0L (Memory.load64 a (page 2));
+  Alcotest.(check bool) "copy misses later mappings" false
+    (Memory.is_mapped a (page 6));
+  Alcotest.(check int64) "live reads its write" 3L (Memory.load64 m (page 1));
+  let ck2 = Memory.checkpoint m in
+  (* Drain the frame pool into fresh zeroed pages. *)
+  let z = Memory.create () in
+  Memory.map_region z ~addr:(page 16) ~size:(64 * Memory.page_size);
+  Alcotest.(check int64) "copy keeps its pre-image" 1L (Memory.load64 a (page 1));
+  (match Memory.copy_checkpoint ck with
+  | _ -> Alcotest.fail "superseded checkpoint copied"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int64) "current checkpoint" 3L
+    (Memory.load64 (Memory.copy_checkpoint ck2) (page 1));
+  Memory.release m;
+  (match Memory.copy_checkpoint ck2 with
+  | _ -> Alcotest.fail "released memory's checkpoint copied"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int64) "copy outlives the release" 1L (Memory.load64 b (page 1));
+  (* Page 3 struck to alias page 1's record (3 xor 2 = 1), before and
+     after the checkpoint. *)
+  let struck ~before =
+    let s = Memory.create () in
+    Memory.map_region s ~addr:(page 1) ~size:(3 * Memory.page_size);
+    Memory.store64 s (page 1) 7L;
+    Memory.store64 s (page 3) 8L;
+    let strike () = ignore (Memory.strike_tlb s ~page:3L ~bit:1 : bool) in
+    if before then strike ();
+    let ck = Memory.checkpoint s in
+    if not before then strike ();
+    Memory.store64 s (page 3) 9L;
+    Alcotest.(check int64) "live alias" 9L (Memory.load64 s (page 1));
+    let c = Memory.copy_checkpoint ck in
+    (Memory.load64 c (page 1), Memory.load64 c (page 3))
+  in
+  Alcotest.(check (pair int64 int64)) "struck before" (7L, 7L) (struck ~before:true);
+  Alcotest.(check (pair int64 int64)) "struck after" (7L, 8L) (struck ~before:false)
+
 let test_tlb_unmap_faults_after_warm () =
   let m = Memory.create () in
   Memory.map_region m ~addr:0x1000L ~size:4096;
@@ -992,17 +1061,27 @@ let prop_tlb_cow_with_reads =
    nothing observable: a released memory's frames and TLB arrays come
    back zeroed or overwritten for the next memory ([Fresh], [Map],
    privatising [Store]/[Flip]) and never show through a live one, and
-   every access to a released memory raises [Invalid_argument]. *)
+   every access to a released memory raises [Invalid_argument].
+   Checkpoints are modelled as the bytes each page held, so a copy at
+   a checkpoint must read them whatever the memory wrote, struck or
+   recycled since; a handle whose memory checkpointed again or was
+   released must raise [Invalid_argument]. *)
 module Cow_model = struct
   module IM = Map.Make (Int)
 
   type record = { bytes : string; owner : int }
   type mem = Live of { uid : int; pages : int IM.t } | Released
 
+  (* A checkpoint: whose, which of its epochs, and each page's bytes. *)
+  type handle = { h_uid : int; h_epoch : int; h_pages : string IM.t }
+
   type t = {
     records : record IM.t;
     mems : mem IM.t;  (** slot -> memory *)
     next : int;  (** next uid and record id *)
+    epochs : int IM.t;  (** uid -> checkpoints taken, when any *)
+    handles : handle IM.t;  (** handle slot -> checkpoint *)
+    released : int list;  (** uids *)
   }
 
   let slots = 4
@@ -1014,6 +1093,9 @@ module Cow_model = struct
         IM.of_seq
           (Seq.init slots (fun i -> (i, Live { uid = i + 1; pages = IM.empty })));
       next = slots + 1;
+      epochs = IM.empty;
+      handles = IM.empty;
+      released = [];
     }
 
   let lookup m slot pn =
@@ -1037,6 +1119,7 @@ module Cow_model = struct
           { m with records = IM.add r { bytes; owner } m.records }
         else
           {
+            m with
             records = IM.add m.next { bytes; owner = uid } m.records;
             mems =
               IM.add slot (Live { uid; pages = IM.add pn m.next pages }) m.mems;
@@ -1055,6 +1138,8 @@ type release_op =
   | Equal of int * int * int  (** slot, slot, page *)
   | Release of int
   | Drop_pools
+  | Checkpoint of int * int  (** slot, into handle slot *)
+  | Copy_checkpoint of int * int  (** from handle slot, into slot *)
 
 let show_release_op = function
   | Fresh i -> Printf.sprintf "Fresh %d" i
@@ -1067,6 +1152,8 @@ let show_release_op = function
   | Equal (i, j, p) -> Printf.sprintf "Equal (%d, %d, %d)" i j p
   | Release i -> Printf.sprintf "Release %d" i
   | Drop_pools -> "Drop_pools"
+  | Checkpoint (i, k) -> Printf.sprintf "Checkpoint (%d, %d)" i k
+  | Copy_checkpoint (k, j) -> Printf.sprintf "Copy_checkpoint (%d, %d)" k j
 
 (* Pages 1-6 get mapped; strikes flip bits 0-2, so an alias can also
    be the never-mapped page 0 or 7. *)
@@ -1097,6 +1184,8 @@ let release_op_gen =
         slot >>= fun i -> slot >>= fun j -> map (fun p -> Equal (i, j, p)) page );
       (2, map (fun i -> Release i) slot);
       (1, return Drop_pools);
+      (2, map2 (fun i k -> Checkpoint (i, k)) slot slot);
+      (2, map2 (fun k j -> Copy_checkpoint (k, j)) slot slot);
     ]
 
 type release_outcome = Done | Value of int64 | Bool of bool | Faulted | Invalid
@@ -1104,8 +1193,9 @@ type release_outcome = Done | Value of int64 | Bool of bool | Faulted | Invalid
 let page_addr pn = Int64.of_int (pn * Memory.page_size)
 
 let op_slots = function
-  | Fresh _ | Drop_pools -> []
+  | Fresh _ | Drop_pools | Copy_checkpoint _ -> []
   | Map (i, _)
+  | Checkpoint (i, _)
   | Store (i, _, _, _)
   | Load (i, _, _)
   | Copy (i, _)
@@ -1130,7 +1220,9 @@ let model_step (m : Cow_model.t) op =
     match op with
     | Fresh i ->
         (Done, { m with mems = set i m.next IM.empty; next = m.next + 1 })
-    | Release i -> (Done, { m with mems = IM.add i Released m.mems })
+    | Release i ->
+        let uid, _ = live i in
+        (Done, { m with mems = IM.add i Released m.mems; released = uid :: m.released })
     | Drop_pools -> (Done, m)
     | Map (i, pn) ->
         let uid, pages = live i in
@@ -1141,6 +1233,7 @@ let model_step (m : Cow_model.t) op =
           in
           ( Done,
             {
+              m with
               records = IM.add m.next zeros m.records;
               mems = set i uid (IM.add pn m.next pages);
               next = m.next + 1;
@@ -1164,10 +1257,41 @@ let model_step (m : Cow_model.t) op =
         let freeze r = if r.owner = uid then { r with owner = 0 } else r in
         ( Done,
           {
+            m with
             records = IM.map freeze m.records;
             mems = set j m.next pages;
             next = m.next + 1;
           } )
+    | Checkpoint (i, k) ->
+        let uid, pages = live i in
+        let h_epoch = 1 + Option.value ~default:0 (IM.find_opt uid m.epochs) in
+        let h_pages = IM.map (fun r -> (IM.find r m.records).bytes) pages in
+        ( Done,
+          {
+            m with
+            epochs = IM.add uid h_epoch m.epochs;
+            handles = IM.add k { h_uid = uid; h_epoch; h_pages } m.handles;
+          } )
+    | Copy_checkpoint (k, j) -> (
+        match IM.find_opt k m.handles with
+        | Some h
+          when (not (List.mem h.h_uid m.released))
+               && IM.find h.h_uid m.epochs = h.h_epoch ->
+            (* The checkpointed memory loses its pages, as for [Copy];
+               the copy binds frozen records holding the checkpoint's
+               bytes. *)
+            let freeze r = if r.owner = h.h_uid then { r with owner = 0 } else r in
+            let records, pages, next =
+              IM.fold
+                (fun pn bytes (records, pages, next) ->
+                  ( IM.add next { bytes; owner = 0 } records,
+                    IM.add pn next pages,
+                    next + 1 ))
+                h.h_pages
+                (IM.map freeze m.records, IM.empty, m.next + 1)
+            in
+            (Done, { m with records; mems = set j m.next pages; next })
+        | _ -> (Invalid, m))
     | Strike (i, pn, bit) ->
         let uid, pages = live i in
         if not (IM.mem pn pages) then (Bool false, m)
@@ -1180,7 +1304,7 @@ let model_step (m : Cow_model.t) op =
           (Bool true, { m with mems = set i uid pages })
     | Equal (i, j, pn) -> (Bool (lookup m i pn = lookup m j pn), m)
 
-let impl_step mems op =
+let impl_step mems handles op =
   let addr pn off = Int64.add (page_addr pn) (Int64.of_int off) in
   match
     match op with
@@ -1219,6 +1343,15 @@ let impl_step mems op =
     | Drop_pools ->
         Memory.drop_pools ();
         Done
+    | Checkpoint (i, k) ->
+        handles.(k) <- Some (Memory.checkpoint mems.(i));
+        Done
+    | Copy_checkpoint (k, j) -> (
+        match handles.(k) with
+        | None -> Invalid
+        | Some h ->
+            mems.(j) <- Memory.copy_checkpoint h;
+            Done)
   with
   | outcome -> outcome
   | exception Memory.Fault _ -> Faulted
@@ -1253,18 +1386,73 @@ let prop_release_matches_model =
        QCheck.Gen.(list_size (int_range 1 60) release_op_gen))
     (fun ops ->
       let mems = Array.init Cow_model.slots (fun _ -> Memory.create ()) in
+      let handles = Array.make Cow_model.slots None in
       (* Releasing one memory never changes what a live one reads:
-         whole images are compared after every release and at the
-         end, single words after every load. *)
+         whole images are compared after every release and checkpoint
+         copy and at the end, single words after every load. *)
       let rec go m = function
         | [] -> images_agree mems m
         | op :: rest ->
             let expected, m' = model_step m op in
-            impl_step mems op = expected
-            && (match op with Release _ -> images_agree mems m' | _ -> true)
+            impl_step mems handles op = expected
+            && (match op with
+               | Release _ | Copy_checkpoint _ -> images_agree mems m'
+               | _ -> true)
             && go m' rest
       in
       go Cow_model.init ops)
+
+(* --- qcheck: bulk transfers vs byte loops ------------------------------------ *)
+
+(* Pages 1-3 mapped with distinct contents, pages 0 and 4 unmapped:
+   ranges may start in either unmapped page, cross pages and end in
+   page 4.  [cow] writes through copies of a shared memory, so
+   [blit_in] also takes the privatising path. *)
+let blit_memory () =
+  let m = Memory.create () in
+  Memory.map_region m ~addr:(Int64.of_int Memory.page_size)
+    ~size:(3 * Memory.page_size);
+  for w = 0 to (3 * Memory.page_size / 8) - 1 do
+    Memory.store64 m
+      (Int64.of_int (Memory.page_size + (w * 8)))
+      (Int64.of_int ((w * 0x9E37) + 1))
+  done;
+  m
+
+let fault_outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Memory.Fault { addr; write } -> Error (addr, write)
+
+let prop_blits_match_byte_loops =
+  QCheck.Test.make ~name:"blit_in and blit_out equal byte loops" ~count:200
+    QCheck.(
+      quad
+        (int_range (Memory.page_size - 24) ((4 * Memory.page_size) + 24))
+        (int_range 0 ((2 * Memory.page_size) + 64))
+        small_nat bool)
+    (fun (start, len, seed, cow) ->
+      let addr = Int64.of_int start in
+      let at i = Int64.add addr (Int64.of_int i) in
+      let m = blit_memory () in
+      let out_pages = fault_outcome (fun () -> Memory.blit_out m ~addr ~len) in
+      let out_bytes =
+        fault_outcome (fun () ->
+            Bytes.init len (fun i -> Char.chr (Memory.load8 m (at i))))
+      in
+      let data = Bytes.init len (fun i -> Char.chr ((seed + (i * 7)) land 0xFF)) in
+      let base = blit_memory () in
+      let target () = if cow then Memory.copy base else blit_memory () in
+      let a = target () and b = target () in
+      let in_pages = fault_outcome (fun () -> Memory.blit_in a ~addr data) in
+      let in_bytes =
+        fault_outcome (fun () ->
+            Bytes.iteri (fun i c -> Memory.store8 b (at i) (Char.code c)) data)
+      in
+      let whole = 5 * Memory.page_size in
+      out_pages = out_bytes && in_pages = in_bytes
+      && Memory.region_equal a b ~addr:0L ~len:whole
+      && Memory.region_equal base (blit_memory ()) ~addr:0L ~len:whole)
 
 (* --- qcheck: compiled engine vs reference engine ------------------------------ *)
 
@@ -1557,6 +1745,7 @@ let () =
         prop_recorder_matches_naive;
         prop_trace_fate_matches_live_watch;
         prop_release_matches_model;
+        prop_blits_match_byte_loops;
       ]
   in
   Alcotest.run "xentry_machine"
@@ -1589,6 +1778,7 @@ let () =
           Alcotest.test_case "tlb unmap faults after warm" `Quick
             test_tlb_unmap_faults_after_warm;
           Alcotest.test_case "tlb clone chain" `Quick test_tlb_clone_chain_no_stale;
+          Alcotest.test_case "checkpoint copies" `Quick test_checkpoint_copies;
         ] );
       ( "hw_exception",
         [

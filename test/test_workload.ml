@@ -164,6 +164,41 @@ let test_requests_cover_many_reasons () =
   Alcotest.(check bool) "at least half the reasons appear" true
     (Hashtbl.length seen > Exit_reason.count / 2)
 
+(* The sampler as it was before its weight tables were built once at
+   module initialisation: every draw rebuilds each weight list and
+   converts it to an array.  Kept as the reference the table-driven
+   sampler must match draw for draw. *)
+let list_building_sample p mode rng =
+  let wclass = Profile.workload_class p in
+  let pick weights = Rng.weighted_choice rng (Array.of_list weights) in
+  let reason =
+    match pick (Profile.reason_mix p mode) with
+    | "hypercall" -> Exit_reason.Hypercall (pick (Profile.hypercall_weights wclass))
+    | "exception" -> Exit_reason.Exception (pick (Profile.exception_weights wclass))
+    | "irq" -> Exit_reason.Irq (pick (Profile.irq_weights wclass))
+    | "apic" -> Exit_reason.Apic (pick Profile.apic_weights)
+    | "softirq" -> Exit_reason.Softirq
+    | _ -> Exit_reason.Tasklet
+  in
+  Profile.request_for_reason reason rng
+
+let test_tables_match_list_building_sampler () =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun mode ->
+          let p = Profile.get b in
+          let rng = Rng.create 77 and ref_rng = Rng.create 77 in
+          for i = 1 to 2000 do
+            let req = Profile.sample_request p mode rng in
+            if req <> list_building_sample p mode ref_rng then
+              Alcotest.failf "%s %s: draw %d differs (%s)" (Profile.benchmark_name b)
+                (Profile.mode_name mode) i
+                (Exit_reason.name req.Request.reason)
+          done)
+        [ Profile.PV; Profile.HVM ])
+    all_benchmarks
+
 let test_mean_handler_length_reasonable () =
   let p = Profile.get Profile.Postmark in
   let len = Profile.mean_handler_length p Profile.PV in
@@ -226,6 +261,8 @@ let () =
         [
           Alcotest.test_case "run clean" `Slow test_sampled_requests_run_clean;
           Alcotest.test_case "reason coverage" `Quick test_requests_cover_many_reasons;
+          Alcotest.test_case "tables match list-building sampler" `Quick
+            test_tables_match_list_building_sampler;
           Alcotest.test_case "mean length" `Quick test_mean_handler_length_reasonable;
         ] );
       ( "stream",
