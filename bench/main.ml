@@ -1,12 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Fig 3, Table I, the §III-B classifier numbers, Fig 6,
-   Fig 7, Fig 8, Fig 9, Fig 10, Table II, Fig 11), plus an ablation
-   study and Bechamel micro-benchmarks of the pipeline kernels.
+   Fig 7, Fig 8, Fig 9, Fig 10, Table II, Fig 11), plus ablations, the
+   extensions (recovery, hardening, serving, cluster) and Bechamel
+   micro-benchmarks of the pipeline kernels.
 
    Usage:  dune exec bench/main.exe [-- OPTION... EXPERIMENT...]
    where EXPERIMENT is one of: all fig3 table1 accuracy fig6 fig7 fig8
-   fig9 fig10 table2 fig11 ablation recovery hardening speedup resume
-   serve classes micro (default: all).
+   fig9 fig10 table2 fig11 ablation modes exposure hardening speedup
+   resume campaign serve recover cluster classes micro (default: all).
+   Every name is checked before anything runs: an unknown one prints
+   the usage to stderr and exits 2.
 
    Options:
      -j N, --jobs N   run campaigns on N worker domains (0 = the
@@ -397,7 +400,7 @@ let fig10 () =
                  (Array.to_list (Stats.cdf_points cdf)))
           in
           if Array.length points < 2 then None
-          else Some (Framework.technique_name technique, points))
+          else Some (Pipeline.technique_name technique, points))
       s.Report.latencies_by_technique
   in
   (* Later-listed series paint over earlier ones in the ASCII grid, so
@@ -409,7 +412,7 @@ let fig10 () =
         let fl = Array.map float_of_int latencies in
         printf
           "%-24s n=%-6d median=%-6.0f p95=%-6.0f  below 700: %s\n"
-          (Framework.technique_name technique)
+          (Pipeline.technique_name technique)
           (Array.length latencies) (Stats.median fl) (Stats.quantile fl 0.95)
           (R.percent
              (100.0 *. Report.latency_fraction_below s technique 700))
@@ -734,46 +737,6 @@ let exposure () =
      rather than a (fault-isolated) guest.  On dedicated I/O cores the\n\
      paper notes this approaches full utilization, which is the SII-B\n\
      argument for protecting the hypervisor at all.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Recovery study (extension: the paper's sketched recovery, closed)   *)
-(* ------------------------------------------------------------------ *)
-
-let recovery () =
-  print
-    (R.section
-       "Recovery study (extension: SVI checkpoint + re-execution, implemented)");
-  let det = Lazy.force detector in
-  let injections = scaled 2_000 in
-  let rows =
-    List.map
-      (fun b ->
-        let r =
-          Recovery_study.study ~seed:31 ~benchmark:b ~injections
-            (Pipeline.Config.make ~detector:det ())
-        in
-        [
-          Profile.benchmark_name b;
-          string_of_int r.Recovery_study.detected;
-          string_of_int r.Recovery_study.recovered_exactly;
-          string_of_int r.Recovery_study.recovery_mismatches;
-          string_of_int r.Recovery_study.undetected_manifested;
-          Printf.sprintf "%d KiB" (r.Recovery_study.checkpoint_bytes / 1024);
-        ])
-      benchmarks
-  in
-  print
-    (R.table
-       ~header:
-         [ "benchmark"; "detected"; "recovered exactly"; "mismatches";
-           "undetected (damage stands)"; "checkpoint" ]
-       ~rows);
-  printf
-    "\nEvery fault Xentry detects is detected before VM entry, so restoring\n\
-     the per-exit checkpoint and re-executing reproduces the golden host\n\
-     bit-exactly - the enabling property the paper claims for low-cost\n\
-     recovery (SI, SVI).  Undetected faults are never recovered:\n\
-     detection coverage is the recovery ceiling.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Hardening ablation (extension: SVI selective value duplication)     *)
@@ -1263,76 +1226,115 @@ let serve () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Recover: ReHype-style micro-reboot vs the restart-everything        *)
-(* baseline, at fault-injection scale                                  *)
+(* Recover: the paper's SVI checkpoint restore and ReHype-style        *)
+(* micro-reboot vs the restart-everything baseline                      *)
 (* ------------------------------------------------------------------ *)
 
 module RecCampaign = Xentry_recover.Campaign
 
-let recover_bench_result : RecCampaign.result option ref = ref None
+let recover_bench_results : (Profile.benchmark * RecCampaign.result) list ref =
+  ref []
 
 let recover () =
   print
     (R.section
-       "Micro-reboot recovery (extension: ReHype-style, vs restart baseline)");
+       "Recovery (extension: SVI checkpoint restore and ReHype-style \
+        micro-reboot, vs restart)");
+  let det = Lazy.force detector in
   let injections = max 150 (scaled 2_000) in
-  let cfg =
-    {
-      RecCampaign.default_config with
-      RecCampaign.injections;
-      pipeline = Pipeline.Config.make ~fuel:4000 ();
-    }
-  in
   let t0 = Unix.gettimeofday () in
-  let r = RecCampaign.run cfg in
-  record_phase "recover-campaign" (Unix.gettimeofday () -. t0) injections;
+  let results =
+    List.map
+      (fun b ->
+        ( b,
+          RecCampaign.run
+            {
+              RecCampaign.default_config with
+              RecCampaign.seed = 31;
+              benchmark = b;
+              injections;
+              pipeline = Pipeline.Config.make ~detector:det ();
+            } ))
+      benchmarks
+  in
+  record_phase "recover-campaign" (Unix.gettimeofday () -. t0)
+    (injections * List.length benchmarks);
   let rows =
     List.map
-      (fun (c : RecCampaign.class_stats) ->
+      (fun (b, (r : RecCampaign.result)) ->
         [
-          RecCampaign.class_name c.RecCampaign.cls;
-          string_of_int c.RecCampaign.faults;
-          string_of_int c.RecCampaign.recovered_exactly;
-          string_of_int c.RecCampaign.mismatches;
-          string_of_int c.RecCampaign.carryover;
+          Profile.benchmark_name b;
+          string_of_int r.RecCampaign.detected;
+          string_of_int r.RecCampaign.checkpoint_work_recovered;
+          string_of_int r.RecCampaign.micro_work_recovered;
+          string_of_int r.RecCampaign.micro_state_lost;
+          string_of_int r.RecCampaign.undetected_manifested;
+          Printf.sprintf "%.0f" r.RecCampaign.reboot_ns_p99;
         ])
-      r.RecCampaign.classes
+      results
   in
   print
     (R.table
        ~header:
-         [ "fault class"; "faults"; "recovered exactly"; "mismatches";
-           "carryover" ]
+         [ "benchmark"; "detected"; "checkpoint"; "micro-reboot";
+           "state lost"; "undetected (damage stands)"; "reboot p99 ns" ]
        ~rows);
+  (* Per fault class, summed over the benchmarks. *)
+  let class_rows =
+    List.mapi
+      (fun k (c : RecCampaign.class_stats) ->
+        let sum f =
+          List.fold_left
+            (fun acc (_, r) -> acc + f (List.nth r.RecCampaign.classes k))
+            0 results
+        in
+        [
+          RecCampaign.class_name c.RecCampaign.cls;
+          string_of_int (sum (fun c -> c.RecCampaign.faults));
+          string_of_int (sum (fun c -> c.RecCampaign.checkpoint_recovered));
+          string_of_int (sum (fun c -> c.RecCampaign.recovered_exactly));
+          string_of_int (sum (fun c -> c.RecCampaign.mismatches));
+          string_of_int (sum (fun c -> c.RecCampaign.carryover));
+        ])
+      (snd (List.hd results)).RecCampaign.classes
+  in
+  print "\n";
+  print
+    (R.table
+       ~header:
+         [ "fault class"; "faults"; "checkpoint"; "micro-reboot";
+           "mismatches"; "carryover" ]
+       ~rows:class_rows);
   printf
-    "\nmicro-reboot: work recovered %d/%d, guest state lost %d\n\
-     restart-everything: work lost %d, guest state lost %d (all domains \
-     destroyed per fault)\n\
-     MTTF improvement over restart: %s\n\
-     boot image %d B (one-time) vs per-exit checkpoint %d B; reboot mean \
-     %.0f ns, p99 %.0f ns\n"
-    r.RecCampaign.micro_work_recovered r.RecCampaign.detected
-    r.RecCampaign.micro_state_lost r.RecCampaign.restart_work_lost
-    r.RecCampaign.restart_state_lost
-    (if r.RecCampaign.mttf_improvement = Float.infinity then "inf (lost nothing)"
-     else Printf.sprintf "%.1fx" r.RecCampaign.mttf_improvement)
-    r.RecCampaign.image_bytes r.RecCampaign.checkpoint_bytes
-    r.RecCampaign.reboot_ns_mean r.RecCampaign.reboot_ns_p99;
-  (* Identity is a hard invariant, not a statistic: every detected
-     fault must recover bit-exactly with zero carryover. *)
-  if
-    r.RecCampaign.micro_state_lost > 0
-    || r.RecCampaign.micro_work_recovered <> r.RecCampaign.detected
-  then begin
-    Printf.eprintf
-      "FATAL: micro-reboot identity violated (recovered %d of %d detected, \
-       state lost %d)\n\
-       %!"
-      r.RecCampaign.micro_work_recovered r.RecCampaign.detected
-      r.RecCampaign.micro_state_lost;
-    exit 1
-  end;
-  recover_bench_result := Some r
+    "\nBoth arms recover from the one context captured at each VM exit: \
+     checkpoint restores\n\
+     the whole host and re-executes (SVI); micro-reboot resets the %d B \
+     boot image over\n\
+     hypervisor scratch and replays (ReHype).  Restart-everything loses \
+     the in-flight\n\
+     request and every domain on each detected fault.  Undetected faults \
+     are never\n\
+     recovered: detection coverage is the recovery ceiling.\n"
+    (snd (List.hd results)).RecCampaign.image_bytes;
+  (* Identity is a hard invariant, not a statistic: on both arms every
+     detected fault must recover bit-exactly, with zero carryover. *)
+  List.iter
+    (fun (b, (r : RecCampaign.result)) ->
+      if
+        r.RecCampaign.checkpoint_work_recovered <> r.RecCampaign.detected
+        || r.RecCampaign.micro_work_recovered <> r.RecCampaign.detected
+        || r.RecCampaign.micro_state_lost > 0
+      then begin
+        Printf.eprintf
+          "FATAL: recovery identity violated on %s (detected %d: checkpoint \
+           recovered %d, micro-reboot recovered %d, state lost %d)\n%!"
+          (Profile.benchmark_name b) r.RecCampaign.detected
+          r.RecCampaign.checkpoint_work_recovered
+          r.RecCampaign.micro_work_recovered r.RecCampaign.micro_state_lost;
+        exit 1
+      end)
+    results;
+  recover_bench_results := results
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: multi-process scale-out of campaigns and serve              *)
@@ -1641,7 +1643,7 @@ let micro () =
         (Staged.stage (fun () ->
              ignore
                (Cost_model.per_exit_seconds Cost_model.default_params
-                  Framework.full_config ~tree_comparisons:12)));
+                  Pipeline.full_detection ~tree_comparisons:12)));
       Test.make ~name:"fig8:handler-execution"
         (Staged.stage (fun () ->
              Hypervisor.prepare host req;
@@ -1827,7 +1829,6 @@ let experiments =
     ("ablation", ablation);
     ("modes", modes);
     ("exposure", exposure);
-    ("recovery", recovery);
     ("hardening", hardening);
     ("speedup", speedup);
     ("resume", resume);
@@ -1986,40 +1987,14 @@ let write_json path =
             s.Serve.availability)
         results;
       out "  ],\n");
-  (match !recover_bench_result with
-  | Some r ->
-      out
-        "  \"recover\": {\"injections\": %d, \"detected\": %d, \
-         \"undetected_manifested\": %d, \"masked\": %d, \
-         \"micro_work_recovered\": %d, \"micro_work_lost\": %d, \
-         \"micro_state_lost\": %d, \"restart_work_lost\": %d, \
-         \"restart_state_lost\": %d, \"mttf_improvement\": %s, \
-         \"image_bytes\": %d, \"checkpoint_bytes\": %d, \"reboot_ns_mean\": \
-         %.1f, \"reboot_ns_p99\": %.1f,\n"
-        r.RecCampaign.injections r.RecCampaign.detected
-        r.RecCampaign.undetected_manifested r.RecCampaign.masked
-        r.RecCampaign.micro_work_recovered r.RecCampaign.micro_work_lost
-        r.RecCampaign.micro_state_lost r.RecCampaign.restart_work_lost
-        r.RecCampaign.restart_state_lost
-        (if r.RecCampaign.mttf_improvement = Float.infinity then "null"
-         else Printf.sprintf "%.3f" r.RecCampaign.mttf_improvement)
-        r.RecCampaign.image_bytes r.RecCampaign.checkpoint_bytes
-        r.RecCampaign.reboot_ns_mean r.RecCampaign.reboot_ns_p99;
-      out "    \"classes\": [\n";
+  (match !recover_bench_results with
+  | [] -> ()
+  | results ->
+      out "  \"recover\": [\n";
       entries
-        (fun (c : RecCampaign.class_stats) ->
-          out
-            "      {\"class\": \"%s\", \"faults\": %d, \"recovered_exactly\": \
-             %d, \"mismatches\": %d, \"carryover\": %d}"
-            (json_escape (RecCampaign.class_name c.RecCampaign.cls))
-            c.RecCampaign.faults c.RecCampaign.recovered_exactly
-            c.RecCampaign.mismatches c.RecCampaign.carryover)
-        r.RecCampaign.classes;
-      out "    ],\n";
-      out "    \"identical\": %b},\n"
-        (r.RecCampaign.micro_state_lost = 0
-        && r.RecCampaign.micro_work_recovered = r.RecCampaign.detected)
-  | None -> ());
+        (fun (benchmark, r) -> out "    %s" (RecCampaign.to_json ~benchmark r))
+        results;
+      out "  ],\n");
   (match !micro_engine_result with
   | Some (ref_sps, fast_sps, identical) ->
       out
@@ -2060,11 +2035,19 @@ let write_json path =
 
 (* --- argument parsing --------------------------------------------- *)
 
-let usage () =
-  printf
+let usage oc =
+  Printf.fprintf oc
     "usage: main.exe [-j N] [--engine ref|fast] [--json FILE] \
-     [--telemetry FILE] [EXPERIMENT...]\navailable: %s\n"
+     [--telemetry FILE] [EXPERIMENT...]\navailable: all, %s\n"
     (String.concat ", " (List.map fst experiments))
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      usage stderr;
+      exit 2)
+    fmt
 
 let parse_args () =
   let rec go acc = function
@@ -2073,25 +2056,20 @@ let parse_args () =
         match int_of_string_opt v with
         | Some 0 -> jobs := Pool.recommended_jobs (); go acc rest
         | Some j when j > 0 -> jobs := j; go acc rest
-        | _ ->
-            printf "invalid job count %S\n" v;
-            usage ();
-            exit 2)
+        | _ -> usage_error "invalid job count %S" v)
     | "--engine" :: v :: rest -> (
         match Mcpu.engine_of_string v with
         | Some e -> Mcpu.set_default_engine e; go acc rest
-        | None ->
-            printf "invalid engine %S (expected ref or fast)\n" v;
-            usage ();
-            exit 2)
+        | None -> usage_error "invalid engine %S (expected ref or fast)" v)
     | "--json" :: path :: rest -> json_path := Some path; go acc rest
     | "--telemetry" :: path :: rest -> telemetry_path := Some path; go acc rest
-    | ("-h" | "--help") :: _ -> usage (); exit 0
+    | ("-h" | "--help") :: _ -> usage stdout; exit 0
     | ("-j" | "--jobs" | "--engine" | "--json" | "--telemetry") :: [] ->
-        printf "missing value for final option\n";
-        usage ();
-        exit 2
-    | name :: rest -> go (name :: acc) rest
+        usage_error "missing value for final option"
+    | name :: rest ->
+        if name <> "all" && not (List.mem_assoc name experiments) then
+          usage_error "unknown experiment %S" name;
+        go (name :: acc) rest
   in
   go [] (List.tl (Array.to_list Sys.argv))
 
@@ -2119,15 +2097,10 @@ let () =
     (Mcpu.engine_name (Mcpu.default_engine ()));
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          experiment_timings :=
-            (name, Unix.gettimeofday () -. t0) :: !experiment_timings
-      | None ->
-          printf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments)))
+      let t0 = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      experiment_timings :=
+        (name, Unix.gettimeofday () -. t0) :: !experiment_timings)
     to_run;
   Option.iter write_json !json_path;
   Option.iter

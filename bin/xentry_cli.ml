@@ -5,8 +5,12 @@
      inject     run a fault-injection campaign and summarize it
      train      run the SIII-B training pipeline and report accuracy
      serve      run the streaming request engine (backpressure + degradation)
-     recover    run the micro-reboot recovery campaign (vs restart baseline)
+     recover    run the recovery campaign: checkpoint restore and micro-reboot
+                (vs restart baseline)
+     worker     run a cluster worker process
+     optimize   sweep detector configurations for a Pareto front
      handlers   list the synthesized hypervisor handlers
+     export     export the training corpus (ARFF) and classifier (C)
      features   print Table I *)
 
 open Cmdliner
@@ -998,42 +1002,15 @@ let recover benchmark injections follow_ups fuel seed engine json =
     }
   in
   let r = C.run cfg in
-  if json then begin
-    let classes =
-      String.concat ","
-        (List.map
-           (fun (c : C.class_stats) ->
-             Printf.sprintf
-               "{\"class\":\"%s\",\"faults\":%d,\"recovered_exactly\":%d,\
-                \"mismatches\":%d,\"carryover\":%d}"
-               (C.class_name c.C.cls) c.C.faults c.C.recovered_exactly
-               c.C.mismatches c.C.carryover)
-           r.C.classes)
-    in
-    Printf.printf
-      "{\"schema\":\"xentry-recover-v1\",\"benchmark\":\"%s\",\
-       \"injections\":%d,\"detected\":%d,\"undetected_manifested\":%d,\
-       \"masked\":%d,\"micro_work_recovered\":%d,\"micro_work_lost\":%d,\
-       \"micro_state_lost\":%d,\"restart_work_lost\":%d,\
-       \"restart_state_lost\":%d,\"mttf_improvement\":%s,\"image_bytes\":%d,\
-       \"checkpoint_bytes\":%d,\"reboot_ns_mean\":%.1f,\"reboot_ns_p99\":%.1f,\
-       \"classes\":[%s]}\n"
-      (Profile.benchmark_name cfg.C.benchmark)
-      r.C.injections r.C.detected r.C.undetected_manifested r.C.masked
-      r.C.micro_work_recovered r.C.micro_work_lost r.C.micro_state_lost
-      r.C.restart_work_lost r.C.restart_state_lost
-      (if r.C.mttf_improvement = Float.infinity then "null"
-       else Printf.sprintf "%.3f" r.C.mttf_improvement)
-      r.C.image_bytes r.C.checkpoint_bytes r.C.reboot_ns_mean r.C.reboot_ns_p99
-      classes
-  end
+  if json then print_endline (C.to_json ~benchmark r)
   else begin
     List.iter
       (fun (c : C.class_stats) ->
         Printf.printf
-          "%-24s faults %-6d recovered %-6d mismatches %-4d carryover %d\n"
-          (C.class_name c.C.cls) c.C.faults c.C.recovered_exactly c.C.mismatches
-          c.C.carryover)
+          "%-24s faults %-6d checkpoint %-6d micro-reboot %-6d mismatches %-4d \
+           carryover %d\n"
+          (C.class_name c.C.cls) c.C.faults c.C.checkpoint_recovered
+          c.C.recovered_exactly c.C.mismatches c.C.carryover)
       r.C.classes;
     Format.printf "%a@." C.pp r
   end
@@ -1050,8 +1027,8 @@ let recover_cmd =
       value & opt int 2
       & info [ "follow-ups" ] ~docv:"N"
           ~doc:
-            "Fault-free requests run after each recovery to expose state \
-             corruption that survives an exact-looking recovery.")
+            "Fault-free requests run after each micro-reboot to expose \
+             state corruption that survives an exact-looking recovery.")
   in
   let fuel =
     Arg.(
@@ -1068,11 +1045,13 @@ let recover_cmd =
   Cmd.v
     (Cmd.info "recover"
        ~doc:
-         "Run the micro-reboot recovery campaign: per detected fault, \
-          reinitialize hypervisor-private state from a boot-time image, \
-          re-attach live guest state, replay the in-flight request, and \
-          check bit-exact identity against a golden host — reported per \
-          fault class against the restart-everything baseline.")
+         "Run the recovery campaign: recover every detected fault twice \
+          from the VM-exit context — by checkpoint restore and \
+          re-execution, and by micro-reboot (hypervisor-private state \
+          from a boot-time image, live guest state re-attached, the \
+          in-flight request replayed) — and check bit-exact identity \
+          against a golden host, reported per fault class against the \
+          restart-everything baseline.")
     Term.(
       const recover $ benchmark_arg $ injections $ follow_ups $ fuel
       $ seed_arg $ engine_arg $ json)

@@ -59,7 +59,7 @@ let () =
       if Array.length latencies > 0 then begin
         let fl = Array.map float_of_int latencies in
         Printf.printf "  %-26s n=%-5d median=%-7.0f p95=%.0f instructions\n"
-          (Framework.technique_name technique)
+          (Pipeline.technique_name technique)
           (Array.length latencies) (Stats.median fl) (Stats.quantile fl 0.95)
       end)
     s.Report.latencies_by_technique;

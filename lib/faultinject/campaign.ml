@@ -215,14 +215,14 @@ let record_shard_telemetry config records stats ~wall =
   List.iter
     (fun r ->
       match r.Outcome.verdict with
-      | Framework.Clean -> incr clean
-      | Framework.Detected { technique = Framework.Hw_exception_detection; _ }
+      | Pipeline.Clean -> incr clean
+      | Pipeline.Detected { technique = Pipeline.Hw_exception_detection; _ }
         ->
           incr hw
-      | Framework.Detected { technique = Framework.Sw_assertion; _ } -> incr sw
-      | Framework.Detected { technique = Framework.Vm_transition; _ } ->
+      | Pipeline.Detected { technique = Pipeline.Sw_assertion; _ } -> incr sw
+      | Pipeline.Detected { technique = Pipeline.Vm_transition; _ } ->
           incr vm
-      | Framework.Detected { technique = Framework.Ras_report; _ } -> incr ras)
+      | Pipeline.Detected { technique = Pipeline.Ras_report; _ } -> incr ras)
     records;
   Tm.add tm_verdict_hw !hw;
   Tm.add tm_verdict_sw !sw;
@@ -279,11 +279,11 @@ let classify_faulted config ~(req : Request.t) ~host ~golden_result ~fault
   in
   let latency =
     match verdict with
-    | Framework.Detected { latency; _ } -> latency
-    | Framework.Clean -> None
+    | Pipeline.Detected { latency; _ } -> latency
+    | Pipeline.Clean -> None
   in
   let undetected =
-    if Outcome.manifested consequence && verdict = Framework.Clean then
+    if Outcome.manifested consequence && verdict = Pipeline.Clean then
       Some
         (Classify.undetected_class ~fault
            ~signature_differs:
@@ -321,8 +321,8 @@ let synthesize_pruned config ~(req : Request.t) ~golden_result fault =
   in
   let latency =
     match verdict with
-    | Framework.Detected { latency; _ } -> latency
-    | Framework.Clean -> None
+    | Pipeline.Detected { latency; _ } -> latency
+    | Pipeline.Clean -> None
   in
   {
     Outcome.fault;
@@ -384,7 +384,7 @@ let run_shard_exhaustive config =
       (* Detected run: Xentry active as configured. *)
       let det_host = Hypervisor.clone base in
       Hypervisor.set_assertions_enabled det_host
-        config.framework.Framework.sw_assertions;
+        config.framework.Pipeline.sw_assertions;
       let det_result =
         Hypervisor.execute det_host ~inject ~fuel:config.fuel req
       in
@@ -469,7 +469,7 @@ let run_shard_planned ?cached config =
   let faulted_pair ~materialize ~resume_on =
     let det_host = materialize () in
     Hypervisor.set_assertions_enabled det_host
-      config.framework.Framework.sw_assertions;
+      config.framework.Pipeline.sw_assertions;
     let det_result = resume_on det_host in
     let det_ras = Hypervisor.drain_ras det_host in
     match det_result.Cpu.stop with

@@ -19,7 +19,7 @@ type record = {
   reason : Xentry_vmm.Exit_reason.t;
   activated : bool;
   consequence : consequence;
-  verdict : Xentry_core.Framework.verdict;
+  verdict : Xentry_core.Pipeline.verdict;
   latency : int option;
   undetected : undetected_class option;
   signature : Xentry_machine.Pmu.snapshot option;
@@ -50,4 +50,4 @@ let pp ppf r =
   Format.fprintf ppf "%a in %s: %s, %a" Fault.pp r.fault
     (Xentry_vmm.Exit_reason.name r.reason)
     (consequence_name r.consequence)
-    Xentry_core.Framework.pp_verdict r.verdict
+    Xentry_core.Pipeline.pp_verdict r.verdict

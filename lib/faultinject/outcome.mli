@@ -47,7 +47,7 @@ type record = {
   reason : Xentry_vmm.Exit_reason.t;
   activated : bool;
   consequence : consequence;
-  verdict : Xentry_core.Framework.verdict;
+  verdict : Xentry_core.Pipeline.verdict;
   latency : int option;
       (** instructions from activation to detection, for detected
           activated faults *)

@@ -16,7 +16,7 @@ type summary = {
   coverage : float;
   long_latency_by_consequence :
     (Outcome.long_kind * int * int) list;
-  latencies_by_technique : (Framework.technique * int array) list;
+  latencies_by_technique : (Pipeline.technique * int array) list;
   undetected_breakdown : (Outcome.undetected_class * int) list;
 }
 
@@ -33,16 +33,16 @@ let summarize records =
     List.fold_left
       (fun acc r ->
         match r.Outcome.verdict with
-        | Framework.Detected { technique = Framework.Hw_exception_detection; _ }
+        | Pipeline.Detected { technique = Pipeline.Hw_exception_detection; _ }
           ->
             { acc with hw_exception = acc.hw_exception + 1 }
-        | Framework.Detected { technique = Framework.Sw_assertion; _ } ->
+        | Pipeline.Detected { technique = Pipeline.Sw_assertion; _ } ->
             { acc with sw_assertion = acc.sw_assertion + 1 }
-        | Framework.Detected { technique = Framework.Vm_transition; _ } ->
+        | Pipeline.Detected { technique = Pipeline.Vm_transition; _ } ->
             { acc with vm_transition = acc.vm_transition + 1 }
-        | Framework.Detected { technique = Framework.Ras_report; _ } ->
+        | Pipeline.Detected { technique = Pipeline.Ras_report; _ } ->
             { acc with ras_report = acc.ras_report + 1 }
-        | Framework.Clean -> { acc with undetected = acc.undetected + 1 })
+        | Pipeline.Clean -> { acc with undetected = acc.undetected + 1 })
       {
         hw_exception = 0;
         sw_assertion = 0;
@@ -62,7 +62,7 @@ let summarize records =
         in
         let detected =
           List.length
-            (List.filter (fun r -> r.Outcome.verdict <> Framework.Clean) of_kind)
+            (List.filter (fun r -> r.Outcome.verdict <> Pipeline.Clean) of_kind)
         in
         (kind, detected, List.length of_kind - detected))
       [
@@ -77,7 +77,7 @@ let summarize records =
           List.filter_map
             (fun r ->
               match (r.Outcome.verdict, r.Outcome.latency) with
-              | Framework.Detected { technique = t; _ }, Some l
+              | Pipeline.Detected { technique = t; _ }, Some l
                 when t = technique ->
                   Some l
               | _ -> None)
@@ -85,8 +85,8 @@ let summarize records =
         in
         (technique, Array.of_list ls))
       [
-        Framework.Hw_exception_detection; Framework.Sw_assertion;
-        Framework.Vm_transition; Framework.Ras_report;
+        Pipeline.Hw_exception_detection; Pipeline.Sw_assertion;
+        Pipeline.Vm_transition; Pipeline.Ras_report;
       ]
   in
   let undetected_breakdown =

@@ -18,7 +18,7 @@ type summary = {
     (Outcome.long_kind * int (* detected *) * int (* undetected *)) list;
       (** Fig 9's four groups *)
   latencies_by_technique :
-    (Xentry_core.Framework.technique * int array) list;
+    (Xentry_core.Pipeline.technique * int array) list;
       (** detection latencies in instructions, per technique (Fig 10) *)
   undetected_breakdown : (Outcome.undetected_class * int) list;  (** Table II *)
 }
@@ -37,7 +37,7 @@ val long_latency_coverage : summary -> (string * float) list
 val undetected_percentages : summary -> (string * float) list
 (** Table II rows, percent of undetected faults. *)
 
-val latency_fraction_below : summary -> Xentry_core.Framework.technique -> int -> float
+val latency_fraction_below : summary -> Xentry_core.Pipeline.technique -> int -> float
 (** Fraction of a technique's detections with latency below the given
     instruction count (e.g. the paper's "95% within 700"). *)
 

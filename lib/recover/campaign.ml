@@ -53,6 +53,7 @@ let class_index = function
 type class_stats = {
   cls : fault_class;
   faults : int;
+  checkpoint_recovered : int;
   recovered_exactly : int;
   mismatches : int;
   carryover : int;
@@ -64,6 +65,7 @@ type result = {
   undetected_manifested : int;
   masked : int;
   classes : class_stats list;
+  checkpoint_work_recovered : int;
   micro_work_recovered : int;
   micro_work_lost : int;
   micro_state_lost : int;
@@ -71,7 +73,6 @@ type result = {
   restart_state_lost : int;
   mttf_improvement : float;
   image_bytes : int;
-  checkpoint_bytes : int;
   reboot_ns_mean : float;
   reboot_ns_p99 : float;
 }
@@ -85,11 +86,7 @@ let guest_identical ~golden ~recovered =
   |> List.for_all (fun d -> d = Classify.Stack_diff)
 
 let run (config : config) =
-  (* Recovery here is the micro-reboot itself; disable the pipeline's
-     own checkpoint/re-execute so the two mechanisms don't compound. *)
-  let pcfg =
-    { config.pipeline with Pipeline.Config.recovery = Pipeline.Config.No_recovery }
-  in
+  let pcfg = config.pipeline in
   let fuel = pcfg.Pipeline.Config.fuel in
   let profile = Profile.get config.benchmark in
   let rng = Rng.create config.seed in
@@ -102,18 +99,22 @@ let run (config : config) =
   Hypervisor.set_assertions_enabled host
     pcfg.Pipeline.Config.detection.Pipeline.sw_assertions;
   let image = Microboot.capture_image host in
-  let checkpoint_bytes =
-    Recovery_engine.checkpoint_bytes (Recovery_engine.checkpoint host)
+  let per_class =
+    Array.map (fun _ -> (ref 0, ref 0, ref 0, ref 0, ref 0)) all_classes
   in
-  let per_class = Array.map (fun _ -> (ref 0, ref 0, ref 0, ref 0)) all_classes in
-  let tally cls ~recovered ~mismatch ~carry =
-    let faults, ok, bad, co = per_class.(class_index cls) in
+  let tally cls ~restored ~recovered ~mismatch ~carry =
+    let faults, ck, ok, bad, co = per_class.(class_index cls) in
     incr faults;
+    if restored then incr ck;
     if recovered then incr ok;
     if mismatch then incr bad;
     if carry then incr co
   in
+  let tally_undetected cls =
+    tally cls ~restored:false ~recovered:false ~mismatch:false ~carry:false
+  in
   let detected = ref 0 in
+  let checkpoint_work_recovered = ref 0 in
   let micro_work_recovered = ref 0 in
   let reboot_ns = ref [] in
   for i = 1 to config.injections do
@@ -144,8 +145,17 @@ let run (config : config) =
                  detections: the execution itself completed. *)
               Detected_transition
         in
-        (* Micro-reboot arm: the faulted host is dropped; recovery
-           works from the pre-execution context and the boot image. *)
+        (* The faulted host is dropped; both arms work from the
+           pre-execution context.  Checkpoint arm first: the
+           micro-reboot arm's follow-ups advance [golden]. *)
+        let restored = Microboot.restore ctx in
+        let reexec = Pipeline.run pcfg ~host:restored ~prepare:false req in
+        let restored_ok =
+          reexec.Pipeline.result.Cpu.stop = Cpu.Vm_entry
+          && Classify.diffs ~golden ~faulted:restored = []
+        in
+        Hypervisor.release restored;
+        if restored_ok then incr checkpoint_work_recovered;
         let t0 = Clock.monotonic () in
         let rebooted = Microboot.reboot image ctx in
         let replay = Pipeline.run pcfg ~host:rebooted ~prepare:false req in
@@ -177,13 +187,14 @@ let run (config : config) =
                !diverged
              end
         in
-        tally cls ~recovered ~mismatch:(not recovered) ~carry
+        tally cls ~restored:restored_ok ~recovered ~mismatch:(not recovered)
+          ~carry
     | Pipeline.Clean ->
         if
           outcome.Pipeline.result.Cpu.stop = Cpu.Vm_entry
           && Classify.diffs ~golden ~faulted:det_host <> []
-        then tally Undetected_manifested ~recovered:false ~mismatch:false ~carry:false
-        else tally Masked ~recovered:false ~mismatch:false ~carry:false);
+        then tally_undetected Undetected_manifested
+        else tally_undetected Masked);
     (* Advance the live host fault-free. *)
     ignore (Hypervisor.execute host ~fuel req : Cpu.run_result);
     Hypervisor.retire host req
@@ -192,10 +203,11 @@ let run (config : config) =
     Array.to_list
       (Array.mapi
          (fun k cls ->
-           let faults, ok, bad, co = per_class.(k) in
+           let faults, ck, ok, bad, co = per_class.(k) in
            {
              cls;
              faults = !faults;
+             checkpoint_recovered = !ck;
              recovered_exactly = !ok;
              mismatches = !bad;
              carryover = !co;
@@ -217,6 +229,7 @@ let run (config : config) =
     undetected_manifested;
     masked;
     classes;
+    checkpoint_work_recovered = !checkpoint_work_recovered;
     micro_work_recovered = !micro_work_recovered;
     micro_work_lost = !detected - !micro_work_recovered;
     micro_state_lost;
@@ -226,7 +239,6 @@ let run (config : config) =
       (if micro_state_lost = 0 then Float.infinity
        else float_of_int !detected /. float_of_int micro_state_lost);
     image_bytes = Microboot.image_bytes image;
-    checkpoint_bytes;
     reboot_ns_mean =
       (if Array.length reboot_arr = 0 then 0.0 else Stats.mean reboot_arr);
     reboot_ns_p99 =
@@ -236,11 +248,36 @@ let run (config : config) =
 
 let pp ppf r =
   Format.fprintf ppf
-    "injections=%d detected=%d recovered=%d lost=%d state_lost=%d \
-     undetected_manifested=%d masked=%d mttf_improvement=%s image=%dB \
-     checkpoint=%dB reboot_mean=%.0fns"
-    r.injections r.detected r.micro_work_recovered r.micro_work_lost
-    r.micro_state_lost r.undetected_manifested r.masked
+    "injections=%d detected=%d checkpoint_recovered=%d micro_recovered=%d \
+     lost=%d state_lost=%d undetected_manifested=%d masked=%d \
+     mttf_improvement=%s image=%dB reboot_mean=%.0fns"
+    r.injections r.detected r.checkpoint_work_recovered r.micro_work_recovered
+    r.micro_work_lost r.micro_state_lost r.undetected_manifested r.masked
     (if r.mttf_improvement = Float.infinity then "inf"
      else Printf.sprintf "%.1fx" r.mttf_improvement)
-    r.image_bytes r.checkpoint_bytes r.reboot_ns_mean
+    r.image_bytes r.reboot_ns_mean
+
+let to_json ~benchmark r =
+  let class_json c =
+    Printf.sprintf
+      "{\"class\":\"%s\",\"faults\":%d,\"checkpoint_recovered\":%d,\
+       \"recovered_exactly\":%d,\"mismatches\":%d,\"carryover\":%d}"
+      (class_name c.cls) c.faults c.checkpoint_recovered c.recovered_exactly
+      c.mismatches c.carryover
+  in
+  Printf.sprintf
+    "{\"schema\":\"xentry-recover-v2\",\"benchmark\":\"%s\",\
+     \"injections\":%d,\"detected\":%d,\"undetected_manifested\":%d,\
+     \"masked\":%d,\"checkpoint_work_recovered\":%d,\
+     \"micro_work_recovered\":%d,\"micro_work_lost\":%d,\
+     \"micro_state_lost\":%d,\"restart_work_lost\":%d,\
+     \"restart_state_lost\":%d,\"mttf_improvement\":%s,\"image_bytes\":%d,\
+     \"reboot_ns_mean\":%.1f,\"reboot_ns_p99\":%.1f,\"classes\":[%s]}"
+    (Profile.benchmark_name benchmark)
+    r.injections r.detected r.undetected_manifested r.masked
+    r.checkpoint_work_recovered r.micro_work_recovered r.micro_work_lost
+    r.micro_state_lost r.restart_work_lost r.restart_state_lost
+    (if r.mttf_improvement = Float.infinity then "null"
+     else Printf.sprintf "%.3f" r.mttf_improvement)
+    r.image_bytes r.reboot_ns_mean r.reboot_ns_p99
+    (String.concat "," (List.map class_json r.classes))

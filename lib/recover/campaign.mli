@@ -1,37 +1,37 @@
-(** The recovery campaign: micro-reboot vs. restart-everything, at
-    fault-injection scale.
-
-    Extends the original {!Xentry_faultinject.Recovery_study} (which
-    only counted checkpoint/re-execute identity) into the full
-    comparison the ReHype line of work reports: per-fault-class
-    recovered vs. lost work, state-corruption carryover into the next
-    service interval, and the MTTF improvement over the paper's
-    restart-everything baseline — which recovers the hypervisor by
-    destroying every domain with it, so each detected fault costs all
-    guest state by construction.
+(** The recovery campaign: checkpoint restore and micro-reboot vs.
+    restart-everything, at fault-injection scale.
 
     Per injection the campaign prepares a request on the live host,
-    captures the micro-reboot {!Microboot.context}, runs a golden
-    clone fault-free and a detection clone with an injected bit flip,
-    and on detection recovers via {!Microboot.reboot} + replay.
-    Identity is judged over every guest-visible structure
-    ({!Xentry_faultinject.Classify.diffs} minus the hypervisor-stack
-    entry); carryover then drives both hosts through [follow_ups]
-    further fault-free requests and reports any divergence that
-    appears only later.  Undetected-but-manifested faults are reported
-    separately — no recovery triggers without a verdict, which is the
-    coverage story the detection pipeline owns. *)
+    captures the {!Microboot.context}, runs a golden clone fault-free
+    and a detection clone with an injected fault.  Every detected fault
+    is then recovered both ways from that one context:
+
+    - {b checkpoint} (the paper's §VI sketch): {!Microboot.restore} and
+      re-execute.  Identity is bit-exact over everything
+      {!Xentry_faultinject.Classify.diffs} compares, hypervisor stack
+      included.
+    - {b micro-reboot} (ReHype): {!Microboot.reboot} and replay.
+      Identity is judged over every guest-visible structure (the diffs
+      minus the hypervisor-stack entry); carryover then drives both
+      hosts through [follow_ups] further fault-free requests and
+      reports any divergence that appears only later.
+
+    Both are compared with the paper's restart-everything baseline,
+    which recovers the hypervisor by destroying every domain with it,
+    so each detected fault costs all guest state by construction.
+    Undetected-but-manifested faults are reported separately — no
+    recovery triggers without a verdict, which is the coverage story
+    the detection pipeline owns. *)
 
 type config = {
   seed : int;
   benchmark : Xentry_workload.Profile.benchmark;
   injections : int;
   follow_ups : int;
-      (** fault-free requests run after each recovery to expose
+      (** fault-free requests run after each micro-reboot to expose
           corruption that survives an exact-looking recovery *)
   pipeline : Xentry_core.Pipeline.Config.t;
-      (** detection/engine/fuel knobs; the recovery policy field is
-          ignored — micro-reboot {e is} the recovery under study *)
+      (** detection/detector/engine/fuel knobs *)
 }
 
 val default_config : config
@@ -49,10 +49,13 @@ val class_name : fault_class -> string
 type class_stats = {
   cls : fault_class;
   faults : int;
-  recovered_exactly : int;  (** replay completed, bit-exact vs. golden *)
-  mismatches : int;
+  checkpoint_recovered : int;
+      (** restore + re-execution completed, bit-exact vs. golden *)
+  recovered_exactly : int;
+      (** micro-reboot replay completed, bit-exact vs. golden *)
+  mismatches : int;  (** micro-reboot recoveries that were not *)
   carryover : int;
-      (** recoveries that looked exact but diverged within
+      (** micro-reboot recoveries that looked exact but diverged within
           [follow_ups] subsequent fault-free requests *)
 }
 
@@ -62,6 +65,9 @@ type result = {
   undetected_manifested : int;
   masked : int;
   classes : class_stats list;  (** one entry per {!fault_class} *)
+  checkpoint_work_recovered : int;
+      (** in-flight requests completed bit-exactly after checkpoint
+          restore *)
   micro_work_recovered : int;
       (** in-flight requests completed bit-exactly after micro-reboot *)
   micro_work_lost : int;
@@ -74,8 +80,6 @@ type result = {
       (** restart guest-state losses per micro-reboot loss;
           [infinity] when micro-reboot lost nothing *)
   image_bytes : int;  (** boot image size (one-time cost) *)
-  checkpoint_bytes : int;
-      (** the §VI per-exit checkpoint the micro-reboot replaces *)
   reboot_ns_mean : float;
   reboot_ns_p99 : float;
 }
@@ -83,3 +87,8 @@ type result = {
 val run : config -> result
 
 val pp : Format.formatter -> result -> unit
+
+val to_json : benchmark:Xentry_workload.Profile.benchmark -> result -> string
+(** One-line JSON object, schema [xentry-recover-v2]: the [result]
+    fields with [mttf_improvement] [null] when infinite, and [classes]
+    as an array of per-class objects. *)

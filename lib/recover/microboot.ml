@@ -44,10 +44,11 @@ let capture host req =
   { ck = Hypervisor.checkpoint host; req }
 
 let request ctx = ctx.req
+let restore ctx = Hypervisor.copy_checkpoint ctx.ck
 
 let reboot image ctx =
   let t0 = if !Telemetry.enabled_ref then Clock.monotonic () else 0.0 in
-  let fresh = Hypervisor.copy_checkpoint ctx.ck in
+  let fresh = restore ctx in
   let mem = Hypervisor.memory fresh in
   List.iter (fun (addr, data) -> Memory.blit_in mem ~addr data) image.chunks;
   Hypervisor.restage fresh ctx.req;

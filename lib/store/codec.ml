@@ -82,37 +82,37 @@ let read_consequence r : Outcome.consequence =
   | 7 -> Outcome.Long_latency Outcome.All_vm_failure
   | n -> W.corrupt (Printf.sprintf "bad consequence tag %d" n)
 
-let write_technique buf (t : Framework.technique) =
+let write_technique buf (t : Pipeline.technique) =
   W.u8 buf
     (match t with
-    | Framework.Hw_exception_detection -> 0
-    | Framework.Sw_assertion -> 1
-    | Framework.Vm_transition -> 2
-    | Framework.Ras_report -> 3)
+    | Pipeline.Hw_exception_detection -> 0
+    | Pipeline.Sw_assertion -> 1
+    | Pipeline.Vm_transition -> 2
+    | Pipeline.Ras_report -> 3)
 
-let read_technique r : Framework.technique =
+let read_technique r : Pipeline.technique =
   match W.read_u8 r with
-  | 0 -> Framework.Hw_exception_detection
-  | 1 -> Framework.Sw_assertion
-  | 2 -> Framework.Vm_transition
-  | 3 -> Framework.Ras_report
+  | 0 -> Pipeline.Hw_exception_detection
+  | 1 -> Pipeline.Sw_assertion
+  | 2 -> Pipeline.Vm_transition
+  | 3 -> Pipeline.Ras_report
   | n -> W.corrupt (Printf.sprintf "bad technique tag %d" n)
 
-let write_verdict buf (v : Framework.verdict) =
+let write_verdict buf (v : Pipeline.verdict) =
   match v with
-  | Framework.Clean -> W.u8 buf 0
-  | Framework.Detected { technique; latency } ->
+  | Pipeline.Clean -> W.u8 buf 0
+  | Pipeline.Detected { technique; latency } ->
       W.u8 buf 1;
       write_technique buf technique;
       W.opt W.int_ buf latency
 
-let read_verdict r : Framework.verdict =
+let read_verdict r : Pipeline.verdict =
   match W.read_u8 r with
-  | 0 -> Framework.Clean
+  | 0 -> Pipeline.Clean
   | 1 ->
       let technique = read_technique r in
       let latency = W.read_opt W.read_int r in
-      Framework.Detected { technique; latency }
+      Pipeline.Detected { technique; latency }
   | n -> W.corrupt (Printf.sprintf "bad verdict tag %d" n)
 
 let write_undetected buf (u : Outcome.undetected_class) =

@@ -17,12 +17,12 @@ let default_params =
     assertions_per_exit = 3.0;
   }
 
-let per_exit_seconds p (config : Framework.config) ~tree_comparisons =
+let per_exit_seconds p (config : Pipeline.detection) ~tree_comparisons =
   let cycles = ref 0.0 in
-  if config.Framework.sw_assertions then
+  if config.Pipeline.sw_assertions then
     cycles :=
       !cycles +. (p.assertions_per_exit *. float_of_int p.assertion_cycles);
-  if config.Framework.vm_transition then
+  if config.Pipeline.vm_transition then
     cycles :=
       !cycles
       +. float_of_int p.pmu_program_cycles
@@ -77,11 +77,11 @@ let fig7 ?(params = default_params) ?(runs = 10) ~tree_comparisons ~seed () =
             activation rate visible in the per-run maxima, as in the
             paper's run-to-run spread. *)
          let runtime =
-           overhead params Framework.runtime_only ~tree_comparisons profile
+           overhead params Pipeline.runtime_only ~tree_comparisons profile
              (Xentry_util.Rng.split rng) ~runs ~seconds_per_run:3
          in
          let full =
-           overhead params Framework.full_config ~tree_comparisons profile
+           overhead params Pipeline.full_detection ~tree_comparisons profile
              (Xentry_util.Rng.split rng) ~runs ~seconds_per_run:3
          in
          (Xentry_workload.Profile.benchmark_name bench, runtime, full))

@@ -22,7 +22,7 @@ type params = {
 val default_params : params
 
 val per_exit_seconds :
-  params -> Framework.config -> tree_comparisons:int -> float
+  params -> Pipeline.detection -> tree_comparisons:int -> float
 (** Detection time added to one hypervisor execution under a
     configuration (0 when everything is disabled). *)
 
@@ -37,7 +37,7 @@ type series = { avg : float; max : float }
 
 val overhead :
   params ->
-  Framework.config ->
+  Pipeline.detection ->
   tree_comparisons:int ->
   Xentry_workload.Profile.t ->
   Xentry_util.Rng.t ->

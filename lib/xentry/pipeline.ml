@@ -1,12 +1,6 @@
 open Xentry_machine
 open Xentry_vmm
 
-(* Detection types.  These used to live in [Framework]; that module
-   re-exports them with type equations, so every existing consumer
-   (Outcome records, Report, Campaign, tests) keeps compiling against
-   [Framework.verdict] et al. while the single implementation lives
-   here. *)
-
 type technique = Hw_exception_detection | Sw_assertion | Vm_transition | Ras_report
 
 type detection = {
@@ -53,8 +47,6 @@ let pp_verdict ppf = function
         | None -> "")
 
 module Config = struct
-  type recovery = No_recovery | Checkpoint_reexecute
-
   type telemetry = Inherit | Off | Jsonl of string
 
   type t = {
@@ -62,7 +54,6 @@ module Config = struct
     detector : Detector.t option;
     engine : Cpu.engine option;
     telemetry : telemetry;
-    recovery : recovery;
     fuel : int;
   }
 
@@ -72,13 +63,12 @@ module Config = struct
       detector = None;
       engine = None;
       telemetry = Inherit;
-      recovery = No_recovery;
       fuel = 20_000;
     }
 
   let make ?(detection = full_detection) ?detector ?engine
-      ?(telemetry = Inherit) ?(recovery = No_recovery) ?(fuel = 20_000) () =
-    { detection; detector; engine; telemetry; recovery; fuel }
+      ?(telemetry = Inherit) ?(fuel = 20_000) () =
+    { detection; detector; engine; telemetry; fuel }
 end
 
 let verdict (cfg : Config.t) ?(ras = []) ~reason (result : Cpu.run_result) =
@@ -133,44 +123,17 @@ let verdict (cfg : Config.t) ?(ras = []) ~reason (result : Cpu.run_result) =
 let create_host ?seed ?cpus ?domains ?hardened (cfg : Config.t) =
   Hypervisor.create ?seed ?cpus ?domains ?hardened ?engine:cfg.Config.engine ()
 
-type recovery_outcome = {
-  reexecution : Cpu.run_result;
-  recovered_clean : bool;
-  checkpoint_bytes : int;
-}
-
-type outcome = {
-  result : Cpu.run_result;
-  verdict : verdict;
-  recovery : recovery_outcome option;
-}
+type outcome = { result : Cpu.run_result; verdict : verdict }
 
 let run (cfg : Config.t) ~host ?(prepare = true) ?(retire = false) ?inject
     (req : Request.t) =
   Hypervisor.set_assertions_enabled host cfg.Config.detection.sw_assertions;
   if prepare then Hypervisor.prepare host req;
-  let ckpt =
-    match cfg.Config.recovery with
-    | Config.No_recovery -> None
-    | Config.Checkpoint_reexecute -> Some (Recovery_engine.checkpoint host)
-  in
   let result = Hypervisor.execute host ?inject ~fuel:cfg.Config.fuel req in
   let ras = Hypervisor.drain_ras host in
-  let v = verdict cfg ~ras ~reason:req.Request.reason result in
-  let recovery =
-    match (v, ckpt) with
-    | Detected _, Some ck ->
-        let re = Recovery_engine.recover host ck ~fuel:cfg.Config.fuel req in
-        Some
-          {
-            reexecution = re;
-            recovered_clean = re.Cpu.stop = Cpu.Vm_entry;
-            checkpoint_bytes = Recovery_engine.checkpoint_bytes ck;
-          }
-    | _ -> None
-  in
+  let verdict = verdict cfg ~ras ~reason:req.Request.reason result in
   if retire then Hypervisor.retire host req;
-  { result; verdict = v; recovery }
+  { result; verdict }
 
 let with_telemetry (cfg : Config.t) f =
   match cfg.Config.telemetry with

@@ -1,25 +1,14 @@
 (** The unified detection pipeline: one configuration record, one
     entry point.
 
-    Historically each pipeline stage grew its own entry point with its
-    own spread of optional arguments — [Framework.process] for verdict
-    attribution, [Recovery_study.run] for checkpoint/re-execution,
-    [Campaign.run] for batch injection — and every new knob (engine
-    selection, telemetry sinks, recovery policy) widened all of them.
-    [Pipeline] collapses that surface: {!Config.t} names every knob
-    once, {!verdict} is the single verdict-attribution function, and
-    {!run} executes one request end to end (prepare, optional
-    checkpoint, execute, classify, optionally recover, retire).
+    {!Config.t} names every knob once, {!verdict} is the single
+    verdict-attribution function, and {!run} executes one request end
+    to end: prepare, execute, drain RAS, verdict, retire.  [Campaign],
+    the serving layer ([Xentry_serve]), the recovery campaign
+    ([Xentry_recover]) and the detector lifecycle ([Xentry_lifecycle])
+    all build on this module directly. *)
 
-    [Campaign], the serving layer ([Xentry_serve]) and the detector
-    lifecycle ([Xentry_lifecycle]) all build on this module directly;
-    the old [Framework.process] / [Recovery_study.run] wrappers are
-    gone. *)
-
-(** {1 Detection types}
-
-    Defined here, re-exported by {!Framework} via type equations — the
-    two spellings are interchangeable. *)
+(** {1 Detection types} *)
 
 type technique =
   | Hw_exception_detection
@@ -62,12 +51,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** {1 Configuration} *)
 
 module Config : sig
-  type recovery =
-    | No_recovery  (** classify only; leave faulted state in place *)
-    | Checkpoint_reexecute
-        (** take a {!Recovery_engine} checkpoint before execution and,
-            on any detection, restore it and re-execute (§VII) *)
-
   type telemetry =
     | Inherit  (** leave the process-wide {!Xentry_util.Telemetry} state alone *)
     | Off  (** disable telemetry for this pipeline *)
@@ -82,20 +65,18 @@ module Config : sig
         (** interpreter engine for hosts built by {!create_host};
             [None] = process default *)
     telemetry : telemetry;  (** sink policy for {!with_telemetry} *)
-    recovery : recovery;
     fuel : int;  (** watchdog budget per execution *)
   }
 
   val default : t
   (** Full detection, no detector, default engine, [Inherit] telemetry,
-      [No_recovery], fuel 20_000. *)
+      fuel 20_000. *)
 
   val make :
     ?detection:detection ->
     ?detector:Detector.t ->
     ?engine:Xentry_machine.Cpu.engine ->
     ?telemetry:telemetry ->
-    ?recovery:recovery ->
     ?fuel:int ->
     unit ->
     t
@@ -137,20 +118,7 @@ val create_host :
   Xentry_vmm.Hypervisor.t
 (** A hypervisor honouring the config's [engine]. *)
 
-type recovery_outcome = {
-  reexecution : Xentry_machine.Cpu.run_result;
-  recovered_clean : bool;
-      (** the re-execution reached VM entry (no fault recurrence) *)
-  checkpoint_bytes : int;
-}
-
-type outcome = {
-  result : Xentry_machine.Cpu.run_result;
-  verdict : verdict;
-  recovery : recovery_outcome option;
-      (** present iff the config says [Checkpoint_reexecute] and the
-          verdict was [Detected] *)
-}
+type outcome = { result : Xentry_machine.Cpu.run_result; verdict : verdict }
 
 val run :
   Config.t ->
@@ -163,11 +131,11 @@ val run :
 (** Execute one request through the configured pipeline on [host]:
     arm assertions per [detection.sw_assertions], prepare the host
     (skip with [~prepare:false] when the caller already prepared it —
-    [Hypervisor.prepare] is not idempotent), checkpoint when the
-    recovery policy asks for one, execute (optionally with an injected
-    fault), attribute a verdict, recover on detection, and retire with
-    [~retire:true] (default false, matching the campaign engine's
-    clone discipline where only the live host retires). *)
+    [Hypervisor.prepare] is not idempotent), execute (optionally with
+    an injected fault), drain the RAS bank, attribute a verdict, and
+    retire with [~retire:true] (default false, matching the campaign
+    engine's clone discipline where only the live host retires).
+    Recovery is the caller's: see [Xentry_recover]. *)
 
 val with_telemetry : Config.t -> (unit -> 'a) -> 'a
 (** Apply the config's telemetry policy around [f]: [Inherit] runs [f]

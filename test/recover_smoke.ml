@@ -1,8 +1,9 @@
-(* Recovery smoke check: a small micro-reboot campaign over injected
-   bit flips.  The recovery-identity invariant is hard: every detected
-   fault must recover bit-exactly against the golden host over all
-   guest-visible structures, with zero carryover into follow-up
-   requests, and micro-reboot must strictly beat the
+(* Recovery smoke check: a small recovery campaign over injected bit
+   flips.  The recovery-identity invariant is hard on both arms: every
+   detected fault must recover bit-exactly against the golden host by
+   checkpoint restore (every compared structure) and by micro-reboot
+   (all guest-visible structures, with zero carryover into follow-up
+   requests), and micro-reboot must strictly beat the
    restart-everything baseline on recovered work (restart recovers
    none by construction).  Any violation prints the offending counters
    and exits non-zero. *)
@@ -22,6 +23,9 @@ let check ~label (r : C.result) =
         fail "%s: %d corruption carryovers in class %s" label c.C.carryover
           (C.class_name c.C.cls))
     r.C.classes;
+  if r.C.checkpoint_work_recovered <> r.C.detected then
+    fail "%s: checkpoint restore recovered %d of %d detected" label
+      r.C.checkpoint_work_recovered r.C.detected;
   if r.C.micro_work_recovered <> r.C.detected then
     fail "%s: recovered %d of %d detected" label r.C.micro_work_recovered
       r.C.detected;
@@ -33,10 +37,7 @@ let check ~label (r : C.result) =
       label r.C.micro_work_recovered restart_recovered;
   if r.C.mttf_improvement <> Float.infinity && r.C.mttf_improvement <= 1.0 then
     fail "%s: MTTF improvement %.2f not > 1" label r.C.mttf_improvement;
-  if r.C.image_bytes <= 0 then fail "%s: empty boot image" label;
-  if r.C.image_bytes >= r.C.checkpoint_bytes then
-    fail "%s: boot image %dB not smaller than the per-exit checkpoint %dB"
-      label r.C.image_bytes r.C.checkpoint_bytes
+  if r.C.image_bytes <= 0 then fail "%s: empty boot image" label
 
 let () =
   let base =

@@ -1,16 +1,18 @@
 (* Tests for the future-work extensions: checkpoint/re-execution
-   recovery (paper §VI's sketched mechanism, implemented) and the
-   hardened handler variants (selective value duplication). *)
+   recovery (paper §VI's sketched mechanism, implemented on the
+   micro-reboot context's journal checkpoint) and the hardened handler
+   variants (selective value duplication). *)
 
 open Xentry_isa
 open Xentry_machine
 open Xentry_vmm
-open Xentry_core
 open Xentry_faultinject
 
 let stop_testable = Alcotest.testable Cpu.pp_stop ( = )
 
-(* --- Recovery engine ----------------------------------------------------- *)
+(* --- Checkpoint recovery ---------------------------------------------------- *)
+
+module Microboot = Xentry_recover.Microboot
 
 let evtchn_req =
   Request.make
@@ -20,7 +22,7 @@ let evtchn_req =
 let test_checkpoint_restore_roundtrip () =
   let host = Hypervisor.create ~seed:3 () in
   Hypervisor.prepare host evtchn_req;
-  let ckpt = Recovery_engine.checkpoint host in
+  let ctx = Microboot.capture host evtchn_req in
   let reference = Hypervisor.clone host in
   (* Mutate a spread of state, then restore. *)
   let mem = Hypervisor.memory host in
@@ -28,31 +30,26 @@ let test_checkpoint_restore_roundtrip () =
   Memory.store64 mem (Layout.evtchn_entry ~dom:1 ~port:9) 0xBADL;
   Memory.store64 mem Layout.global_jiffies 0xBADL;
   Domain.set_user_reg (Hypervisor.domains host).(1) ~vcpu:0 Reg.RBX 0xBADL;
-  Recovery_engine.restore host ckpt;
+  let restored = Microboot.restore ctx in
   Alcotest.(check int) "no differences after restore" 0
-    (List.length (Classify.diffs ~golden:reference ~faulted:host))
+    (List.length (Classify.diffs ~golden:reference ~faulted:restored))
 
 let test_checkpoint_restores_tsc () =
   let host = Hypervisor.create ~seed:3 () in
   Hypervisor.prepare host evtchn_req;
-  let ckpt = Recovery_engine.checkpoint host in
+  let ctx = Microboot.capture host evtchn_req in
   let tsc0 = Cpu.get_tsc (Hypervisor.cpu host) in
   ignore (Hypervisor.execute host evtchn_req);
   Alcotest.(check bool) "execution advanced the tsc" true
     (Cpu.get_tsc (Hypervisor.cpu host) > tsc0);
-  Recovery_engine.restore host ckpt;
-  Alcotest.(check int64) "tsc restored" tsc0 (Cpu.get_tsc (Hypervisor.cpu host))
-
-let test_checkpoint_size_positive () =
-  let host = Hypervisor.create ~seed:3 () in
-  let ckpt = Recovery_engine.checkpoint host in
-  Alcotest.(check bool) "covers the domain blocks" true
-    (Recovery_engine.checkpoint_bytes ckpt > 3 * 0x10000)
+  let restored = Microboot.restore ctx in
+  Alcotest.(check int64) "tsc restored" tsc0
+    (Cpu.get_tsc (Hypervisor.cpu restored))
 
 let test_recover_reexecutes_cleanly () =
   let host = Hypervisor.create ~seed:3 () in
   Hypervisor.prepare host evtchn_req;
-  let ckpt = Recovery_engine.checkpoint host in
+  let ctx = Microboot.capture host evtchn_req in
   let golden = Hypervisor.clone host in
   ignore (Hypervisor.execute golden evtchn_req);
   (* Crash the host with a wild pointer fault. *)
@@ -62,31 +59,38 @@ let test_recover_reexecutes_cleanly () =
   | Cpu.Hw_fault _ -> ()
   | s -> Alcotest.failf "expected a crash, got %a" Cpu.pp_stop s);
   (* Recover: restore and re-execute; the transient fault is gone. *)
-  let recovered = Recovery_engine.recover host ckpt evtchn_req in
+  let restored = Microboot.restore ctx in
+  let recovered = Hypervisor.execute restored evtchn_req in
   Alcotest.check stop_testable "recovered run reaches vm entry" Cpu.Vm_entry
     recovered.Cpu.stop;
   Alcotest.(check int) "recovered state matches golden exactly" 0
-    (List.length (Classify.diffs ~golden ~faulted:host))
+    (List.length (Classify.diffs ~golden ~faulted:restored))
 
 let test_recovery_study_all_detected_recover () =
+  let module C = Xentry_recover.Campaign in
   let r =
-    Recovery_study.study ~seed:5 ~benchmark:Xentry_workload.Profile.Canneal
-      ~injections:600
-      (Xentry_core.Pipeline.Config.make ())
+    C.run
+      {
+        C.default_config with
+        C.seed = 5;
+        benchmark = Xentry_workload.Profile.Canneal;
+        injections = 600;
+      }
   in
-  Alcotest.(check bool) "some faults detected" true (r.Recovery_study.detected > 50);
-  Alcotest.(check int) "no recovery mismatches" 0
-    r.Recovery_study.recovery_mismatches;
-  Alcotest.(check int) "every detected fault recovered exactly"
-    r.Recovery_study.detected r.Recovery_study.recovered_exactly
+  Alcotest.(check bool) "some faults detected" true (r.C.detected > 50);
+  Alcotest.(check int) "every detected fault restored exactly" r.C.detected
+    r.C.checkpoint_work_recovered;
+  Alcotest.(check int) "every detected fault micro-rebooted exactly"
+    r.C.detected r.C.micro_work_recovered
 
 let test_handlers_write_only_checkpointed_regions () =
   (* Recovery correctness rests on the checkpoint covering every byte a
-     handler can write.  Verify the invariant directly: run every exit
-     reason fault-free and check that memory outside the checkpoint +
-     restore cycle is untouched (restore must reproduce the
-     pre-execution host exactly on the regions, and nothing outside
-     the regions may have changed either). *)
+     handler can write.  The capture is a journal epoch, so check it
+     against real handlers: run every exit reason fault-free on the
+     live host, restore the capture, and the restored host must be
+     indistinguishable from a pre-execution clone across every
+     compared structure — a write the journal missed would survive
+     into the restore and show up here. *)
   let host = Hypervisor.create ~seed:41 () in
   let rng = Xentry_util.Rng.create 43 in
   let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
@@ -97,26 +101,17 @@ let test_handlers_write_only_checkpointed_regions () =
     in
     Hypervisor.prepare host req;
     let pristine = Hypervisor.clone host in
-    let ckpt = Recovery_engine.checkpoint host in
+    let ctx = Microboot.capture host req in
     ignore (Hypervisor.execute host req);
-    Recovery_engine.restore host ckpt;
-    (* After restore, the host's memory must be indistinguishable from
-       the pre-execution clone across every compared structure; any
-       write outside the checkpointed set would survive the restore
-       and show up here.  Live CPU registers are excluded: restore
-       deliberately leaves them for the re-execution to re-seed. *)
-    let memory_diffs =
-      List.filter
-        (fun d ->
-          match d with Classify.Guest_reg_diff _ -> false | _ -> true)
-        (Classify.diffs ~golden:pristine ~faulted:host)
-    in
-    (match memory_diffs with
+    let restored = Microboot.restore ctx in
+    (match Classify.diffs ~golden:pristine ~faulted:restored with
     | [] -> ()
     | diffs ->
         Alcotest.failf "%s escaped the checkpoint (%d regions)"
           (Exit_reason.name req.Request.reason)
           (List.length diffs));
+    Hypervisor.release restored;
+    Hypervisor.release pristine;
     Hypervisor.retire host req
   done
 
@@ -218,7 +213,6 @@ let () =
           Alcotest.test_case "checkpoint/restore roundtrip" `Quick
             test_checkpoint_restore_roundtrip;
           Alcotest.test_case "tsc restored" `Quick test_checkpoint_restores_tsc;
-          Alcotest.test_case "checkpoint size" `Quick test_checkpoint_size_positive;
           Alcotest.test_case "recover re-executes" `Quick
             test_recover_reexecutes_cleanly;
           Alcotest.test_case "study: all detected recover" `Slow

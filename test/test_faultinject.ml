@@ -232,7 +232,7 @@ let test_campaign_outcome_mix () =
 let test_campaign_latencies_recorded () =
   let records = small_campaign () in
   let s = Report.summarize records in
-  let hw = List.assoc Framework.Hw_exception_detection s.Report.latencies_by_technique in
+  let hw = List.assoc Pipeline.Hw_exception_detection s.Report.latencies_by_technique in
   Alcotest.(check bool) "hw latencies recorded" true (Array.length hw > 10);
   Array.iter
     (fun l -> Alcotest.(check bool) "latency non-negative" true (l >= 0))
@@ -248,7 +248,7 @@ let test_campaign_signature_present_on_vm_entry () =
              verdict cannot be a transition detection. *)
           Alcotest.(check bool) "no transition verdict without signature" true
             (match r.Outcome.verdict with
-            | Framework.Detected { technique = Framework.Vm_transition; _ } ->
+            | Pipeline.Detected { technique = Pipeline.Vm_transition; _ } ->
                 false
             | _ -> true))
     (small_campaign ())
@@ -291,7 +291,7 @@ let test_report_empty () =
    fraction) independently of campaign randomness. *)
 let mk_record ?(activated = true)
     ?(consequence = Outcome.Long_latency Outcome.App_crash)
-    ?(verdict = Framework.Clean) ?latency ?undetected () =
+    ?(verdict = Pipeline.Clean) ?latency ?undetected () =
   {
     Outcome.fault = Fault.reg Xentry_isa.Reg.Rip ~bit:0 ~step:1;
     reason = Exit_reason.Softirq;
@@ -305,16 +305,16 @@ let mk_record ?(activated = true)
   }
 
 let detected technique ?latency () =
-  mk_record ~verdict:(Framework.Detected { technique; latency }) ?latency ()
+  mk_record ~verdict:(Pipeline.Detected { technique; latency }) ?latency ()
 
 let fixed_summary () =
   Report.summarize
     [
-      detected Framework.Hw_exception_detection ~latency:100 ();
-      detected Framework.Hw_exception_detection ~latency:700 ();
-      detected Framework.Hw_exception_detection ~latency:800 ();
-      detected Framework.Sw_assertion ~latency:5 ();
-      detected Framework.Vm_transition ();
+      detected Pipeline.Hw_exception_detection ~latency:100 ();
+      detected Pipeline.Hw_exception_detection ~latency:700 ();
+      detected Pipeline.Hw_exception_detection ~latency:800 ();
+      detected Pipeline.Sw_assertion ~latency:5 ();
+      detected Pipeline.Vm_transition ();
       mk_record ~undetected:Outcome.Stack_values ();
       mk_record ~undetected:Outcome.Stack_values ();
       mk_record ~undetected:Outcome.Time_values ();
@@ -349,14 +349,14 @@ let test_report_latency_fraction_boundary () =
   (* Strict <: a detection at exactly the bound does not count. *)
   Alcotest.(check (float 1e-9)) "below 700 excludes the 700 sample"
     (1.0 /. 3.0)
-    (Report.latency_fraction_below s Framework.Hw_exception_detection 700);
+    (Report.latency_fraction_below s Pipeline.Hw_exception_detection 700);
   Alcotest.(check (float 1e-9)) "below 801 includes everything" 1.0
-    (Report.latency_fraction_below s Framework.Hw_exception_detection 801);
+    (Report.latency_fraction_below s Pipeline.Hw_exception_detection 801);
   Alcotest.(check (float 1e-9)) "below the minimum is zero" 0.0
-    (Report.latency_fraction_below s Framework.Hw_exception_detection 100);
+    (Report.latency_fraction_below s Pipeline.Hw_exception_detection 100);
   (* The VM-transition detection carries no latency sample. *)
   Alcotest.(check (float 1e-9)) "no samples -> 0" 0.0
-    (Report.latency_fraction_below s Framework.Vm_transition 1_000_000)
+    (Report.latency_fraction_below s Pipeline.Vm_transition 1_000_000)
 
 (* --- Training pipeline --------------------------------------------------------------- *)
 
@@ -588,9 +588,10 @@ let prop_planned_equals_exhaustive =
         [ 1; 4 ])
 
 (* Recovery identity: for any host seed and any detected random fault,
-   a micro-reboot (boot image over hypervisor-private scratch, COW
-   context for everything else) plus replay reproduces the golden
-   host's guest-visible state bit-exactly — the only diff the
+   a checkpoint restore plus re-execution reproduces the golden host
+   bit-exactly, and a micro-reboot (boot image over hypervisor-private
+   scratch, the captured context for everything else) plus replay
+   reproduces its guest-visible state bit-exactly — the only diff the
    partition permits is the hypervisor stack, which is boot-clean on
    the rebooted host by construction. *)
 let prop_microboot_identity =
@@ -625,9 +626,13 @@ let prop_microboot_identity =
       match outcome.Pipeline.verdict with
       | Pipeline.Clean -> true (* the property quantifies over detected faults *)
       | Pipeline.Detected _ ->
+          let restored = Microboot.restore ctx in
+          let reexec = Pipeline.run pcfg ~host:restored ~prepare:false req in
           let rebooted = Microboot.reboot image ctx in
           let replay = Pipeline.run pcfg ~host:rebooted ~prepare:false req in
-          replay.Pipeline.result.Cpu.stop = Cpu.Vm_entry
+          reexec.Pipeline.result.Cpu.stop = Cpu.Vm_entry
+          && Classify.diffs ~golden ~faulted:restored = []
+          && replay.Pipeline.result.Cpu.stop = Cpu.Vm_entry
           && Classify.diffs ~golden ~faulted:rebooted
              |> List.for_all (fun d -> d = Classify.Stack_diff))
 
@@ -726,16 +731,76 @@ let test_microboot_superseded_context () =
   Hypervisor.prepare host req;
   let first = Microboot.capture host req in
   let second = Microboot.capture host req in
-  let raises ctx =
-    match Microboot.reboot image ctx with
-    | _ -> false
-    | exception Invalid_argument _ -> true
+  let raises recover ctx =
+    match recover ctx with _ -> false | exception Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "superseded context raises" true (raises first);
-  Alcotest.(check bool) "current context reboots" false (raises second);
-  Alcotest.(check bool) "and reboots again" false (raises second);
+  let reboot = Microboot.reboot image and restore = Microboot.restore in
+  Alcotest.(check bool) "superseded context raises" true (raises reboot first);
+  Alcotest.(check bool) "superseded context won't restore" true
+    (raises restore first);
+  Alcotest.(check bool) "current context reboots" false (raises reboot second);
+  Alcotest.(check bool) "and restores" false (raises restore second);
+  Alcotest.(check bool) "and reboots again" false (raises reboot second);
   Hypervisor.release host;
-  Alcotest.(check bool) "released host's context raises" true (raises second)
+  Alcotest.(check bool) "released host's context raises" true
+    (raises reboot second);
+  Alcotest.(check bool) "released host's context won't restore" true
+    (raises restore second)
+
+(* The recovery result's JSON rendering, shared by the CLI's
+   [recover --json] and the bench's [--json] "recover" section, pinned
+   byte for byte on a hand-built result. *)
+let test_recover_json_schema () =
+  let module C = Xentry_recover.Campaign in
+  let cls cls faults ok =
+    {
+      C.cls;
+      faults;
+      checkpoint_recovered = ok;
+      recovered_exactly = ok - 1;
+      mismatches = 1;
+      carryover = 0;
+    }
+  in
+  let r =
+    {
+      C.injections = 100;
+      detected = 12;
+      undetected_manifested = 3;
+      masked = 85;
+      classes = [ cls C.Detected_hw 10 10; cls C.Detected_assertion 2 2 ];
+      checkpoint_work_recovered = 12;
+      micro_work_recovered = 10;
+      micro_work_lost = 2;
+      micro_state_lost = 2;
+      restart_work_lost = 12;
+      restart_state_lost = 12;
+      mttf_improvement = 6.0;
+      image_bytes = 57344;
+      reboot_ns_mean = 1234.56;
+      reboot_ns_p99 = 9876.5;
+    }
+  in
+  let expected mttf =
+    "{\"schema\":\"xentry-recover-v2\",\"benchmark\":\"canneal\",\
+     \"injections\":100,\"detected\":12,\"undetected_manifested\":3,\
+     \"masked\":85,\"checkpoint_work_recovered\":12,\
+     \"micro_work_recovered\":10,\"micro_work_lost\":2,\
+     \"micro_state_lost\":2,\"restart_work_lost\":12,\
+     \"restart_state_lost\":12,\"mttf_improvement\":" ^ mttf
+    ^ ",\"image_bytes\":57344,\"reboot_ns_mean\":1234.6,\
+       \"reboot_ns_p99\":9876.5,\"classes\":[\
+       {\"class\":\"detected/hw-exception\",\"faults\":10,\
+       \"checkpoint_recovered\":10,\"recovered_exactly\":9,\
+       \"mismatches\":1,\"carryover\":0},\
+       {\"class\":\"detected/sw-assertion\",\"faults\":2,\
+       \"checkpoint_recovered\":2,\"recovered_exactly\":1,\
+       \"mismatches\":1,\"carryover\":0}]}"
+  in
+  let json r = C.to_json ~benchmark:Xentry_workload.Profile.Canneal r in
+  Alcotest.(check string) "finite mttf" (expected "6.000") (json r);
+  Alcotest.(check string) "infinite mttf is null" (expected "null")
+    (json { r with C.mttf_improvement = Float.infinity })
 
 (* The region walk [Classify.diffs] made before its table was grouped
    by page: the region list rebuilt per call and every region compared
@@ -918,6 +983,8 @@ let () =
         [
           Alcotest.test_case "superseded context raises" `Quick
             test_microboot_superseded_context;
+          Alcotest.test_case "recover json schema" `Quick
+            test_recover_json_schema;
         ] );
       ( "report",
         [

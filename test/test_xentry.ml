@@ -237,7 +237,7 @@ let test_detector_threshold_validation () =
         (Transition_detector.with_threshold (toy_tree ())
            ~min_incorrect_probability:1.5))
 
-(* --- Framework ------------------------------------------------------------------ *)
+(* --- Verdict attribution (the paper's Fig 4 framework) -------------------------- *)
 
 let run_result stop =
   {
@@ -253,10 +253,8 @@ let run_result stop =
         };
   }
 
-(* The verdict logic lives in [Pipeline.verdict]; these tests exercise
-   it through a shim shaped like the old [Framework.process] entry
-   point (the model is wrapped at v0 exactly as the deprecated wrapper
-   did). *)
+(* These tests exercise [Pipeline.verdict] through a shim taking a
+   bare detection set and an optional model, wrapped at v0. *)
 let process config ~detector ~reason result =
   Pipeline.verdict
     {
@@ -268,9 +266,7 @@ let process config ~detector ~reason result =
 
 (* The versioned [Detector.t] wrapper must be verdict-transparent: the
    same model wrapped at any version/origin gives the same answers
-   through [Pipeline.verdict] as the v0 wrap the old entry point used.
-   This folds the old wrapper-equivalence guarantee into the pipeline
-   suite now that [Framework.process] is gone. *)
+   through [Pipeline.verdict] as the v0 wrap. *)
 let test_pipeline_detector_version_transparent () =
   let model = Transition_detector.of_tree (toy_tree ()) in
   let stops =
@@ -315,34 +311,34 @@ let test_pipeline_detector_version_transparent () =
           Exit_reason.Exception Hw_exception.PF;
           Exit_reason.Hypercall Hypercall.Sched_op;
         ])
-    [ Framework.full_config; Framework.runtime_only; Framework.disabled ]
+    [ Pipeline.full_detection; Pipeline.runtime_only; Pipeline.detection_disabled ]
 
 let test_framework_attributes_hw () =
   let v =
-    process Framework.full_config ~detector:None
+    process Pipeline.full_detection ~detector:None
       ~reason:Exit_reason.Softirq
       (run_result (Cpu.Hw_fault { exn = Hw_exception.PF; detail = 0L }))
   in
   match v with
-  | Framework.Detected { technique = Framework.Hw_exception_detection; latency } ->
+  | Pipeline.Detected { technique = Pipeline.Hw_exception_detection; latency } ->
       Alcotest.(check (option int)) "latency from activation" (Some 80) latency
   | _ -> Alcotest.fail "expected hw detection"
 
 let test_framework_benign_exception_not_detected () =
   let v =
-    process Framework.full_config ~detector:None
+    process Pipeline.full_detection ~detector:None
       ~reason:Exit_reason.Softirq
       (run_result (Cpu.Hw_fault { exn = Hw_exception.BP; detail = 0L }))
   in
-  Alcotest.(check bool) "breakpoint is benign" true (v = Framework.Clean)
+  Alcotest.(check bool) "breakpoint is benign" true (v = Pipeline.Clean)
 
 let test_framework_watchdog_counts_as_hw () =
   let v =
-    process Framework.full_config ~detector:None
+    process Pipeline.full_detection ~detector:None
       ~reason:Exit_reason.Softirq (run_result Cpu.Out_of_fuel)
   in
   match v with
-  | Framework.Detected { technique = Framework.Hw_exception_detection; _ } -> ()
+  | Pipeline.Detected { technique = Pipeline.Hw_exception_detection; _ } -> ()
   | _ -> Alcotest.fail "expected watchdog as hw detection"
 
 let test_framework_assertion_attribution () =
@@ -355,12 +351,12 @@ let test_framework_assertion_attribution () =
     }
   in
   let v =
-    process Framework.full_config ~detector:None
+    process Pipeline.full_detection ~detector:None
       ~reason:Exit_reason.Softirq
       (run_result (Cpu.Assertion_failure { assertion; observed = 0L }))
   in
   match v with
-  | Framework.Detected { technique = Framework.Sw_assertion; _ } -> ()
+  | Pipeline.Detected { technique = Pipeline.Sw_assertion; _ } -> ()
   | _ -> Alcotest.fail "expected sw assertion detection"
 
 let test_framework_vm_transition () =
@@ -372,17 +368,17 @@ let test_framework_vm_transition () =
     }
   in
   let v =
-    process Framework.full_config ~detector:(Some det)
+    process Pipeline.full_detection ~detector:(Some det)
       ~reason:Exit_reason.Softirq deviant
   in
   (match v with
-  | Framework.Detected { technique = Framework.Vm_transition; _ } -> ()
+  | Pipeline.Detected { technique = Pipeline.Vm_transition; _ } -> ()
   | _ -> Alcotest.fail "expected vm transition detection");
   let normal = run_result Cpu.Vm_entry in
   Alcotest.(check bool) "normal accepted" true
-    (process Framework.full_config ~detector:(Some det)
+    (process Pipeline.full_detection ~detector:(Some det)
        ~reason:Exit_reason.Softirq normal
-    = Framework.Clean)
+    = Pipeline.Clean)
 
 let test_framework_context_follows_reason () =
   (* Regression: [process] must derive the filter context from the
@@ -392,22 +388,22 @@ let test_framework_context_follows_reason () =
      #DF stays fatal in both contexts. *)
   let pf = Cpu.Hw_fault { exn = Hw_exception.PF; detail = 0L } in
   Alcotest.(check bool) "PF while servicing a guest exception is benign" true
-    (process Framework.full_config ~detector:None
+    (process Pipeline.full_detection ~detector:None
        ~reason:(Exit_reason.Exception Hw_exception.PF)
        (run_result pf)
-    = Framework.Clean);
+    = Pipeline.Clean);
   (match
-     process Framework.full_config ~detector:None
+     process Pipeline.full_detection ~detector:None
        ~reason:Exit_reason.Softirq (run_result pf)
    with
-  | Framework.Detected { technique = Framework.Hw_exception_detection; _ } -> ()
+  | Pipeline.Detected { technique = Pipeline.Hw_exception_detection; _ } -> ()
   | _ -> Alcotest.fail "PF during a softirq must be a detection");
   match
-    process Framework.full_config ~detector:None
+    process Pipeline.full_detection ~detector:None
       ~reason:(Exit_reason.Exception Hw_exception.PF)
       (run_result (Cpu.Hw_fault { exn = Hw_exception.DF; detail = 0L }))
   with
-  | Framework.Detected { technique = Framework.Hw_exception_detection; _ } -> ()
+  | Pipeline.Detected { technique = Pipeline.Hw_exception_detection; _ } -> ()
   | _ -> Alcotest.fail "#DF is fatal even in guest servicing"
 
 let test_exception_filter_context_of_reason () =
@@ -432,9 +428,9 @@ let test_framework_disabled_detects_nothing () =
   List.iter
     (fun stop ->
       Alcotest.(check bool) "disabled is blind" true
-        (process Framework.disabled ~detector:None
+        (process Pipeline.detection_disabled ~detector:None
            ~reason:Exit_reason.Softirq (run_result stop)
-        = Framework.Clean))
+        = Pipeline.Clean))
     [
       Cpu.Hw_fault { exn = Hw_exception.PF; detail = 0L };
       Cpu.Out_of_fuel;
@@ -450,24 +446,24 @@ let test_framework_runtime_only_skips_transition () =
     }
   in
   Alcotest.(check bool) "runtime-only ignores signature" true
-    (process Framework.runtime_only ~detector:(Some det)
+    (process Pipeline.runtime_only ~detector:(Some det)
        ~reason:Exit_reason.Softirq deviant
-    = Framework.Clean)
+    = Pipeline.Clean)
 
 (* --- Cost model (Fig 7) ----------------------------------------------------------- *)
 
 let test_cost_per_exit_zero_when_disabled () =
   Alcotest.(check (float 0.0)) "disabled costs nothing" 0.0
-    (Cost_model.per_exit_seconds Cost_model.default_params Framework.disabled
+    (Cost_model.per_exit_seconds Cost_model.default_params Pipeline.detection_disabled
        ~tree_comparisons:10)
 
 let test_cost_full_exceeds_runtime_only () =
   let p = Cost_model.default_params in
   let full =
-    Cost_model.per_exit_seconds p Framework.full_config ~tree_comparisons:10
+    Cost_model.per_exit_seconds p Pipeline.full_detection ~tree_comparisons:10
   in
   let runtime =
-    Cost_model.per_exit_seconds p Framework.runtime_only ~tree_comparisons:10
+    Cost_model.per_exit_seconds p Pipeline.runtime_only ~tree_comparisons:10
   in
   Alcotest.(check bool) "full > runtime-only" true (full > runtime);
   Alcotest.(check bool) "sub-microsecond" true (full < 1e-6)
