@@ -9,17 +9,6 @@ type plan = {
   reps : int list;
 }
 
-(* Pages a memory-class strike can corrupt: both pages of the struck
-   word for [Mem]/[Pte] (a word may straddle a boundary), the struck
-   page itself for [Tlb]. *)
-let strike_pages (f : Fault.t) =
-  match f.Fault.target with
-  | Fault.Mem a | Fault.Pte a ->
-      let p = Memory.page_of a and p' = Memory.page_of (Int64.add a 7L) in
-      if Int64.equal p p' then [ p ] else [ p; p' ]
-  | Fault.Tlb p -> [ p ]
-  | Fault.Reg _ -> []
-
 let plan (trace : Golden_trace.t) (faults : Fault.t array) =
   let n = Array.length faults in
   let dispositions = Array.make n (Pruned Cpu.Never_touched) in
@@ -35,7 +24,21 @@ let plan (trace : Golden_trace.t) (faults : Fault.t array) =
     done
   else begin
     let classes = Hashtbl.create 16 in
-    let len = Golden_trace.length trace in
+    (* A memory-class fault, given [hit]: the log's first access at or
+       after the strike step that the live watch counts, or -1.  Until
+       that access the faulted run is the golden run, so without one
+       the strike is never touched (or, past the run's end, never
+       fires).  Everything else runs individually at its sampled step:
+       a partly overwritten word may still be read, and a TLB strike's
+       alias binding depends on page ownership at the strike, so
+       neither shifts nor collapses. *)
+    let memory i hit =
+      if hit < 0 then dispositions.(i) <- Pruned Cpu.Never_touched
+      else begin
+        dispositions.(i) <- Run { rep = i; act = faults.(i).Fault.step };
+        reps := i :: !reps
+      end
+    in
     for i = 0 to n - 1 do
       let f = faults.(i) in
       match f.Fault.target with
@@ -65,23 +68,10 @@ let plan (trace : Golden_trace.t) (faults : Fault.t array) =
                       Hashtbl.add classes key i;
                       dispositions.(i) <- Run { rep = i; act = s };
                       reps := i :: !reps)))
-      | Fault.Mem _ | Fault.Tlb _ | Fault.Pte _ ->
-          (* The page-touch summary has no timing, so the only safe
-             prunes are faults that provably cannot be consumed: the
-             run ends before the strike fires, or no access of the
-             whole run touches a struck page.  Everything else runs
-             individually at its sampled step — no collapsing. *)
-          if
-            f.Fault.step >= len
-            || not
-                 (List.exists
-                    (fun p -> Golden_trace.mem_touched trace ~page:p)
-                    (strike_pages f))
-          then dispositions.(i) <- Pruned Cpu.Never_touched
-          else begin
-            dispositions.(i) <- Run { rep = i; act = f.Fault.step };
-            reps := i :: !reps
-          end
+      | Fault.Mem addr | Fault.Pte addr ->
+          memory i (Golden_trace.word_access trace ~addr ~step:f.Fault.step)
+      | Fault.Tlb page ->
+          memory i (Golden_trace.page_access trace ~page ~step:f.Fault.step)
     done;
     reps := List.rev !reps
   end;

@@ -28,11 +28,21 @@
       the top of step [step + window], before the read); one that
       activates first is a persistent flip and collapses normally;
     - memory-class faults ([Mem]/[Tlb]/[Pte]) consult the trace's
-      page-touch summaries instead of register def/use: a fault whose
-      strike fires after the run ends, or none of whose struck pages
-      is ever loaded or stored, is pruned to [Never_touched];
-      everything else runs individually at its sampled step — the
-      summaries carry no timing, so no collapsing is attempted.
+      timed access log instead of register def/use.  Until the struck
+      word or translation is first consumed, the faulted run is
+      step-identical to the golden one, so the log's first access at or
+      after the strike step that the live watch would count
+      ({!Xentry_machine.Golden_trace.word_access} for [Mem]/[Pte],
+      {!Xentry_machine.Golden_trace.page_access} for [Tlb]) is exactly
+      the live watch's first hit.  A fault with no such access — struck
+      after the last access to its word or page, or after the run ends
+      — is pruned to [Never_touched].  Everything else runs
+      individually at its sampled step, with no shift and no
+      collapsing: a store that overwrites part of a word leaves the
+      rest corrupted, and a TLB strike's alias binding depends on page
+      ownership at the strike.  A strike on an unmapped target does
+      nothing live while the log may still show an access there; such
+      faults run, which is conservative.
 
     The one case the trace cannot vouch for is a golden run that
     stopped on an assertion failure: replays may toggle assertions

@@ -166,38 +166,6 @@ let metadata instr =
   lor (if reads_flags instr then meta_reads_flags_bit else 0)
   lor (if writes_flags instr then meta_writes_flags_bit else 0)
 
-let mem_count op = if Operand.is_mem op then 1 else 0
-
-let loads = function
-  | Mov (_, src) -> mem_count src
-  | Alu (_, dst, src) -> mem_count dst + mem_count src
-  | Shift (_, dst, _) | Shift_var (_, dst, _) | Inc dst | Dec dst | Neg dst ->
-      mem_count dst
-  | Bt (base, idx) | Bts (base, idx) | Btr (base, idx) ->
-      mem_count base + mem_count idx
-  | Cmp (a, b) | Test (a, b) -> mem_count a + mem_count b
-  | Imul (_, src) | Idiv src -> mem_count src
-  | Jmp_table _ -> 1 (* table entry fetch *)
-  | Ret -> 1
-  | Pop _ -> 1
-  | Push src -> mem_count src
-  | Assert a -> mem_count a.assert_src
-  | Nop | Lea _ | Jmp _ | Jcc _ | Call _ | Rep_movsq | Rep_stosq | Cpuid
-  | Rdtsc | Hlt | Ud2 | Vmentry ->
-      0
-
-let stores = function
-  | Mov (dst, _) | Alu (_, dst, _) | Shift (_, dst, _) | Shift_var (_, dst, _)
-  | Inc dst | Dec dst | Neg dst | Bts (dst, _) | Btr (dst, _) ->
-      mem_count dst
-  | Push _ -> 1
-  | Call _ -> 1
-  | Pop dst -> mem_count dst
-  | Nop | Lea _ | Cmp _ | Test _ | Imul _ | Idiv _ | Jmp _ | Jcc _
-  | Jmp_table _ | Ret | Rep_movsq | Rep_stosq | Cpuid | Rdtsc | Hlt | Ud2
-  | Assert _ | Vmentry | Bt _ ->
-      0
-
 let map_label f = function
   | Jmp l -> Jmp (f l)
   | Jcc (c, l) -> Jcc (c, f l)

@@ -116,13 +116,6 @@ val is_branch : 'lbl t -> bool
 (** Counted by the BR_INST_RETIRED performance event: jumps,
     conditional jumps, table dispatch, call and return. *)
 
-val loads : 'lbl t -> int
-(** Memory read operations performed when executed once with
-    RCX-independent semantics; [Rep_movsq]'s per-element counts are
-    accounted by the interpreter instead, so this reports 0 for it. *)
-
-val stores : 'lbl t -> int
-
 val map_label : ('a -> 'b) -> 'a t -> 'b t
 
 val pp : (Format.formatter -> 'lbl -> unit) -> Format.formatter -> 'lbl t -> unit

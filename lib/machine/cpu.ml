@@ -83,7 +83,7 @@ type t = {
          the hypervisor poller *)
   mutable mem_hook : (int64 -> bool -> unit) option;
       (* observer for every load/store address ([true] = store); set
-         by golden-trace recording to build page-touch summaries *)
+         by golden-trace recording to build its timed access log *)
   mutable steps : int;
   mutable code_base : int64;
       (* where the running program is mapped; compiled closures read it

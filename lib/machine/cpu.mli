@@ -234,7 +234,7 @@ val ras_bank : t -> Xentry_ras.Ras.Bank.t
 val set_mem_hook : t -> (int64 -> bool -> unit) option -> unit
 (** Observe every load/store address issued by either engine
     ([true] = store) — golden-trace recording uses this to build the
-    page-touch summaries memory-class pruning consults.  Clear it
+    timed access log memory-class pruning consults.  Clear it
     ([None]) after the recorded run. *)
 
 val pp_stop : Format.formatter -> stop -> unit

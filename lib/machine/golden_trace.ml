@@ -6,10 +6,8 @@ type t = {
   result_steps : int;
   asserted : bool;
   fetch_faulted : bool;
-  mem_loads : int;
-  mem_stores : int;
-  loaded_pages : int64 array;
-  stored_pages : int64 array;
+  accesses : int array;
+  access_addrs : string;
 }
 
 let length t = Array.length t.meta
@@ -18,12 +16,10 @@ let equal a b =
   a.result_steps = b.result_steps
   && a.asserted = b.asserted
   && a.fetch_faulted = b.fetch_faulted
-  && a.mem_loads = b.mem_loads
-  && a.mem_stores = b.mem_stores
   && a.index = b.index
   && a.meta = b.meta
-  && a.loaded_pages = b.loaded_pages
-  && a.stored_pages = b.stored_pages
+  && a.accesses = b.accesses
+  && String.equal a.access_addrs b.access_addrs
 
 (* --- recording --------------------------------------------------------- *)
 
@@ -32,10 +28,9 @@ type recorder = {
   mutable buf_index : int array;
   mutable buf_meta : int array;
   mutable len : int;
-  mutable loads : int;
-  mutable stores : int;
-  pages_loaded : (int64, unit) Hashtbl.t;
-  pages_stored : (int64, unit) Hashtbl.t;
+  mutable log : int array;
+  mutable log_addrs : Bytes.t;
+  mutable n_log : int;
 }
 
 let recorder ~meta =
@@ -44,22 +39,10 @@ let recorder ~meta =
     buf_index = Array.make 256 0;
     buf_meta = Array.make 256 0;
     len = 0;
-    loads = 0;
-    stores = 0;
-    pages_loaded = Hashtbl.create 64;
-    pages_stored = Hashtbl.create 64;
+    log = Array.make 128 0;
+    log_addrs = Bytes.create (128 * 8);
+    n_log = 0;
   }
-
-(* The address-level observer to install with [Cpu.set_mem_hook] for
-   the recorded run: accumulates the pages every load/store touches
-   (both pages, for a word access spanning a boundary). *)
-let mem_hook r addr store =
-  let tbl = if store then r.pages_stored else r.pages_loaded in
-  let p = Memory.page_of addr in
-  if not (Hashtbl.mem tbl p) then Hashtbl.replace tbl p ();
-  let p' = Memory.page_of (Int64.add addr 7L) in
-  if (not (Int64.equal p p')) && not (Hashtbl.mem tbl p') then
-    Hashtbl.replace tbl p' ()
 
 let grow r =
   let cap = Array.length r.buf_index in
@@ -70,13 +53,28 @@ let grow r =
   r.buf_index <- index;
   r.buf_meta <- meta
 
-let on_step r idx instr =
+let grow_log r =
+  let cap = Array.length r.log in
+  let log = Array.make (cap * 2) 0 in
+  let addrs = Bytes.create (cap * 16) in
+  Array.blit r.log 0 log 0 cap;
+  Bytes.blit r.log_addrs 0 addrs 0 (cap * 8);
+  r.log <- log;
+  r.log_addrs <- addrs
+
+let on_step r idx (_ : int Instr.t) =
   if r.len = Array.length r.buf_index then grow r;
   r.buf_index.(r.len) <- idx;
   r.buf_meta.(r.len) <- r.prog_meta.(idx);
-  r.len <- r.len + 1;
-  r.loads <- r.loads + Instr.loads instr;
-  r.stores <- r.stores + Instr.stores instr
+  r.len <- r.len + 1
+
+(* Both engines call [on_step] before executing the step, so an access
+   belongs to step [len - 1]. *)
+let mem_hook r addr store =
+  if r.n_log = Array.length r.log then grow_log r;
+  r.log.(r.n_log) <- ((r.len - 1) lsl 1) lor Bool.to_int store;
+  Bytes.set_int64_le r.log_addrs (r.n_log * 8) addr;
+  r.n_log <- r.n_log + 1
 
 let finish r ~(result : Cpu.run_result) =
   let asserted =
@@ -90,43 +88,17 @@ let finish r ~(result : Cpu.run_result) =
     | Cpu.Hw_fault _ -> result.Cpu.steps = r.len
     | _ -> false
   in
-  let sorted_pages tbl =
-    let a = Array.make (Hashtbl.length tbl) 0L in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun p () ->
-        a.(!i) <- p;
-        incr i)
-      tbl;
-    Array.sort Int64.compare a;
-    a
-  in
   {
     index = Array.sub r.buf_index 0 r.len;
     meta = Array.sub r.buf_meta 0 r.len;
     result_steps = result.Cpu.steps;
     asserted;
     fetch_faulted;
-    mem_loads = r.loads;
-    mem_stores = r.stores;
-    loaded_pages = sorted_pages r.pages_loaded;
-    stored_pages = sorted_pages r.pages_stored;
+    accesses = Array.sub r.log 0 r.n_log;
+    access_addrs = Bytes.sub_string r.log_addrs 0 (r.n_log * 8);
   }
 
 (* --- def-use queries --------------------------------------------------- *)
-
-let mem_member a page =
-  let rec bs lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let c = Int64.compare a.(mid) page in
-      if c = 0 then true else if c < 0 then bs (mid + 1) hi else bs lo mid
-  in
-  bs 0 (Array.length a)
-
-let mem_touched t ~page =
-  mem_member t.loaded_pages page || mem_member t.stored_pages page
 
 (* Mirrors [Cpu.update_watch]/[Cpu.watch_rip_fetch]: within a step the
    read test precedes the write test, the scan starts at the injection
@@ -162,3 +134,61 @@ let fate t ~(target : Reg.arch) ~step =
             else scan (s + 1)
         in
         scan step
+
+(* --- access-log queries -------------------------------------------------- *)
+
+(* The first log entry at or after [step]: entries are in step order. *)
+let first_from t step =
+  let lo = ref 0 and hi = ref (Array.length t.accesses) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.accesses.(mid) lsr 1 < step then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The scans mirror [Cpu.mem_touch]'s two hit tests, arithmetic and
+   all.  They are plain loops over the raw log, not closures, read
+   addresses without a per-entry bounds check, and shift by
+   [Memory.page_bits] rather than call [Memory.page_of], so every
+   [Int64] stays unboxed and a query allocates nothing.  They stop at
+   the last whole address in [access_addrs], so the unchecked reads
+   stay in bounds whatever the record holds. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let addr_at addrs i =
+  let a = get64u addrs (i * 8) in
+  if Sys.big_endian then swap64 a else a
+
+let word_access t ~addr ~step =
+  let addrs = t.access_addrs in
+  let n = String.length addrs / 8 in
+  let i = ref (first_from t step) and hit = ref (-1) in
+  while !i < n do
+    let d = Int64.sub (addr_at addrs !i) addr in
+    if d >= -7L && d <= 7L then begin
+      hit := !i;
+      i := n
+    end
+    else incr i
+  done;
+  !hit
+
+let page_access t ~page ~step =
+  let addrs = t.access_addrs in
+  let n = String.length addrs / 8 in
+  let i = ref (first_from t step) and hit = ref (-1) in
+  while !i < n do
+    let a = addr_at addrs !i in
+    if
+      Int64.equal (Int64.shift_right_logical a Memory.page_bits) page
+      || Int64.equal
+           (Int64.shift_right_logical (Int64.add a 7L) Memory.page_bits)
+           page
+    then begin
+      hit := !i;
+      i := n
+    end
+    else incr i
+  done;
+  !hit

@@ -1,15 +1,17 @@
 (** Golden execution traces: the per-dynamic-step register def/use
-    record a fault-injection planner prunes against.
+    record and the timed memory-access log a fault-injection planner
+    prunes against.
 
     One trace describes one fault-free handler execution: for every
     dynamic step, the static instruction index executed and its packed
     metadata word ({!Xentry_isa.Instr.metadata} — read/write register
-    masks plus branch/flags bits), together with a memory-touch
-    summary and the stop shape the planner's soundness argument needs.
-    Both engines produce bit-identical traces for the same execution
-    (the recorder only consumes the [on_step] callback both engines
-    already share), so a trace recorded under either engine prunes
-    campaigns run under the other.
+    masks plus branch/flags bits); for every load and store, the step
+    that issued it, its address and whether it stored; and the stop
+    shape the planner's soundness argument needs.  Both engines
+    produce bit-identical traces for the same execution (the recorder
+    only consumes the [on_step] callback and the {!Cpu.set_mem_hook}
+    observer both engines already share), so a trace recorded under
+    either engine prunes campaigns run under the other.
 
     {b Length semantics.}  [length t] is the number of [on_step]
     callbacks, i.e. of instructions that reached the execute stage:
@@ -29,12 +31,16 @@ type t = {
       (** the run stopped on a hardware fault raised by the fetch
           itself (bad RIP), i.e. the final loop iteration executed its
           injection point but no instruction *)
-  mem_loads : int;  (** static per-instruction loads summed over steps *)
-  mem_stores : int;  (** static per-instruction stores summed over steps *)
-  loaded_pages : int64 array;
-      (** sorted, deduplicated page numbers every load touched *)
-  stored_pages : int64 array;
-      (** sorted, deduplicated page numbers every store touched *)
+  accesses : int array;
+      (** the access log: one entry per load or store the run issued,
+          in execution order — every address the {!Cpu.set_mem_hook}
+          observer saw, faulting accesses included.  Entry [i] is
+          [(step lsl 1) lor store]: the dynamic step that issued the
+          access, and [1] for a store, [0] for a load.  Steps never
+          decrease and stay below [length t]. *)
+  access_addrs : string;
+      (** the logged addresses, 8 little-endian bytes per entry: entry
+          [i]'s address is [String.get_int64_le access_addrs (8 * i)] *)
 }
 
 val length : t -> int
@@ -55,8 +61,9 @@ val on_step : recorder -> int -> int Xentry_isa.Instr.t -> unit
 
 val mem_hook : recorder -> int64 -> bool -> unit
 (** The address observer to install with [Cpu.set_mem_hook] for the
-    recorded run ([true] = store); accumulates the page-touch
-    summaries.  Clear the hook after the run. *)
+    recorded run ([true] = store).  Appends one entry to the access log,
+    stamped with the step whose [on_step] callback came last — the step
+    executing the access.  Clear the hook after the run. *)
 
 val finish : recorder -> result:Cpu.run_result -> t
 (** Seal the recording once the run returned. *)
@@ -80,7 +87,27 @@ val fate : t -> target:Xentry_isa.Reg.arch -> step:int -> Cpu.fault_fate
     its injection point, and the corrupted RIP is consumed by the
     fetch, so the fault reports [Activated]. *)
 
-val mem_touched : t -> page:int64 -> bool
-(** Did any load or store of the recorded run touch this page?  A
-    memory/TLB/PTE fault on a page the golden run never touches can
-    never be consumed, so the planner prunes it to [Never_touched]. *)
+(** {2 Access-log queries} *)
+
+val word_access : t -> addr:int64 -> step:int -> int
+(** The first logged access at or after [step] that overlaps the
+    8-byte word at [addr] — its address [a] satisfies
+    [-7 <= a - addr <= 7] in wrapped [Int64] arithmetic, the live word
+    watch's test — as an index into {!field-accesses}, or [-1] when
+    none does.  Allocates nothing.
+
+    Until a corrupted word is first accessed, a faulted run is
+    step-identical to the golden one, so for a [Mem]/[Pte] strike fired
+    just before [step] on a word whose 8 bytes are mapped this
+    predicts the live watch exactly: [-1] is [Never_touched], a store
+    is [Overwritten] and a load [Activated] at the entry's step.  A
+    strike on an unmapped word corrupts nothing and its live run is
+    [Never_touched] whatever the log says. *)
+
+val page_access : t -> page:int64 -> step:int -> int
+(** Like {!word_access} for a struck translation: the first logged
+    access at or after [step] whose first or last byte ([a] or
+    [a + 7]) lies on [page], the live page watch's test, or [-1].  A
+    live TLB strike is consumed — [Activated] — exactly there, when it
+    fires at all (the struck page is mapped); one that finds nothing to
+    strike is [Never_touched].  Allocates nothing. *)

@@ -15,6 +15,9 @@ exception Fault of { addr : int64; write : bool }
 val page_size : int
 (** 4096. *)
 
+val page_bits : int
+(** 12: [page_size = 1 lsl page_bits]. *)
+
 val create : unit -> t
 (** Fresh memory with nothing mapped. *)
 

@@ -250,10 +250,8 @@ let write_trace buf (t : GT.t) =
   W.int_ buf t.GT.result_steps;
   W.bool_ buf t.GT.asserted;
   W.bool_ buf t.GT.fetch_faulted;
-  W.int_ buf t.GT.mem_loads;
-  W.int_ buf t.GT.mem_stores;
-  W.array_ W.i64 buf t.GT.loaded_pages;
-  W.array_ W.i64 buf t.GT.stored_pages
+  W.array_ W.int_ buf t.GT.accesses;
+  W.str buf t.GT.access_addrs
 
 let read_trace r : GT.t =
   let index = W.read_array W.read_u32 r in
@@ -271,37 +269,39 @@ let read_trace r : GT.t =
          len);
   let asserted = W.read_bool r in
   let fetch_faulted = W.read_bool r in
-  let mem_loads = W.read_int r in
-  let mem_stores = W.read_int r in
-  let sorted a =
-    let ok = ref true in
-    for i = 1 to Array.length a - 1 do
-      if Int64.compare a.(i - 1) a.(i) >= 0 then ok := false
-    done;
-    !ok
-  in
-  let loaded_pages = W.read_array W.read_i64 r in
-  let stored_pages = W.read_array W.read_i64 r in
-  if not (sorted loaded_pages && sorted stored_pages) then
-    W.corrupt "golden trace: page summaries not strictly sorted";
+  let accesses = W.read_array W.read_int r in
+  let access_addrs = W.read_str r in
+  if String.length access_addrs <> 8 * Array.length accesses then
+    W.corrupt "golden trace: access address bytes vs entry count";
+  (* The planner binary-searches the log by step: steps must never
+     decrease, and every access belongs to a recorded step. *)
+  let prev = ref 0 in
+  Array.iter
+    (fun e ->
+      let step = e asr 1 in
+      if step < !prev || step >= len then
+        W.corrupt
+          (Printf.sprintf "golden trace: access step %d after %d (length %d)"
+             step !prev len);
+      prev := step)
+    accesses;
   {
     GT.index;
     meta;
     result_steps;
     asserted;
     fetch_faulted;
-    mem_loads;
-    mem_stores;
-    loaded_pages;
-    stored_pages;
+    accesses;
+    access_addrs;
   }
 
 let golden_traces =
   {
     kind = "golden-traces";
     (* v2: appended the sorted page-touch summaries memory-class
-       pruning consults. *)
-    version = 2;
+       pruning consults.  v3: the untimed summaries became the timed
+       access log (step, store bit and address of every access). *)
+    version = 3;
     write = (fun buf traces -> W.list_ write_trace buf traces);
     read = (fun r -> W.read_list read_trace r);
   }

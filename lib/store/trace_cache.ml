@@ -9,11 +9,13 @@ let tm_corrupt = Tm.counter "store.trace_cache.corrupt_dropped"
 
 (* Like journal shards, trace shards carry their own index so a file
    renamed or copied to the wrong slot is rejected rather than replayed
-   against the wrong shard's fault stream. *)
+   against the wrong shard's fault stream.  v2: traces carry the timed
+   access log (golden-traces v3); the version also enters the campaign
+   fingerprint, so a v1 cache directory is refused as a whole. *)
 let shard_codec : (int * Xentry_machine.Golden_trace.t list) Codec.t =
   {
     Codec.kind = "trace-shard";
-    version = 1;
+    version = 2;
     write =
       (fun buf (index, traces) ->
         W.u32 buf index;

@@ -5,7 +5,9 @@
    mismatching index with both records and exits non-zero.  This is the planner invariant (pruned and
    fast-forwarded campaigns are verdict-identical to exhaustive ones)
    exercised end-to-end through the store-backed cache path, cheap
-   enough to run on every `dune runtest`. *)
+   enough to run on every `dune runtest`.  It also bounds how many
+   records the planned run simulates, so a planner that quietly stops
+   pruning fails too. *)
 
 open Xentry_faultinject
 
@@ -69,6 +71,16 @@ let () =
       end;
       if pl_stats.Campaign.pruned = 0 then begin
         prerr_endline "FAIL: planner pruned nothing on this campaign";
+        exit 1
+      end;
+      (* The planned run simulates 75 of its 480 records, exactly, every
+         run; it simulated 156 while memory-class pruning only knew
+         which pages the golden run touched, not when.  A planner that
+         stops pruning mem/tlb/pte faults struck after their word's or
+         page's last access trips this. *)
+      if pl_stats.Campaign.simulated > 75 then begin
+        Printf.eprintf "FAIL: planned run simulated %d of %d records (bound 75)\n%!"
+          pl_stats.Campaign.simulated (List.length exhaustive);
         exit 1
       end;
       Printf.printf

@@ -530,10 +530,109 @@ let test_fault_step_beyond_run_prunes () =
   Alcotest.(check int) "no state divergence" 0
     (List.length (Classify.diffs ~golden:host ~faulted:det))
 
+(* Regression: a memory word struck after the golden run's last access
+   to it is never consumed.  The planner prunes it from the trace's
+   timed access log although its page is touched earlier in the run,
+   and an exhaustive run of the fault yields exactly what the
+   synthesized record is built from: no activation, no RAS record, the
+   golden stop, step count and PMU signature, and so the golden
+   verdict.  The same word struck at its last access runs, and meets
+   the fate the log predicts. *)
+let test_mem_fault_after_last_access_prunes () =
+  let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
+  let rng = Xentry_util.Rng.create 17 in
+  let host = Hypervisor.create ~seed:77 () in
+  (* The first postmark request whose golden run reaches VM entry with a
+     logged word last accessed at least two steps before the end. *)
+  let rec find () =
+    let req =
+      Xentry_workload.Profile.sample_request profile Xentry_workload.Profile.PV
+        rng
+    in
+    Hypervisor.prepare host req;
+    let base = Hypervisor.clone host in
+    let golden, trace, _ = Hypervisor.execute_recorded host ~fuel:2000 req in
+    let log = trace.Golden_trace.accesses in
+    let addr i = String.get_int64_le trace.Golden_trace.access_addrs (8 * i) in
+    let last_access a =
+      let last = ref (-1) in
+      Array.iteri
+        (fun j e ->
+          let d = Int64.sub (addr j) a in
+          if d >= -7L && d <= 7L then last := e lsr 1)
+        log;
+      !last
+    in
+    let rec word i =
+      if i >= Array.length log then None
+      else
+        let a = addr i in
+        let last = last_access a in
+        if last + 2 < golden.Cpu.steps then Some (a, last) else word (i + 1)
+    in
+    match (golden.Cpu.stop, word 0) with
+    | Cpu.Vm_entry, Some (a, last) -> (req, base, golden, trace, a, last)
+    | _ ->
+        Hypervisor.release base;
+        Hypervisor.retire host req;
+        find ()
+  in
+  let req, base, golden, trace, addr, last = find () in
+  let fault step =
+    {
+      Fault.cls = Fault.Mem_word;
+      target = Fault.Mem addr;
+      bit = 5;
+      width = 1;
+      window = None;
+      step;
+    }
+  in
+  let after = fault (last + 1) and at = fault last in
+  let plan = Planner.plan trace [| after; at |] in
+  (match plan.Planner.dispositions with
+  | [| Planner.Pruned Cpu.Never_touched; Planner.Run { rep = 1; act } |]
+    when act = last ->
+      ()
+  | _ ->
+      Alcotest.fail
+        "a word struck after its last access prunes; struck at it, runs");
+  Alcotest.(check (list int)) "one representative" [ 1 ] plan.Planner.reps;
+  let run fault =
+    let det = Hypervisor.clone base in
+    let r =
+      Hypervisor.execute det ~inject:(Fault.to_injection fault) ~fuel:2000 req
+    in
+    (r, Hypervisor.drain_ras det)
+  in
+  let fate (r : Cpu.run_result) =
+    match r.Cpu.activation with
+    | Some a -> a.Cpu.fate
+    | None -> Alcotest.fail "injected run reported no activation"
+  in
+  let det, ras = run after in
+  Alcotest.(check bool) "never touched" true (fate det = Cpu.Never_touched);
+  Alcotest.(check int) "no RAS record" 0 (List.length ras);
+  Alcotest.(check bool) "golden stop" true (det.Cpu.stop = golden.Cpu.stop);
+  Alcotest.(check int) "golden steps" golden.Cpu.steps det.Cpu.steps;
+  Alcotest.(check bool) "golden PMU signature" true
+    (det.Cpu.final_pmu = golden.Cpu.final_pmu);
+  let verdict ?ras r =
+    Pipeline.verdict Pipeline.Config.default ?ras ~reason:req.Request.reason r
+  in
+  Alcotest.(check bool) "golden verdict" true
+    (verdict ~ras det = verdict golden);
+  let det_at, _ = run at in
+  let i = Golden_trace.word_access trace ~addr ~step:last in
+  let e = trace.Golden_trace.accesses.(i) in
+  Alcotest.(check bool) "struck at its last access: the predicted fate" true
+    (fate det_at
+    = if e land 1 = 1 then Cpu.Overwritten last else Cpu.Activated last)
+
 (* Satellite regression: the planner's pruning must stay
    verdict-invisible for every class of the widened fault model —
    register classes prune on def/use fates, memory-system classes on
-   the trace's page-touch summaries — for any jobs count. *)
+   the trace's timed access log — for any jobs count. *)
 let test_planned_identical_per_class () =
   Array.iter
     (fun c ->
@@ -978,6 +1077,8 @@ let () =
             test_planned_verdicts_identical_any_jobs;
           Alcotest.test_case "fault step beyond run prunes" `Quick
             test_fault_step_beyond_run_prunes;
+          Alcotest.test_case "mem fault after last access prunes" `Quick
+            test_mem_fault_after_last_access_prunes;
         ] );
       ( "microboot",
         [

@@ -216,19 +216,6 @@ let test_instr_jcc_reads_flags () =
   Alcotest.(check bool) "mov does not" false
     (Instr.reads_flags (Instr.Mov (Operand.reg Reg.RAX, Operand.imm 0L) : string Instr.t))
 
-let test_instr_loads_stores () =
-  let open Reg in
-  let ld = Instr.Mov (Operand.reg RAX, Operand.mem RSI) in
-  Alcotest.(check int) "load counted" 1 (Instr.loads ld);
-  Alcotest.(check int) "no store" 0 (Instr.stores ld);
-  let st = Instr.Mov (Operand.mem RDI, Operand.reg RAX) in
-  Alcotest.(check int) "store counted" 1 (Instr.stores st);
-  let rmw = Instr.Alu (Instr.Add, Operand.mem RDI, Operand.imm 1L) in
-  Alcotest.(check int) "rmw loads" 1 (Instr.loads rmw);
-  Alcotest.(check int) "rmw stores" 1 (Instr.stores rmw);
-  Alcotest.(check int) "push stores" 1 (Instr.stores (Instr.Push (Operand.imm 1L) : string Instr.t));
-  Alcotest.(check int) "ret loads" 1 (Instr.loads (Instr.Ret : string Instr.t))
-
 let test_instr_map_label () =
   let i = Instr.Jcc (Cond.E, "target") in
   match Instr.map_label String.length i with
@@ -442,7 +429,6 @@ let () =
           Alcotest.test_case "branch classification" `Quick
             test_instr_branch_classification;
           Alcotest.test_case "jcc reads flags" `Quick test_instr_jcc_reads_flags;
-          Alcotest.test_case "loads/stores" `Quick test_instr_loads_stores;
           Alcotest.test_case "map_label" `Quick test_instr_map_label;
           Alcotest.test_case "metadata packs lists" `Quick
             test_instr_metadata_packs_lists;

@@ -1658,11 +1658,11 @@ let prop_engines_agree =
 
 (* --- qcheck: golden-trace recorder -------------------------------------------- *)
 
-(* The recorder consumes the same [on_step] stream the engines already
-   share, so its per-step (index, metadata) content must match a naive
-   reference rebuilt directly from the instruction values the callback
-   receives — and both engines must seal bit-identical traces for the
-   same execution. *)
+(* The recorder consumes the same [on_step] stream and memory hook the
+   engines already share, so its per-step (index, metadata) content and
+   its access log must match a naive reference rebuilt directly from
+   the callbacks — and both engines must seal bit-identical traces,
+   access logs included, for the same execution. *)
 let prop_recorder_matches_naive =
   QCheck.Test.make
     ~name:"golden-trace recorder matches the naive per-step def/use reference"
@@ -1671,9 +1671,14 @@ let prop_recorder_matches_naive =
     (fun (instrs, fall_off, _inject) ->
       let p = diff_build_program instrs fall_off in
       let compiled = Cpu.compile p in
-      let naive = ref [] in
+      let naive = ref [] and naive_log = ref [] in
       let rec_a = Golden_trace.recorder ~meta:p.Program.meta in
       let a = diff_seeded_cpu () in
+      Cpu.set_mem_hook a
+        (Some
+           (fun addr store ->
+             naive_log := (List.length !naive - 1, addr, store) :: !naive_log;
+             Golden_trace.mem_hook rec_a addr store));
       let ra =
         Cpu.run a ~program:p ~code_base ~fuel:300
           ~on_step:(fun idx i ->
@@ -1684,17 +1689,26 @@ let prop_recorder_matches_naive =
       let ta = Golden_trace.finish rec_a ~result:ra in
       let rec_b = Golden_trace.recorder ~meta:p.Program.meta in
       let b = diff_seeded_cpu () in
+      Cpu.set_mem_hook b (Some (Golden_trace.mem_hook rec_b));
       let rb =
         Cpu.run_compiled b ~compiled ~code_base ~fuel:300
           ~on_step:(Golden_trace.on_step rec_b) ()
       in
       let tb = Golden_trace.finish rec_b ~result:rb in
       let naive = Array.of_list (List.rev !naive) in
+      let logged =
+        List.init (Array.length ta.Golden_trace.accesses) (fun i ->
+            let e = ta.Golden_trace.accesses.(i) in
+            ( e lsr 1,
+              String.get_int64_le ta.Golden_trace.access_addrs (8 * i),
+              e land 1 = 1 ))
+      in
       Golden_trace.equal ta tb
       && ta.Golden_trace.index = Array.map fst naive
       && ta.Golden_trace.meta = Array.map snd naive
       && Golden_trace.length ta = Array.length naive
-      && ta.Golden_trace.result_steps = ra.Cpu.steps)
+      && ta.Golden_trace.result_steps = ra.Cpu.steps
+      && logged = List.rev !naive_log)
 
 (* [Golden_trace.fate] claims to mirror the live def-use watch with
    zero simulation: record a golden run, predict the fate of a random
@@ -1732,6 +1746,141 @@ let prop_trace_fate_matches_live_watch =
           in
           live = predicted)
 
+(* The access log claims to predict the live memory watch with zero
+   simulation: record a golden run with the memory hook installed, then
+   strike words and translations and run each strike live on both
+   engines.  Half the strikes are anchored on a logged access — its
+   step moved by -1..+1, its address by -9..+9 — so the watch's edges
+   come up often: an access at the strike step itself, offsets of
+   exactly 7 and 8 on either side.  The rest land near what the
+   programs touch: the data region the base registers point into, the
+   stack, the unmapped gaps beside both, unaligned offsets included.
+   RBP and RSP sit just below and just above a page boundary, so
+   accesses straddle it — every first push and call among them.
+
+   A strike on a fully mapped word meets exactly the predicted fate;
+   one on a word that is not fully mapped strikes nothing.  A TLB
+   strike on a mapped page is consumed exactly at the predicted access;
+   one on an unmapped page strikes nothing. *)
+let strike_rbp = Int64.add data_base 0xFC0L
+let strike_rsp = Int64.sub stack_top 0xFFCL
+
+let diff_strike_gen =
+  let open QCheck.Gen in
+  oneofl [ `Mem; `Pte; `Tlb ] >>= fun kind ->
+  int_range 0 63 >>= fun bit ->
+  oneofl
+    [
+      data_base;
+      Int64.add data_base 0x800L;
+      strike_rbp;
+      Int64.sub strike_rsp 0x40L;
+      Int64.sub stack_top 0x40L;
+    ]
+  >>= fun base ->
+  int_range (-24) 0x120 >>= fun off ->
+  int_range 0 60 >>= fun step ->
+  option ~ratio:0.5
+    (triple (int_bound 10_000) (int_range (-9) 9) (int_range (-1) 1))
+  >>= fun anchor ->
+  return (kind, bit, Int64.add base (Int64.of_int off), step, anchor)
+
+let prop_access_log_predicts_memory_watch =
+  QCheck.Test.make
+    ~name:"access-log-predicted memory fault fate matches the live watch"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun ((instrs, fall_off, _), (kind, bit, addr, step, anchor)) ->
+         Printf.sprintf "%s\nstrike{%s bit %d %Lx step %d%s}"
+           (diff_case_print (instrs, fall_off, None))
+           (match kind with `Mem -> "mem" | `Pte -> "pte" | `Tlb -> "tlb")
+           bit addr step
+           (match anchor with
+           | Some (k, dx, ds) -> Printf.sprintf " anchor %d%+d%+d" k dx ds
+           | None -> ""))
+       (QCheck.Gen.pair diff_case_gen diff_strike_gen))
+    (fun ((instrs, fall_off, _), (kind, bit, addr, step, anchor)) ->
+      let p = diff_build_program instrs fall_off in
+      let seeded () =
+        let cpu = diff_seeded_cpu () in
+        Cpu.set_gpr cpu Reg.RBP strike_rbp;
+        Cpu.set_gpr cpu Reg.RSP strike_rsp;
+        cpu
+      in
+      let rc = Golden_trace.recorder ~meta:p.Program.meta in
+      let g = seeded () in
+      Cpu.set_mem_hook g (Some (Golden_trace.mem_hook rc));
+      let rg =
+        Cpu.run g ~program:p ~code_base ~fuel:300
+          ~on_step:(Golden_trace.on_step rc) ()
+      in
+      let trace = Golden_trace.finish rc ~result:rg in
+      let log = trace.Golden_trace.accesses in
+      let addr, step =
+        match anchor with
+        | Some (k, dx, ds) when Array.length log > 0 ->
+            let k = k mod Array.length log in
+            ( Int64.add
+                (String.get_int64_le trace.Golden_trace.access_addrs (8 * k))
+                (Int64.of_int dx),
+              max 0 ((log.(k) lsr 1) + ds) )
+        | _ -> (addr, step)
+      in
+      let target, bit =
+        match kind with
+        | `Mem -> (Cpu.Inj_mem addr, bit)
+        | `Pte -> (Cpu.Inj_pte addr, bit)
+        | `Tlb -> (Cpu.Inj_tlb (Memory.page_of addr), bit mod 10)
+      in
+      let mapped a = Memory.is_mapped (Cpu.memory g) a in
+      let fate_of i ~word =
+        if i < 0 then Cpu.Never_touched
+        else if word && log.(i) land 1 = 1 then Cpu.Overwritten (log.(i) lsr 1)
+        else Cpu.Activated (log.(i) lsr 1)
+      in
+      let expected =
+        match target with
+        | Cpu.Inj_mem addr | Cpu.Inj_pte addr ->
+            if mapped addr && mapped (Int64.add addr 7L) then
+              fate_of (Golden_trace.word_access trace ~addr ~step) ~word:true
+            else Cpu.Never_touched
+        | Cpu.Inj_tlb page ->
+            if mapped (Int64.shift_left page Memory.page_bits) then
+              fate_of (Golden_trace.page_access trace ~page ~step) ~word:false
+            else Cpu.Never_touched
+        | Cpu.Inj_reg _ -> assert false
+      in
+      let inject =
+        {
+          Cpu.inj_target = target;
+          inj_bit = bit;
+          inj_width = 1;
+          inj_window = None;
+          inj_step = step;
+        }
+      in
+      let live r =
+        match r.Cpu.activation with
+        | Some report -> report.Cpu.fate
+        | None -> Cpu.Never_touched
+      in
+      let by_ref =
+        live (Cpu.run (seeded ()) ~program:p ~code_base ~fuel:300 ~inject ())
+      in
+      let by_fast =
+        live
+          (Cpu.run_compiled (seeded ()) ~compiled:(Cpu.compile p) ~code_base
+             ~fuel:300 ~inject ())
+      in
+      let pp = function
+        | Cpu.Never_touched -> "never touched"
+        | Cpu.Overwritten s -> Printf.sprintf "overwritten@%d" s
+        | Cpu.Activated s -> Printf.sprintf "activated@%d" s
+      in
+      (by_ref = expected && by_fast = expected)
+      || QCheck.Test.fail_reportf "strike %Lx step %d: predicted %s, ref %s, fast %s"
+           addr step (pp expected) (pp by_ref) (pp by_fast))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1746,6 +1895,7 @@ let () =
         prop_trace_fate_matches_live_watch;
         prop_release_matches_model;
         prop_blits_match_byte_loops;
+        prop_access_log_predicts_memory_watch;
       ]
   in
   Alcotest.run "xentry_machine"
