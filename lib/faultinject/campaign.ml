@@ -652,7 +652,10 @@ let run_shard_planned ?cached config =
         let plan =
           Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults)
         in
-        emit req golden_result faults plan snaps);
+        emit req golden_result faults plan snaps;
+        (* Every restore is done: the snapshots' TLB arrays go back to
+           the pool for the next iteration's captures. *)
+        List.iter Hypervisor.release_snapshot snaps);
     Hypervisor.retire host req
   done;
   Hypervisor.release host;

@@ -167,7 +167,9 @@ let sample ?(classes = [ Reg_single_bit ]) rng ~max_step =
          stable across the fault-model widening. *)
       legacy_reg_sample rng ~max_step
   | classes ->
-      let cls = Rng.choice rng (Array.of_list classes) in
+      (* [Rng.choice] over the list, without copying it into an array
+         on every draw: the same single [Rng.int] draw. *)
+      let cls = List.nth classes (Rng.int rng (List.length classes)) in
       sample_class rng ~max_step cls
 
 let to_injection t =

@@ -65,11 +65,31 @@ type mem_watch = {
   mutable mw_fate : fault_fate;
 }
 
+(* The register file: one [Bytes.t] of 8-byte slots, read and written
+   with the unboxed [%caml_bytes_get64u]/[%caml_bytes_set64u]
+   primitives, so a register write is a store, never a boxed [int64]
+   plus a [caml_modify].  Slots 0-15 are the GPRs in [Reg.gpr_index]
+   order, then RIP and RFLAGS; the zero slot always reads 0 (the
+   compiled engine's absent base or index register), and the two
+   scratch slots carry the address and the value of an access that
+   leaves the in-page fast path (see [load]/[store]). *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let () = assert (Reg.gpr_count = 16)
+let rip_off = 128
+let rflags_off = 136
+let zero_off = 144
+let addr_off = 152
+let value_off = 160
+let file_bytes = 168
+let gpr_off g = 8 * Reg.gpr_index g
+
 type t = {
   cpu_id : int;
-  regs : int64 array;
-  mutable rip : int64;
-  mutable rflags : int64;
+  regs : Bytes.t;  (* the register file, laid out above *)
   mem : Memory.t;
   pmu_unit : Pmu.t;
   mutable tsc : int64;
@@ -84,6 +104,10 @@ type t = {
   mutable mem_hook : (int64 -> bool -> unit) option;
       (* observer for every load/store address ([true] = store); set
          by golden-trace recording to build its timed access log *)
+  mutable mem_observed : bool;
+      (* a hook is set or a memory watch is armed and unsettled: every
+         access must go through [mem_touch], so the compiled engine's
+         in-page fast path stands aside *)
   mutable steps : int;
   mutable code_base : int64;
       (* where the running program is mapped; compiled closures read it
@@ -96,6 +120,12 @@ type t = {
   mutable run_tsc_base : int64;
       (* TSC at run start; the compiled engine settles TSC once per
          run as [base + steps * tsc_step] instead of per step *)
+  mutable pend_branches : int;
+  mutable pend_loads : int;
+  mutable pend_stores : int;
+      (* compiled-engine PMU batch: branches, and loads and stores
+         served by the in-page fast path, added to the PMU at the end
+         of the run and into every captured state *)
 }
 
 (* --- engine selection ---------------------------------------------------- *)
@@ -136,11 +166,11 @@ let default_cpuid leaf =
   (mix 1, mix 2, mix 3, mix 4)
 
 let create ?(cpu_id = 0) ?(tsc_step = 3) ?(cpuid_fn = default_cpuid) mem =
+  let regs = Bytes.make file_bytes '\000' in
+  set64 regs rflags_off 2L (* x86 bit 1 always set *);
   {
     cpu_id;
-    regs = Array.make Reg.gpr_count 0L;
-    rip = 0L;
-    rflags = 2L (* x86 bit 1 always set *);
+    regs;
     mem;
     pmu_unit = Pmu.create ();
     tsc = 1_000_000L;
@@ -151,26 +181,42 @@ let create ?(cpu_id = 0) ?(tsc_step = 3) ?(cpuid_fn = default_cpuid) mem =
     mem_watch = None;
     ras = Xentry_ras.Ras.Bank.create ();
     mem_hook = None;
+    mem_observed = false;
     steps = 0;
     code_base = 0L;
     next_idx = 0;
     run_tsc_base = 0L;
+    pend_branches = 0;
+    pend_loads = 0;
+    pend_stores = 0;
   }
 
 let memory t = t.mem
 let pmu t = t.pmu_unit
 let cpu_id t = t.cpu_id
-let get_gpr t g = t.regs.(Reg.gpr_index g)
-let set_gpr t g v = t.regs.(Reg.gpr_index g) <- v
-let get_rflags t = t.rflags
-let set_rflags t v = t.rflags <- v
-let get_rip t = t.rip
+let get_gpr t g = get64 t.regs (gpr_off g)
+let set_gpr t g v = set64 t.regs (gpr_off g) v
+let get_rflags t = get64 t.regs rflags_off
+let set_rflags t v = set64 t.regs rflags_off v
+let get_rip t = get64 t.regs rip_off
+let set_rip t v = set64 t.regs rip_off v
 let get_tsc t = t.tsc
 let set_tsc t v = t.tsc <- v
 let set_assertions_enabled t b = t.assertions_on <- b
 let assertions_enabled t = t.assertions_on
 let ras_bank t = t.ras
-let set_mem_hook t f = t.mem_hook <- f
+
+let refresh_mem_observed t =
+  t.mem_observed <-
+    (match t.mem_hook with Some _ -> true | None -> false)
+    ||
+    match t.mem_watch with
+    | Some { mw_fate = Never_touched; _ } -> true
+    | Some _ | None -> false
+
+let set_mem_hook t f =
+  t.mem_hook <- f;
+  refresh_mem_observed t
 
 exception Stopped of stop
 
@@ -209,10 +255,12 @@ let mem_touch t addr ~store =
         (* The poisoned word is (at least partly) rewritten before any
            read: the upset is gone before anything consumed it. *)
         w.mw_fate <- Overwritten t.steps;
+        refresh_mem_observed t;
         None
       end
       else begin
         w.mw_fate <- Activated t.steps;
+        refresh_mem_observed t;
         Some w
       end
   | Some _ | None -> None
@@ -266,7 +314,7 @@ let write t op v =
 (* --- flags -------------------------------------------------------------- *)
 
 let set_result_flags ?(carry = false) ?(overflow = false) t v =
-  t.rflags <- Flags.of_result ~carry ~overflow t.rflags v
+  set_rflags t (Flags.of_result ~carry ~overflow (get_rflags t) v)
 
 let add_flags t a b result =
   let carry = Int64.unsigned_compare result a < 0 in
@@ -302,7 +350,7 @@ let assertion_holds (kind : Instr.assert_kind) v =
    misalignment is a [land] test.  Range is checked in Int64 before the
    conversion to int: a bit-flipped RIP can put [off] beyond the native
    int range, where [Int64.to_int] would wrap. *)
-let code_index ~code_base ~len rip =
+let[@inline] code_index ~code_base ~len rip =
   let off = Int64.sub rip code_base in
   if Int64.compare off 0L < 0 then hw_fault Hw_exception.PF rip
   else if Int64.logand off 7L <> 0L then hw_fault Hw_exception.UD rip
@@ -407,7 +455,7 @@ let exec_bit_op t base idx update =
   let word = read_word loc in
   let bit = match loc with `Reg (_, b) -> b | `Mem (_, b) -> b in
   let old = Xentry_util.Bits.test word bit in
-  t.rflags <- Flags.set t.rflags Flags.CF old;
+  set_rflags t (Flags.set (get_rflags t) Flags.CF old);
   (match update with
   | `None -> ()
   | `Set | `Reset ->
@@ -471,8 +519,8 @@ let flip_register_bits t arch ~bit ~width =
   let mask = bits_mask ~bit ~width in
   match arch with
   | Reg.Gpr g -> set_gpr t g (Int64.logxor (get_gpr t g) mask)
-  | Reg.Rip -> t.rip <- Int64.logxor t.rip mask
-  | Reg.Rflags -> t.rflags <- Int64.logxor t.rflags mask
+  | Reg.Rip -> set_rip t (Int64.logxor (get_rip t) mask)
+  | Reg.Rflags -> set_rflags t (Int64.logxor (get_rflags t) mask)
 
 let flip_register_bit t arch bit = flip_register_bits t arch ~bit ~width:1
 
@@ -490,7 +538,7 @@ let flip_register_bit t arch bit = flip_register_bits t arch ~bit ~width:1
    and branch count into the capture, and seeds them back on restore,
    so a state captured under one engine resumes under the other. *)
 type run_state = {
-  rs_regs : int64 array;
+  rs_regs : Bytes.t;  (* the 16 GPR slots of the register file *)
   rs_rip : int64;
   rs_rflags : int64;
   rs_tsc : int64;
@@ -502,14 +550,35 @@ type run_state = {
 
 let run_state_steps st = st.rs_steps
 
+(* Both engines capture through here; the pending PMU batch is empty
+   under the reference engine, which counts live. *)
+let capture t ~rip ~tsc =
+  {
+    rs_regs = Bytes.sub t.regs 0 rip_off;
+    rs_rip = rip;
+    rs_rflags = get_rflags t;
+    rs_tsc = tsc;
+    rs_steps = t.steps;
+    rs_branches = Pmu.read t.pmu_unit Pmu.Br_inst_retired + t.pend_branches;
+    rs_loads = Pmu.read t.pmu_unit Pmu.Mem_loads + t.pend_loads;
+    rs_stores = Pmu.read t.pmu_unit Pmu.Mem_stores + t.pend_stores;
+  }
+
+let clear_pending t =
+  t.pend_branches <- 0;
+  t.pend_loads <- 0;
+  t.pend_stores <- 0
+
 let restore_common t st ~code_base =
-  Array.blit st.rs_regs 0 t.regs 0 (Array.length t.regs);
-  t.rip <- st.rs_rip;
-  t.rflags <- st.rs_rflags;
+  Bytes.blit st.rs_regs 0 t.regs 0 rip_off;
+  set_rip t st.rs_rip;
+  set_rflags t st.rs_rflags;
   t.code_base <- code_base;
   t.steps <- st.rs_steps;
   t.watch <- None;
   t.mem_watch <- None;
+  refresh_mem_observed t;
+  clear_pending t;
   Pmu.enable t.pmu_unit;
   Pmu.add t.pmu_unit Pmu.Br_inst_retired st.rs_branches;
   Pmu.add t.pmu_unit Pmu.Mem_loads st.rs_loads;
@@ -555,11 +624,13 @@ let start_run t ~program ~code_base ~entry =
         | Some i -> i
         | None -> raise (Program.Undefined_label label))
   in
-  t.rip <- rip_of_index ~code_base entry_index;
+  set_rip t (rip_of_index ~code_base entry_index);
   t.code_base <- code_base;
   t.steps <- 0;
   t.watch <- None;
   t.mem_watch <- None;
+  refresh_mem_observed t;
+  clear_pending t;
   Pmu.enable t.pmu_unit;
   entry_index
 
@@ -574,7 +645,7 @@ let apply_injection t inj =
       t.watch <- Some { target = arch; fate = Never_touched }
   | Inj_mem addr | Inj_pte addr ->
       let mask = bits_mask ~bit:inj.inj_bit ~width:inj.inj_width in
-      if Memory.flip_word t.mem addr ~mask then
+      if Memory.flip_word t.mem addr ~mask then begin
         t.mem_watch <-
           Some
             {
@@ -587,9 +658,11 @@ let apply_injection t inj =
                 | _ -> Xentry_ras.Ras.Mem);
               mw_syndrome = mask;
               mw_fate = Never_touched;
-            }
+            };
+        refresh_mem_observed t
+      end
   | Inj_tlb page ->
-      if Memory.strike_tlb t.mem ~page ~bit:inj.inj_bit then
+      if Memory.strike_tlb t.mem ~page ~bit:inj.inj_bit then begin
         t.mem_watch <-
           Some
             {
@@ -599,7 +672,9 @@ let apply_injection t inj =
               mw_source = Xentry_ras.Ras.Tlb;
               mw_syndrome = Int64.shift_left 1L inj.inj_bit;
               mw_fate = Never_touched;
-            }
+            };
+        refresh_mem_observed t
+      end
 
 (* The per-step injection driver: fires the strike at its step, and —
    for SET-style pulses — restores the register at the end of the
@@ -679,18 +754,7 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
       (* The reference engine counts retirement live, so the resumed
          prefix's instructions are credited up front. *)
       Pmu.add t.pmu_unit Pmu.Inst_retired st.rs_steps);
-  let capture () =
-    {
-      rs_regs = Array.copy t.regs;
-      rs_rip = t.rip;
-      rs_rflags = t.rflags;
-      rs_tsc = t.tsc;
-      rs_steps = t.steps;
-      rs_branches = Pmu.read t.pmu_unit Pmu.Br_inst_retired;
-      rs_loads = Pmu.read t.pmu_unit Pmu.Mem_loads;
-      rs_stores = Pmu.read t.pmu_unit Pmu.Mem_stores;
-    }
-  in
+  let capture () = capture t ~rip:(get_rip t) ~tsc:t.tsc in
   let check_pause = make_pauser t pause_at on_pause capture in
   let maybe_inject, _injected = make_injector t inject in
   let stop_reason =
@@ -699,17 +763,17 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
         check_pause ();
         maybe_inject ();
         watch_rip_fetch t;
-        let idx = code_index ~code_base ~len t.rip in
+        let idx = code_index ~code_base ~len (get_rip t) in
         let instr = program.Program.code.(idx) in
         update_watch t meta.(idx);
         (match on_step with Some f -> f idx instr | None -> ());
         let next = rip_of_index ~code_base (idx + 1) in
-        let goto target_idx = t.rip <- rip_of_index ~code_base target_idx in
+        let goto target_idx = set_rip t (rip_of_index ~code_base target_idx) in
         (* Loads and stores are counted at the access sites
            ([load_mem]/[store_mem]); only branch retirement is counted
            from the instruction shape. *)
         if Instr.is_branch instr then Pmu.add t.pmu_unit Pmu.Br_inst_retired 1;
-        t.rip <- next;
+        set_rip t next;
         (match instr with
         | Instr.Nop -> ()
         | Instr.Mov (dst, src) -> write t dst (eval t src)
@@ -760,7 +824,7 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
               set_gpr t Reg.RDX (Int64.rem dividend divisor)
             end
         | Instr.Jmp target -> goto target
-        | Instr.Jcc (c, target) -> if Cond.eval c t.rflags then goto target
+        | Instr.Jcc (c, target) -> if Cond.eval c (get_rflags t) then goto target
         | Instr.Jmp_table (sel, targets) ->
             let v = eval t sel in
             Pmu.add t.pmu_unit Pmu.Mem_loads 1 (* dispatch-table entry fetch *);
@@ -773,13 +837,13 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
             goto target
         | Instr.Ret ->
             let ra = exec_pop t in
-            t.rip <- ra
+            set_rip t ra
         | Instr.Push src -> exec_push t (eval t src)
         | Instr.Pop dst -> write t dst (exec_pop t)
         | Instr.Rep_movsq ->
-            if exec_rep_movsq t then t.rip <- rip_of_index ~code_base idx
+            if exec_rep_movsq t then set_rip t (rip_of_index ~code_base idx)
         | Instr.Rep_stosq ->
-            if exec_rep_stosq t then t.rip <- rip_of_index ~code_base idx
+            if exec_rep_stosq t then set_rip t (rip_of_index ~code_base idx)
         | Instr.Cpuid ->
             let rax, rbx, rcx, rdx = t.cpuid_fn (get_gpr t Reg.RAX) in
             set_gpr t Reg.RAX rax;
@@ -792,7 +856,7 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
         | Instr.Hlt ->
             retire_terminal t;
             raise (Stopped Halted)
-        | Instr.Ud2 -> hw_fault Hw_exception.UD t.rip
+        | Instr.Ud2 -> hw_fault Hw_exception.UD (get_rip t)
         | Instr.Assert a ->
             Pmu.add t.pmu_unit Pmu.Br_inst_retired 1;
             let v = eval t a.assert_src in
@@ -816,13 +880,25 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
 (* Each instruction of a program is pre-decoded once, at [compile]
    time, into a closure [t -> unit] performing exactly the work of the
    corresponding reference-interpreter match arm.  The driver loop then
-   dispatches through the closure array — no per-step shape matching,
-   no operand re-interpretation, no option tests in address
-   computation.  Closures capture only static data (register indices,
-   immediates, pre-scaled branch offsets); the one piece of dynamic
-   context, where the program is mapped, is read from [t.code_base],
-   which [start_run] sets.  A [compiled] value is therefore immutable
-   and safe to share across domains and across CPUs.
+   dispatches through the closure array — no per-step shape matching
+   on instructions, no operand re-interpretation.  Closures capture
+   only static data (register-file offsets, immediates, pre-scaled
+   branch offsets); the one piece of dynamic context, where the program
+   is mapped, is read from [t.code_base], which [start_run] sets.  A
+   [compiled] value is therefore immutable and safe to share across
+   domains and across CPUs.
+
+   Allocation-free by construction: every operand is pre-decoded into a
+   closed shape ([opnd]) and read through the [@inline] helpers below,
+   so a closure computes its effective address, its operands, its
+   result and its flags in unboxed [int64] locals and writes them back
+   with [set64].  A helper that is not inlined, or a closure returning
+   an [int64], would box at the call boundary; so nothing on the
+   per-step path takes or returns an [int64] across a call, and the
+   one cross-module call per memory access ([Memory.read_frame] or
+   [write_frame]) passes an [int] page number.  Accesses the in-page
+   fast path cannot serve leave through [load_slow]/[store_slow] with
+   their operands in the register file's scratch slots.
 
    The closures keep three engine-private accounting contracts with
    [run_compiled] (results stay bit-identical to the reference engine;
@@ -838,12 +914,137 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
      [rdtsc] and the end of the run materialize it, instead of an
      Int64 addition every step;
    - INST_RETIRED is added once at the end of the run from the step
-     count, so terminal closures bump [t.steps] directly rather than
-     calling [retire_terminal]. *)
+     count, and branches plus fast-path loads and stores go to the
+     [pend_*] batch, so terminal closures bump [t.steps] directly
+     rather than calling [retire_terminal]. *)
 
 type compiled = { source : Program.t; ops : (t -> unit) array }
 
 let compiled_source c = c.source
+
+(* A pre-decoded operand: a register-file offset, an immediate, or an
+   effective address whose absent base or index reads the zero slot. *)
+type ea = { base : int; index : int; scale : int64; disp : int64 }
+type opnd = Oreg of int | Oimm of int64 | Omem of ea
+
+let opnd_of = function
+  | Operand.Reg g -> Oreg (gpr_off g)
+  | Operand.Imm v -> Oimm v
+  | Operand.Mem m ->
+      let slot = function Some g -> gpr_off g | None -> zero_off in
+      Omem
+        {
+          base = slot m.base;
+          index = slot m.index;
+          scale = Int64.of_int m.scale;
+          disp = m.disp;
+        }
+
+let rax_off = gpr_off Reg.RAX
+let rcx_off = gpr_off Reg.RCX
+let rdx_off = gpr_off Reg.RDX
+let rsi_off = gpr_off Reg.RSI
+let rdi_off = gpr_off Reg.RDI
+let rsp_off = gpr_off Reg.RSP
+
+(* Page frames are little-endian, like [Memory.load64]. *)
+let[@inline] get_le frame off =
+  if big_endian () then bswap64 (get64 frame off) else get64 frame off
+
+let[@inline] set_le frame off v =
+  set64 frame off (if big_endian () then bswap64 v else v)
+
+let () = assert (Memory.page_size = 4096)
+let last_word_off = 4096 - 8
+
+(* The slow paths: [load_mem]/[store_mem] exactly as the reference
+   engine runs them (watch, hook, RAS record, live PMU count, #PF),
+   operands and result passed through the scratch slots. *)
+let[@inline never] load_slow t =
+  set64 t.regs value_off (load_mem t (get64 t.regs addr_off))
+
+let[@inline never] store_slow t =
+  store_mem t (get64 t.regs addr_off) (get64 t.regs value_off)
+
+(* The in-page fast path: a word inside one page, no hook and no
+   unsettled memory watch, whose translation the software TLB holds, is
+   read or written in place and counted into the PMU batch.  Anything
+   else — page-crossing, unmapped, released, copy-on-write, a pre-image
+   still to journal, an observed access — misses here and runs the
+   slow path, which probes the TLB itself, so each access counts one
+   probe either way. *)
+let[@inline] load t addr =
+  let off = Int64.to_int addr land 0xFFF in
+  let pn = Int64.to_int (Int64.shift_right_logical addr 12) in
+  let frame =
+    if t.mem_observed || off > last_word_off then Memory.no_frame
+    else Memory.read_frame t.mem pn
+  in
+  if frame != Memory.no_frame then begin
+    t.pend_loads <- t.pend_loads + 1;
+    get_le frame off
+  end
+  else begin
+    set64 t.regs addr_off addr;
+    load_slow t;
+    get64 t.regs value_off
+  end
+
+let[@inline] store t addr v =
+  let off = Int64.to_int addr land 0xFFF in
+  let pn = Int64.to_int (Int64.shift_right_logical addr 12) in
+  let frame =
+    if t.mem_observed || off > last_word_off then Memory.no_frame
+    else Memory.write_frame t.mem pn
+  in
+  if frame != Memory.no_frame then begin
+    t.pend_stores <- t.pend_stores + 1;
+    set_le frame off v
+  end
+  else begin
+    set64 t.regs addr_off addr;
+    set64 t.regs value_off v;
+    store_slow t
+  end
+
+let[@inline] address t m =
+  let r = t.regs in
+  let index = Int64.mul (get64 r m.index) m.scale in
+  Int64.add (Int64.add (get64 r m.base) index) m.disp
+
+let[@inline] read t = function
+  | Oreg o -> get64 t.regs o
+  | Oimm v -> v
+  | Omem m -> load t (address t m)
+
+(* Read-modify-write destinations: the address is computed once and
+   serves both the read and the write-back, as the registers it reads
+   cannot change in between. *)
+let[@inline] dst_address t = function
+  | Omem m -> address t m
+  | Oreg _ | Oimm _ -> 0L
+
+let[@inline] read_at t d at =
+  match d with Oreg o -> get64 t.regs o | Oimm v -> v | Omem _ -> load t at
+
+let[@inline] write_at t d at v =
+  match d with
+  | Oreg o -> set64 t.regs o v
+  | Omem _ -> store t at v
+  | Oimm _ -> invalid_arg "Cpu: immediate as destination"
+
+let[@inline] push t v =
+  let r = t.regs in
+  let sp = Int64.sub (get64 r rsp_off) 8L in
+  set64 r rsp_off sp;
+  store t sp v
+
+let[@inline] pop t =
+  let r = t.regs in
+  let sp = get64 r rsp_off in
+  let v = load t sp in
+  set64 r rsp_off (Int64.add sp 8L);
+  v
 
 (* Allocation-free flag writer.  [Flags.of_result] builds the new
    RFLAGS image one {!Flags.set} at a time — five Int64 read-modify-
@@ -858,7 +1059,7 @@ let sf_i = 0x80
 let of_i = 0x800
 let keep_mask = Int64.lognot 0x8C5L (* everything but CF|PF|ZF|SF|OF *)
 
-let result_bits ~carry ~overflow v =
+let[@inline] result_bits ~carry ~overflow v =
   (* Parity of the low byte by xor-folding; PF is set on even parity,
      as [Flags.parity_low_byte] defines it. *)
   let b = Int64.to_int v land 0xFF in
@@ -869,27 +1070,30 @@ let result_bits ~carry ~overflow v =
   lor (if Int64.compare v 0L < 0 then sf_i else 0)
   lor (if p land 1 = 0 then pf_i else 0)
   lor (if carry then cf_i else 0)
-  lor (if overflow then of_i else 0)
+  lor if overflow then of_i else 0
 
-let merge_flags t bits =
-  t.rflags <- Int64.logor (Int64.logand t.rflags keep_mask) (Int64.of_int bits)
+let[@inline] merge_flags t bits =
+  let r = t.regs in
+  let kept = Int64.logand (get64 r rflags_off) keep_mask in
+  set64 r rflags_off (Int64.logor kept (Int64.of_int bits))
 
-let set_result_flags_c t v =
+let[@inline] set_result_flags_c t v =
   merge_flags t (result_bits ~carry:false ~overflow:false v)
 
-let add_flags_c t a b r =
+let[@inline] add_flags_c t a b r =
   let carry = Int64.unsigned_compare r a < 0 in
-  let overflow =
-    Int64.compare (Int64.logand (Int64.logxor a r) (Int64.logxor b r)) 0L < 0
-  in
+  let overflow = Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L in
   merge_flags t (result_bits ~carry ~overflow r)
 
-let sub_flags_c t a b r =
+let[@inline] sub_flags_c t a b r =
   let carry = Int64.unsigned_compare a b < 0 in
-  let overflow =
-    Int64.compare (Int64.logand (Int64.logxor a b) (Int64.logxor a r)) 0L < 0
-  in
+  let overflow = Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L in
   merge_flags t (result_bits ~carry ~overflow r)
+
+let[@inline] set_cf t b =
+  let r = t.regs in
+  let fl = get64 r rflags_off in
+  set64 r rflags_off (if b then Int64.logor fl 1L else Int64.logand fl (-2L))
 
 (* Pre-decoded condition test over the int image of the flag bits —
    the per-step equivalent of [Cond.eval] without the four [Flags.get]
@@ -911,41 +1115,42 @@ let compile_cond (c : Cond.t) : int -> bool =
   | Cond.S -> fun fl -> fl land sf_i <> 0
   | Cond.NS -> fun fl -> fl land sf_i = 0
 
-let compile_ea (m : Operand.mem) =
-  let disp = m.disp in
-  match (m.base, m.index) with
-  | None, None -> fun _ -> disp
-  | Some b, None ->
-      let bi = Reg.gpr_index b in
-      fun t -> Int64.add t.regs.(bi) disp
-  | None, Some i ->
-      let ii = Reg.gpr_index i in
-      let scale = Int64.of_int m.scale in
-      fun t -> Int64.add (Int64.mul t.regs.(ii) scale) disp
-  | Some b, Some i ->
-      let bi = Reg.gpr_index b in
-      let ii = Reg.gpr_index i in
-      let scale = Int64.of_int m.scale in
-      fun t ->
-        Int64.add (Int64.add t.regs.(bi) (Int64.mul t.regs.(ii) scale)) disp
+(* [assertion_holds] on unboxed operands; the widths [Bits.low_bits]
+   treats specially (0, 64, out of range) go to it unchanged. *)
+let[@inline] holds (kind : Instr.assert_kind) v =
+  match kind with
+  | Assert_range (lo, hi) -> v >= lo && v <= hi
+  | Assert_nonzero -> v <> 0L
+  | Assert_zero -> v = 0L
+  | Assert_equals expected -> v = expected
+  | Assert_aligned k ->
+      if k > 0 && k < 64 then
+        Int64.logand v (Int64.pred (Int64.shift_left 1L k)) = 0L
+      else assertion_holds kind v
 
-let compile_eval = function
-  | Operand.Reg g ->
-      let i = Reg.gpr_index g in
-      fun t -> t.regs.(i)
-  | Operand.Imm v -> fun _ -> v
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      fun t -> load_mem t (ea t)
-
-let compile_write = function
-  | Operand.Reg g ->
-      let i = Reg.gpr_index g in
-      fun t v -> t.regs.(i) <- v
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      fun t v -> store_mem t (ea t) v
-  | Operand.Imm _ -> fun _ _ -> invalid_arg "Cpu: immediate as destination"
+(* bt, bts and btr, with x86 bitstring addressing for a memory base, as
+   [exec_bit_op]. *)
+let[@inline] bit_op t base bidx update =
+  let i = read t bidx in
+  let mask = Int64.shift_left 1L (Int64.to_int (Int64.logand i 63L)) in
+  match base with
+  | Oreg o -> (
+      let r = t.regs in
+      let w = get64 r o in
+      set_cf t (Int64.logand w mask <> 0L);
+      match update with
+      | `None -> ()
+      | `Set -> set64 r o (Int64.logor w mask)
+      | `Reset -> set64 r o (Int64.logand w (Int64.lognot mask)))
+  | Omem m -> (
+      let at = Int64.add (address t m) (Int64.mul (Int64.shift_right i 6) 8L) in
+      let w = load t at in
+      set_cf t (Int64.logand w mask <> 0L);
+      match update with
+      | `None -> ()
+      | `Set -> store t at (Int64.logor w mask)
+      | `Reset -> store t at (Int64.logand w (Int64.lognot mask)))
+  | Oimm _ -> invalid_arg "Cpu: immediate as bit-test base"
 
 let compile_instr idx (instr : int Instr.t) : t -> unit =
   let self_off = Int64.of_int (idx * Program.instruction_bytes) in
@@ -957,192 +1162,195 @@ let compile_instr idx (instr : int Instr.t) : t -> unit =
   let next_off = target_off (idx + 1) in
   match instr with
   | Instr.Nop -> fun _ -> ()
-  | Instr.Mov (Operand.Reg d, Operand.Reg s) ->
-      let di = Reg.gpr_index d in
-      let si = Reg.gpr_index s in
-      fun t -> t.regs.(di) <- t.regs.(si)
-  | Instr.Mov (Operand.Reg d, Operand.Imm v) ->
-      let di = Reg.gpr_index d in
-      fun t -> t.regs.(di) <- v
-  | Instr.Mov (dst, src) ->
-      let ev = compile_eval src in
-      let wr = compile_write dst in
-      fun t -> wr t (ev t)
+  | Instr.Mov (dst, src) -> (
+      match (opnd_of dst, opnd_of src) with
+      | Oreg d, Oreg s -> fun t -> set64 t.regs d (get64 t.regs s)
+      | Oreg d, Oimm v -> fun t -> set64 t.regs d v
+      | Oreg d, Omem m -> fun t -> set64 t.regs d (load t (address t m))
+      | d, s ->
+          fun t ->
+            let v = read t s in
+            write_at t d (dst_address t d) v)
   | Instr.Lea (g, op) -> (
-      match op with
-      | Operand.Mem m ->
-          let gi = Reg.gpr_index g in
-          let ea = compile_ea m in
-          fun t -> t.regs.(gi) <- ea t
-      | Operand.Reg _ | Operand.Imm _ ->
-          fun _ -> invalid_arg "Cpu: lea needs a memory operand")
+      match opnd_of op with
+      | Omem m ->
+          let gi = gpr_off g in
+          fun t -> set64 t.regs gi (address t m)
+      | Oreg _ | Oimm _ -> fun _ -> invalid_arg "Cpu: lea needs a memory operand")
   | Instr.Alu (op, dst, src) -> (
-      let ed = compile_eval dst in
-      let es = compile_eval src in
-      let wr = compile_write dst in
+      let d = opnd_of dst and s = opnd_of src in
       match op with
       | Instr.Add ->
           fun t ->
-            let a = ed t in
-            let b = es t in
+            let at = dst_address t d in
+            let a = read_at t d at in
+            let b = read t s in
             let r = Int64.add a b in
             add_flags_c t a b r;
-            wr t r
+            write_at t d at r
       | Instr.Sub ->
           fun t ->
-            let a = ed t in
-            let b = es t in
+            let at = dst_address t d in
+            let a = read_at t d at in
+            let b = read t s in
             let r = Int64.sub a b in
             sub_flags_c t a b r;
-            wr t r
+            write_at t d at r
       | Instr.And ->
           fun t ->
-            let a = ed t in
-            let b = es t in
-            let r = Int64.logand a b in
+            let at = dst_address t d in
+            let a = read_at t d at in
+            let r = Int64.logand a (read t s) in
             set_result_flags_c t r;
-            wr t r
+            write_at t d at r
       | Instr.Or ->
           fun t ->
-            let a = ed t in
-            let b = es t in
-            let r = Int64.logor a b in
+            let at = dst_address t d in
+            let a = read_at t d at in
+            let r = Int64.logor a (read t s) in
             set_result_flags_c t r;
-            wr t r
+            write_at t d at r
       | Instr.Xor ->
           fun t ->
-            let a = ed t in
-            let b = es t in
-            let r = Int64.logxor a b in
+            let at = dst_address t d in
+            let a = read_at t d at in
+            let r = Int64.logxor a (read t s) in
             set_result_flags_c t r;
-            wr t r)
+            write_at t d at r)
   | Instr.Shift (op, dst, n) -> (
-      let ed = compile_eval dst in
-      let wr = compile_write dst in
+      let d = opnd_of dst in
       let n = n land 63 in
       match op with
       | Instr.Shl ->
           fun t ->
-            let r = Int64.shift_left (ed t) n in
+            let at = dst_address t d in
+            let r = Int64.shift_left (read_at t d at) n in
             set_result_flags_c t r;
-            wr t r
+            write_at t d at r
       | Instr.Shr ->
           fun t ->
-            let r = Int64.shift_right_logical (ed t) n in
+            let at = dst_address t d in
+            let r = Int64.shift_right_logical (read_at t d at) n in
             set_result_flags_c t r;
-            wr t r
+            write_at t d at r
       | Instr.Sar ->
           fun t ->
-            let r = Int64.shift_right (ed t) n in
+            let at = dst_address t d in
+            let r = Int64.shift_right (read_at t d at) n in
             set_result_flags_c t r;
-            wr t r)
+            write_at t d at r)
   | Instr.Shift_var (op, dst, cnt) -> (
-      let ed = compile_eval dst in
-      let wr = compile_write dst in
-      let ci = Reg.gpr_index cnt in
+      let d = opnd_of dst in
+      let ci = gpr_off cnt in
       match op with
       | Instr.Shl ->
           fun t ->
-            let n = Int64.to_int (Int64.logand t.regs.(ci) 63L) in
-            let r = Int64.shift_left (ed t) n in
+            let n = Int64.to_int (get64 t.regs ci) land 63 in
+            let at = dst_address t d in
+            let r = Int64.shift_left (read_at t d at) n in
             set_result_flags_c t r;
-            wr t r
+            write_at t d at r
       | Instr.Shr ->
           fun t ->
-            let n = Int64.to_int (Int64.logand t.regs.(ci) 63L) in
-            let r = Int64.shift_right_logical (ed t) n in
+            let n = Int64.to_int (get64 t.regs ci) land 63 in
+            let at = dst_address t d in
+            let r = Int64.shift_right_logical (read_at t d at) n in
             set_result_flags_c t r;
-            wr t r
+            write_at t d at r
       | Instr.Sar ->
           fun t ->
-            let n = Int64.to_int (Int64.logand t.regs.(ci) 63L) in
-            let r = Int64.shift_right (ed t) n in
+            let n = Int64.to_int (get64 t.regs ci) land 63 in
+            let at = dst_address t d in
+            let r = Int64.shift_right (read_at t d at) n in
             set_result_flags_c t r;
-            wr t r)
-  | Instr.Bt (base, bidx) -> fun t -> exec_bit_op t base bidx `None
-  | Instr.Bts (base, bidx) -> fun t -> exec_bit_op t base bidx `Set
-  | Instr.Btr (base, bidx) -> fun t -> exec_bit_op t base bidx `Reset
+            write_at t d at r)
+  | Instr.Bt (base, bidx) ->
+      let b = opnd_of base and i = opnd_of bidx in
+      fun t -> bit_op t b i `None
+  | Instr.Bts (base, bidx) ->
+      let b = opnd_of base and i = opnd_of bidx in
+      fun t -> bit_op t b i `Set
+  | Instr.Btr (base, bidx) ->
+      let b = opnd_of base and i = opnd_of bidx in
+      fun t -> bit_op t b i `Reset
   | Instr.Cmp (a, b) ->
-      let ea' = compile_eval a in
-      let eb = compile_eval b in
+      let a = opnd_of a and b = opnd_of b in
       fun t ->
-        let x = ea' t in
-        let y = eb t in
+        let x = read t a in
+        let y = read t b in
         sub_flags_c t x y (Int64.sub x y)
   | Instr.Test (a, b) ->
-      let ea' = compile_eval a in
-      let eb = compile_eval b in
+      let a = opnd_of a and b = opnd_of b in
       fun t ->
-        let x = ea' t in
-        let y = eb t in
+        let x = read t a in
+        let y = read t b in
         set_result_flags_c t (Int64.logand x y)
   | Instr.Inc dst ->
-      let ed = compile_eval dst in
-      let wr = compile_write dst in
+      let d = opnd_of dst in
       fun t ->
-        let v = Int64.add (ed t) 1L in
+        let at = dst_address t d in
+        let v = Int64.add (read_at t d at) 1L in
         set_result_flags_c t v;
-        wr t v
+        write_at t d at v
   | Instr.Dec dst ->
-      let ed = compile_eval dst in
-      let wr = compile_write dst in
+      let d = opnd_of dst in
       fun t ->
-        let v = Int64.sub (ed t) 1L in
+        let at = dst_address t d in
+        let v = Int64.sub (read_at t d at) 1L in
         set_result_flags_c t v;
-        wr t v
+        write_at t d at v
   | Instr.Neg dst ->
-      let ed = compile_eval dst in
-      let wr = compile_write dst in
+      let d = opnd_of dst in
       fun t ->
-        let v = Int64.neg (ed t) in
+        let at = dst_address t d in
+        let v = Int64.neg (read_at t d at) in
         set_result_flags_c t v;
-        wr t v
+        write_at t d at v
   | Instr.Imul (g, src) ->
-      let gi = Reg.gpr_index g in
-      let es = compile_eval src in
+      let gi = gpr_off g in
+      let s = opnd_of src in
       fun t ->
-        let v = Int64.mul t.regs.(gi) (es t) in
+        let b = read t s in
+        let v = Int64.mul (get64 t.regs gi) b in
         set_result_flags_c t v;
-        t.regs.(gi) <- v
+        set64 t.regs gi v
   | Instr.Idiv src ->
-      let es = compile_eval src in
-      let rax = Reg.gpr_index Reg.RAX in
-      let rdx = Reg.gpr_index Reg.RDX in
+      let s = opnd_of src in
       fun t ->
-        let divisor = es t in
-        let dividend = t.regs.(rax) in
+        let divisor = read t s in
+        let r = t.regs in
+        let dividend = get64 r rax_off in
         if divisor = 0L then hw_fault Hw_exception.DE 0L
         else if dividend = Int64.min_int && divisor = -1L then
           hw_fault Hw_exception.DE 0L
         else begin
-          t.regs.(rax) <- Int64.div dividend divisor;
-          t.regs.(rdx) <- Int64.rem dividend divisor
+          set64 r rax_off (Int64.div dividend divisor);
+          set64 r rdx_off (Int64.rem dividend divisor)
         end
   | Instr.Jmp target ->
       let off = target_off target in
       fun t ->
-        t.rip <- Int64.add t.code_base off;
+        set64 t.regs rip_off (Int64.add t.code_base off);
         t.next_idx <- target
   | Instr.Jcc (c, target) ->
       let off = target_off target in
       let test = compile_cond c in
       fun t ->
-        if test (Int64.to_int t.rflags) then begin
-          t.rip <- Int64.add t.code_base off;
+        if test (Int64.to_int (get64 t.regs rflags_off)) then begin
+          set64 t.regs rip_off (Int64.add t.code_base off);
           t.next_idx <- target
         end
   | Instr.Jmp_table (sel, targets) ->
-      let es = compile_eval sel in
+      let s = opnd_of sel in
       let offs = Array.map target_off targets in
       let n = Int64.of_int (Array.length targets) in
       fun t ->
-        let v = es t in
-        Pmu.add t.pmu_unit Pmu.Mem_loads 1 (* dispatch-table entry fetch *);
-        if Int64.compare v 0L < 0 || Int64.compare v n >= 0 then
-          hw_fault Hw_exception.GP v
+        let v = read t s in
+        t.pend_loads <- t.pend_loads + 1 (* dispatch-table entry fetch *);
+        if v < 0L || v >= n then hw_fault Hw_exception.GP v
         else begin
           let i = Int64.to_int v in
-          t.rip <- Int64.add t.code_base offs.(i);
+          set64 t.regs rip_off (Int64.add t.code_base offs.(i));
           t.next_idx <- targets.(i)
         end
   | Instr.Call target ->
@@ -1152,29 +1360,51 @@ let compile_instr idx (instr : int Instr.t) : t -> unit =
            the push faults, [next_idx] keeps the driver-preset
            fall-through, matching the reference engine's RIP at the
            fault. *)
-        exec_push t (Int64.add t.code_base next_off);
-        t.rip <- Int64.add t.code_base off;
+        push t (Int64.add t.code_base next_off);
+        set64 t.regs rip_off (Int64.add t.code_base off);
         t.next_idx <- target
   | Instr.Ret ->
       fun t ->
-        t.rip <- exec_pop t;
+        set64 t.regs rip_off (pop t);
         t.next_idx <- -1
   | Instr.Push src ->
-      let es = compile_eval src in
-      fun t -> exec_push t (es t)
+      let s = opnd_of src in
+      fun t ->
+        (* Bound first: an [int64] expression passed straight to an
+           inlined helper is boxed unless every branch allocates. *)
+        let v = read t s in
+        push t v
   | Instr.Pop dst ->
-      let wr = compile_write dst in
-      fun t -> wr t (exec_pop t)
+      let d = opnd_of dst in
+      fun t ->
+        (* The destination address is taken after the pop, which may
+           have moved the RSP it is based on. *)
+        let v = pop t in
+        write_at t d (dst_address t d) v
   | Instr.Rep_movsq ->
       fun t ->
-        if exec_rep_movsq t then begin
-          t.rip <- Int64.add t.code_base self_off;
+        let r = t.regs in
+        let n = get64 r rcx_off in
+        if n <> 0L then begin
+          let src = get64 r rsi_off and dst = get64 r rdi_off in
+          let v = load t src in
+          store t dst v;
+          set64 r rsi_off (Int64.add src 8L);
+          set64 r rdi_off (Int64.add dst 8L);
+          set64 r rcx_off (Int64.sub n 1L);
+          set64 r rip_off (Int64.add t.code_base self_off);
           t.next_idx <- idx
         end
   | Instr.Rep_stosq ->
       fun t ->
-        if exec_rep_stosq t then begin
-          t.rip <- Int64.add t.code_base self_off;
+        let r = t.regs in
+        let n = get64 r rcx_off in
+        if n <> 0L then begin
+          let dst = get64 r rdi_off in
+          store t dst (get64 r rax_off);
+          set64 r rdi_off (Int64.add dst 8L);
+          set64 r rcx_off (Int64.sub n 1L);
+          set64 r rip_off (Int64.add t.code_base self_off);
           t.next_idx <- idx
         end
   | Instr.Cpuid ->
@@ -1185,8 +1415,6 @@ let compile_instr idx (instr : int Instr.t) : t -> unit =
         set_gpr t Reg.RCX rcx;
         set_gpr t Reg.RDX rdx
   | Instr.Rdtsc ->
-      let rax = Reg.gpr_index Reg.RAX in
-      let rdx = Reg.gpr_index Reg.RDX in
       fun t ->
         (* Materialize the lazily-maintained TSC: [t.steps] is the
            number of instructions retired so far, exactly the count of
@@ -1196,23 +1424,24 @@ let compile_instr idx (instr : int Instr.t) : t -> unit =
           Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step))
         in
         t.tsc <- tsc;
-        t.regs.(rax) <- Int64.logand tsc 0xFFFFFFFFL;
-        t.regs.(rdx) <- Int64.shift_right_logical tsc 32
+        set64 t.regs rax_off (Int64.logand tsc 0xFFFFFFFFL);
+        set64 t.regs rdx_off (Int64.shift_right_logical tsc 32)
   | Instr.Hlt ->
       fun t ->
         t.steps <- t.steps + 1;
         raise (Stopped Halted)
   | Instr.Ud2 -> fun t -> hw_fault Hw_exception.UD (Int64.add t.code_base next_off)
   | Instr.Assert a ->
-      let ev = compile_eval a.Instr.assert_src in
+      let s = opnd_of a.Instr.assert_src in
       let kind = a.Instr.assert_kind in
+      let fail t observed =
+        t.steps <- t.steps + 1;
+        raise (Stopped (Assertion_failure { assertion = a; observed }))
+      in
       fun t ->
-        Pmu.add t.pmu_unit Pmu.Br_inst_retired 1;
-        let v = ev t in
-        if t.assertions_on && not (assertion_holds kind v) then begin
-          t.steps <- t.steps + 1;
-          raise (Stopped (Assertion_failure { assertion = a; observed = v }))
-        end
+        t.pend_branches <- t.pend_branches + 1;
+        let v = read t s in
+        if t.assertions_on && not (holds kind v) then fail t v
   | Instr.Vmentry ->
       fun t ->
         t.steps <- t.steps + 1;
@@ -1244,20 +1473,11 @@ let run_compiled t ~compiled ~code_base ?entry ?(fuel = 100_000) ?inject
           Int64.sub st.rs_tsc (Int64.of_int (st.rs_steps * t.tsc_step));
         0
   in
-  let br = ref 0 in
-  (* Fast-engine capture: settle the lazy TSC and the [br] batch into
-     the state so it is engine-independent. *)
+  (* Fast-engine capture: settle the lazy TSC into the state (the PMU
+     batch is settled by [capture]) so it is engine-independent. *)
   let capture_at rip =
-    {
-      rs_regs = Array.copy t.regs;
-      rs_rip = rip;
-      rs_rflags = t.rflags;
-      rs_tsc = Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step));
-      rs_steps = t.steps;
-      rs_branches = Pmu.read t.pmu_unit Pmu.Br_inst_retired + !br;
-      rs_loads = Pmu.read t.pmu_unit Pmu.Mem_loads;
-      rs_stores = Pmu.read t.pmu_unit Pmu.Mem_stores;
-    }
+    capture t ~rip
+      ~tsc:(Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step)))
   in
   (* Hot loop: driven by the instruction *index*, so a step is an
      array load, a closure call and a few integer tests, with no RIP
@@ -1292,21 +1512,22 @@ let run_compiled t ~compiled ~code_base ?entry ?(fuel = 100_000) ?inject
           t.next_idx <- idx;
           hw_fault Hw_exception.PF (rip_of_index ~code_base idx)
         end;
-        if meta.(idx) land Instr.meta_branch_bit <> 0 then incr br;
+        if meta.(idx) land Instr.meta_branch_bit <> 0 then
+          t.pend_branches <- t.pend_branches + 1;
         t.next_idx <- idx + 1;
         ops.(idx) t;
         t.steps <- t.steps + 1;
         if t.steps > fuel then raise (Stopped Out_of_fuel);
         let n = t.next_idx in
         if n >= 0 then step n
-        else step (code_index ~code_base ~len t.rip)
+        else step (code_index ~code_base ~len (get64 t.regs rip_off))
       in
       step entry
     with Stopped reason ->
       (* Settle RIP where the reference engine would have left it:
          the pending next index, unless [ret] already wrote RIP
          itself. *)
-      if t.next_idx >= 0 then t.rip <- rip_of_index ~code_base t.next_idx;
+      if t.next_idx >= 0 then set_rip t (rip_of_index ~code_base t.next_idx);
       reason
   in
   let stop_reason =
@@ -1346,28 +1567,31 @@ let run_compiled t ~compiled ~code_base ?entry ?(fuel = 100_000) ?inject
                done;
                if !pc < plen && pause_at.(!pc) = t.steps then begin
                  (match on_pause with
-                 | Some f -> f (capture_at t.rip)
+                 | Some f -> f (capture_at (get_rip t))
                  | None -> ());
                  incr pc
                end
              end);
             maybe_inject ();
             watch_rip_fetch t;
-            let idx = code_index ~code_base ~len t.rip in
+            let rip = get64 t.regs rip_off in
+            let idx = code_index ~code_base ~len rip in
             let m = meta.(idx) in
             update_watch t m;
             (match on_step with
             | Some f -> f idx program.Program.code.(idx)
             | None -> ());
-            if m land Instr.meta_branch_bit <> 0 then incr br;
+            if m land Instr.meta_branch_bit <> 0 then
+              t.pend_branches <- t.pend_branches + 1;
             (* RIP was validated aligned and in range, so the next-RIP
                is a plain +8 rather than a full index-to-address
                conversion. *)
-            t.rip <- Int64.add t.rip 8L;
+            set64 t.regs rip_off (Int64.add rip 8L);
             ops.(idx) t;
             t.steps <- t.steps + 1;
             if t.steps > fuel then raise (Stopped Out_of_fuel);
-            if handoff () then hot_from (code_index ~code_base ~len t.rip)
+            if handoff () then
+              hot_from (code_index ~code_base ~len (get64 t.regs rip_off))
             else step ()
           in
           step ()
@@ -1376,7 +1600,10 @@ let run_compiled t ~compiled ~code_base ?entry ?(fuel = 100_000) ?inject
   (* Settle the batched accounting (see the compiled-engine header
      comment) before the PMU snapshot. *)
   Pmu.add t.pmu_unit Pmu.Inst_retired t.steps;
-  if !br > 0 then Pmu.add t.pmu_unit Pmu.Br_inst_retired !br;
+  Pmu.add t.pmu_unit Pmu.Br_inst_retired t.pend_branches;
+  Pmu.add t.pmu_unit Pmu.Mem_loads t.pend_loads;
+  Pmu.add t.pmu_unit Pmu.Mem_stores t.pend_stores;
+  clear_pending t;
   t.tsc <- Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step));
   finish_run t ~inject stop_reason
 

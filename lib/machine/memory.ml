@@ -29,7 +29,11 @@ module PageMap = Map.Make (Int64)
 (* Software TLB: a direct-mapped translation cache (page number ->
    Bytes.t) in front of the persistent map that backs the page table.
    Load/store/fetch paths hit the arrays below and skip both the
-   balanced-tree search and the [find_opt] option allocation.
+   balanced-tree search and the [find_opt] option allocation.  Tags
+   are native [int] page numbers (a 64-bit address has 52 of them, so
+   they fit), which a fill stores without boxing; [read_frame] and
+   [write_frame] expose the probe alone to the CPU's in-page fast
+   path.
 
    Correctness hinges on invalidation, which is generation-based: an
    entry is live only while its [gen] slot equals the memory's current
@@ -76,11 +80,11 @@ type t = {
   mutable journal : (page * page) list;
   mutable journal_shared : bool;
   (* read TLB: page may be shared; safe for loads only *)
-  r_tag : int64 array;
+  r_tag : int array;
   r_gen : int array;
   r_data : Bytes.t array;
   (* write TLB: page known owned by [id]; safe for in-place stores *)
-  w_tag : int64 array;
+  w_tag : int array;
   w_gen : int array;
   w_data : Bytes.t array;
 }
@@ -118,10 +122,10 @@ let fresh id =
     saved = PageMap.empty;
     journal = [];
     journal_shared = false;
-    r_tag = Array.make tlb_slots 0L;
+    r_tag = Array.make tlb_slots 0;
     r_gen = Array.make tlb_slots 0;
     r_data = Array.make tlb_slots no_bytes;
-    w_tag = Array.make tlb_slots 0L;
+    w_tag = Array.make tlb_slots 0;
     w_gen = Array.make tlb_slots 0;
     w_data = Array.make tlb_slots no_bytes;
   }
@@ -243,8 +247,9 @@ let released_arg fn = invalid_arg (fn ^ ": memory was released")
 let check_live t fn = if t.released then released_arg fn
 
 let page_of addr = Int64.shift_right_logical addr page_bits
+let page_number addr = Int64.to_int (page_of addr)
 let offset_of addr = Int64.to_int (Int64.logand addr 0xFFFL)
-let slot_of pn = Int64.to_int pn land (tlb_slots - 1)
+let slot_of pn = pn land (tlb_slots - 1)
 
 let flush_tlb t = t.generation <- t.generation + 1
 
@@ -301,22 +306,41 @@ let unmapped t addr ~write =
   if t.released then released_arg "Memory: access"
   else raise (Fault { addr; write })
 
-let read_page_slow t addr pn slot =
+let read_page_slow t addr pn =
   Tm.incr tm_read_miss;
-  match PageMap.find_opt pn t.pages with
+  match PageMap.find_opt (Int64.of_int pn) t.pages with
   | Some p ->
-      fill_read t slot pn p.data;
+      fill_read t (slot_of pn) pn p.data;
       p.data
   | None -> unmapped t addr ~write:false
 
-let read_page t addr =
-  let pn = page_of addr in
+(* The TLB probes: the frame a live translation of page number [pn]
+   holds, or [no_frame] on a miss.  The CPU's in-page fast path calls
+   them directly; a miss there counts nothing, because the caller then
+   takes [load64]/[store64], whose own probe counts the miss and fills
+   the slot.  A released memory always misses (see [unmapped]). *)
+let no_frame = no_bytes
+
+let read_frame t pn =
   let slot = slot_of pn in
-  if t.r_gen.(slot) = t.generation && Int64.equal t.r_tag.(slot) pn then begin
+  if t.r_gen.(slot) = t.generation && t.r_tag.(slot) = pn then begin
     if !Tm.enabled_ref then Tm.incr tm_read_hit;
     t.r_data.(slot)
   end
-  else read_page_slow t addr pn slot
+  else no_frame
+
+let write_frame t pn =
+  let slot = slot_of pn in
+  if t.w_gen.(slot) = t.generation && t.w_tag.(slot) = pn then begin
+    if !Tm.enabled_ref then Tm.incr tm_write_hit;
+    t.w_data.(slot)
+  end
+  else no_frame
+
+let read_page t addr =
+  let pn = page_number addr in
+  let frame = read_frame t pn in
+  if frame != no_frame then frame else read_page_slow t addr pn
 
 (* The first in-place write of an epoch to a record the memory owned
    at its last checkpoint: keep the record's bytes in a frozen
@@ -336,9 +360,11 @@ let journal t p =
    touched.  Both TLB slots are refreshed with the private bytes —
    critically the *read* slot, which may still hold the shared
    record's data. *)
-let write_page_slow t addr pn slot =
+let write_page_slow t addr pn =
   Tm.incr tm_write_miss;
-  match PageMap.find_opt pn t.pages with
+  let slot = slot_of pn in
+  let key = Int64.of_int pn in
+  match PageMap.find_opt key t.pages with
   | Some p when p.owner = t.id ->
       if p.stamp <> t.epoch then journal t p;
       fill_write t slot pn p.data;
@@ -347,7 +373,7 @@ let write_page_slow t addr pn slot =
   | Some p ->
       Tm.incr tm_cow;
       let priv = { data = copy_frame p.data; owner = t.id; stamp = t.epoch } in
-      t.pages <- PageMap.add pn priv t.pages;
+      t.pages <- PageMap.add key priv t.pages;
       t.owned <- priv :: t.owned;
       fill_write t slot pn priv.data;
       fill_read t slot pn priv.data;
@@ -355,13 +381,9 @@ let write_page_slow t addr pn slot =
   | None -> unmapped t addr ~write:true
 
 let write_page t addr =
-  let pn = page_of addr in
-  let slot = slot_of pn in
-  if t.w_gen.(slot) = t.generation && Int64.equal t.w_tag.(slot) pn then begin
-    if !Tm.enabled_ref then Tm.incr tm_write_hit;
-    t.w_data.(slot)
-  end
-  else write_page_slow t addr pn slot
+  let pn = page_number addr in
+  let frame = write_frame t pn in
+  if frame != no_frame then frame else write_page_slow t addr pn
 
 let is_mapped t addr =
   check_live t "Memory.is_mapped";

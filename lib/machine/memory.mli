@@ -136,6 +136,32 @@ val drop_pools : unit -> unit
 val page_of : int64 -> int64
 (** The page number an address belongs to ([addr >> 12]). *)
 
+(** {2 In-page fast path}
+
+    The software-TLB probes alone, for a caller that reads or writes a
+    word inside one page in place.  Each takes a page number as a
+    native [int] ([Int64.to_int (page_of addr)]) and returns the page
+    frame its live translation holds — bytes [offset, offset + 8) of
+    the page are bytes [offset, offset + 8) of the frame, little-endian
+    — or {!no_frame} when the translation is not cached.  [no_frame]
+    means "take the slow path": {!load64}/{!store64} then probe again,
+    fill the slot, copy on write, journal, raise {!Fault} on an
+    unmapped page, or [Invalid_argument] on a released memory, exactly
+    as for any other access.  A hit counts one TLB hit in telemetry,
+    as the slow path's probe would; a miss counts nothing, so an access
+    that misses and falls back is counted once. *)
+
+val no_frame : Bytes.t
+(** The empty frame; compare with [==]. *)
+
+val read_frame : t -> int -> Bytes.t
+(** The frame a load from page number [pn] may read in place. *)
+
+val write_frame : t -> int -> Bytes.t
+(** The frame a store to page number [pn] may write in place: the page
+    is this memory's own and already journaled for the current
+    checkpoint epoch. *)
+
 (** {2 Fault-injection strikes}
 
     Entry points for the widened fault model: both mutate through the

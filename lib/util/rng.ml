@@ -1,24 +1,42 @@
 (* SplitMix64.  Reference: Steele, Lea & Flood, "Fast Splittable
-   Pseudorandom Number Generators", OOPSLA 2014. *)
+   Pseudorandom Number Generators", OOPSLA 2014.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes, read and written with the
+   unboxed [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives: a
+   [mutable state : int64] field would allocate a box and run
+   [caml_modify] on every draw.  [int], [float] and [bool] inline the
+   step, so they allocate nothing; [next_int64] boxes only its
+   result. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy t = Bytes.copy t
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
 
-let split t = { state = next_int64 t }
+let next_int64 t = next t
+
+let split t = of_state (next t)
 
 let derive seed idx =
   if idx < 0 then invalid_arg "Rng.derive: negative index";
@@ -35,7 +53,7 @@ let int t bound =
   (* Rejection-free modulo is fine for simulation: bias is < 2^-38 for
      any bound below 2^24 and immaterial at our sample sizes.  Shifting
      by 2 keeps the value within OCaml's 63-bit native int range. *)
-  let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
 let int_in t lo hi =
@@ -43,10 +61,10 @@ let int_in t lo hi =
   lo + int t (hi - lo + 1)
 
 let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 

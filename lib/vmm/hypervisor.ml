@@ -435,6 +435,7 @@ let execute_paused t ?(fuel = 50_000) ~pause_at ~on_pause (req : Request.t) =
   result
 
 let restore snap = clone snap.snap_host
+let release_snapshot snap = release snap.snap_host
 
 let resume_at t ?inject ?(fuel = 50_000) (st : Cpu.run_state) (req : Request.t)
     =

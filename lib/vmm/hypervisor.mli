@@ -191,6 +191,13 @@ val restore : snapshot -> t
 (** An independent host positioned at the snapshot point (COW clone;
     the live host and other restores are unaffected). *)
 
+val release_snapshot : snapshot -> unit
+(** Recycle a snapshot that will not be restored again.  A snapshot
+    owns no page frame — its pages are frozen and shared — so only its
+    software-TLB arrays go back to the pool ({!release}); hosts already
+    restored from it are unaffected.  A later {!restore} raises
+    [Invalid_argument]. *)
+
 val resume_at :
   t ->
   ?inject:Xentry_machine.Cpu.injection ->

@@ -14,7 +14,20 @@
      prepare, capture, run, retire — with a reboot forced every 500
      requests, and must stay under [serve_bound] words per request.  A
      capture that makes the next execution duplicate the pages it
-     writes lands far above it. *)
+     writes lands far above it.
+
+   A third leg counts minor-heap words instead, per simulated step of
+   the fast engine, around the interpreter calls alone (the count
+   repeats exactly too).  One postmark PV host (seed 5) serves 2,000
+   requests:
+   - Hot loop: the plain executions, after the first 100 requests
+     (which compile their handlers), must stay under [hot_bound] words
+     per step.
+   - RIP-driven loop: every tenth request is executed with snapshots
+     at steps 0 and 40, and a random register fault is resumed from
+     each; the resumed suffixes must stay under [resumed_bound].
+   An engine that boxes its register writes, flags, branch targets,
+   addresses or loaded words again lands far above both. *)
 
 open Xentry_util
 open Xentry_workload
@@ -26,6 +39,8 @@ module Microboot = Xentry_recover.Microboot
 (* See test/dune for the base of these figures. *)
 let campaign_bound = 500.
 let serve_bound = 400.
+let hot_bound = 1.
+let resumed_bound = 1.5
 
 let config ~prune =
   Campaign.Config.make ~jobs:1 ~benchmark:Profile.Postmark
@@ -92,6 +107,72 @@ let serve_leg () =
      words per request (bound %.0f)\n"
     measured !reboots per_request serve_bound
 
+(* Minor words allocated and steps simulated by [f ()]. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let (r : Xentry_machine.Cpu.run_result) = f () in
+  (Gc.minor_words () -. w0, r.Xentry_machine.Cpu.steps)
+
+let interpreter_leg () =
+  let host = Hypervisor.create ~seed:5 ~engine:Xentry_machine.Cpu.Fast () in
+  let stream =
+    Stream.create (Profile.get Profile.Postmark) Profile.PV (Rng.create 5)
+  in
+  let faults = Rng.create 6 in
+  let archs = Xentry_isa.Reg.all_arch in
+  let requests = 2000 and resumed_every = 10 in
+  let hot_words = ref 0. and hot_steps = ref 0 in
+  let res_words = ref 0. and res_steps = ref 0 and res_runs = ref 0 in
+  for i = 0 to requests - 1 do
+    let req = Stream.next_request stream in
+    Hypervisor.prepare host req;
+    if i mod resumed_every <> 0 then begin
+      let w, n = minor_words_of (fun () -> Hypervisor.execute host req) in
+      (* The first requests compile their handlers. *)
+      if i >= 100 then begin
+        hot_words := !hot_words +. w;
+        hot_steps := !hot_steps + n
+      end
+    end
+    else begin
+      let golden, snaps =
+        Hypervisor.execute_plain host ~snapshot_at:[| 0; 40 |] req
+      in
+      List.iter
+        (fun snap ->
+          let from = Hypervisor.snapshot_step snap in
+          let arch = archs.(Rng.int faults (Array.length archs)) in
+          let bit = Rng.int faults 64 in
+          let span = max 1 (golden.Xentry_machine.Cpu.steps - from) in
+          let step = from + Rng.int faults span in
+          let inject = Xentry_machine.Cpu.reg_injection arch ~bit ~step in
+          let h = Hypervisor.restore snap in
+          let w, n =
+            minor_words_of (fun () -> Hypervisor.resume h snap ~inject req)
+          in
+          res_words := !res_words +. w;
+          res_steps := !res_steps + (n - from);
+          incr res_runs;
+          Hypervisor.release h)
+        snaps;
+      List.iter Hypervisor.release_snapshot snaps
+    end;
+    Hypervisor.retire host req
+  done;
+  let per_step words steps = words /. float_of_int (max 1 steps) in
+  let hot = per_step !hot_words !hot_steps in
+  let resumed = per_step !res_words !res_steps in
+  if hot >= hot_bound then
+    fail "%.3f minor words per hot-loop step, bound %g" hot hot_bound;
+  if resumed >= resumed_bound then
+    fail "%.3f minor words per resumed step, bound %g" resumed resumed_bound;
+  Printf.printf
+    "alloc-smoke interpreter OK: %.3f minor words per hot-loop step over %d \
+     steps (bound %g), %.3f per resumed step over %d runs, %d steps (bound \
+     %g)\n"
+    hot !hot_steps hot_bound resumed !res_runs !res_steps resumed_bound
+
 let () =
   campaign_leg ();
-  serve_leg ()
+  serve_leg ();
+  interpreter_leg ()

@@ -488,6 +488,88 @@ let test_cpu_unmapped_access_page_faults () =
       Alcotest.(check int64) "faulting address" 0xDEAD0000L detail
   | s -> Alcotest.failf "expected #PF, got %a" Cpu.pp_stop s
 
+(* A released memory must never look like a simulated page fault:
+   that would turn a host-lifetime bug into a plausible campaign
+   record.  Each program first runs on the live memory, so its page
+   sits in the software TLB for the compiled engine's in-page fast
+   path; then the memory is released and its TLB arrays are adopted by
+   a fresh memory that translates the same page at a later
+   generation. *)
+let test_compiled_released_memory_raises () =
+  let access name instr =
+    let p =
+      prog name (fun b ->
+          Program.Asm.emit b instr;
+          Program.Asm.emit b Instr.Vmentry)
+    in
+    let compiled = Cpu.compile p in
+    let cpu = fresh_cpu () in
+    Cpu.set_gpr cpu Reg.RSI data_base;
+    let warm = Cpu.run_compiled cpu ~compiled ~code_base () in
+    Alcotest.check stop_testable (name ^ " on the live memory") Cpu.Vm_entry
+      warm.Cpu.stop;
+    Memory.release (Cpu.memory cpu);
+    let adopter = fresh_cpu () in
+    Cpu.set_gpr adopter Reg.RSI data_base;
+    ignore (Cpu.run_compiled adopter ~compiled ~code_base ());
+    match Cpu.run_compiled cpu ~compiled ~code_base () with
+    | exception Invalid_argument _ -> ()
+    | r ->
+        Alcotest.failf "%s on a released memory stopped with %a" name
+          Cpu.pp_stop r.Cpu.stop
+  in
+  access "load" (Instr.Mov (Operand.reg Reg.RAX, Operand.mem Reg.RSI));
+  access "store" (Instr.Mov (Operand.mem Reg.RSI, Operand.reg Reg.RAX))
+
+(* The in-page fast path probes the software TLB before the slow path
+   probes it again: a miss must be counted once, by the slow path, so
+   TLB hit and miss counts stay what the reference engine records —
+   through fills, hits, a page-crossing word and a page fault. *)
+let test_compiled_counts_tlb_probes_once () =
+  let module Telemetry = Xentry_util.Telemetry in
+  let counters =
+    List.map Telemetry.counter
+      [
+        "memory.tlb.read.hit";
+        "memory.tlb.read.miss";
+        "memory.tlb.write.hit";
+        "memory.tlb.write.miss";
+      ]
+  in
+  let p =
+    prog "probes" (fun b ->
+        let open Program.Asm in
+        let load disp =
+          emit b (Instr.Mov (Operand.reg Reg.RAX, Operand.mem ~disp Reg.RSI))
+        in
+        let store disp =
+          emit b (Instr.Mov (Operand.mem ~disp Reg.RSI, Operand.reg Reg.RAX))
+        in
+        load 0L;
+        load 0L;
+        store 8L;
+        store 8L;
+        load 0xFFCL;
+        load 0x20000L;
+        emit b Instr.Vmentry)
+  in
+  let probes run =
+    let cpu = fresh_cpu () in
+    Cpu.set_gpr cpu Reg.RSI data_base;
+    Telemetry.enable ();
+    let before = List.map Telemetry.counter_value counters in
+    let r = run cpu in
+    let after = List.map Telemetry.counter_value counters in
+    Telemetry.disable ();
+    (r.Cpu.stop, List.map2 ( - ) after before)
+  in
+  let ref_stop, by_ref = probes (fun cpu -> Cpu.run cpu ~program:p ~code_base ()) in
+  let fast_stop, by_fast =
+    probes (fun cpu -> Cpu.run_compiled cpu ~compiled:(Cpu.compile p) ~code_base ())
+  in
+  Alcotest.check stop_testable "same stop" ref_stop fast_stop;
+  Alcotest.(check (list int)) "read hit/miss, write hit/miss" by_ref by_fast
+
 let test_cpu_jmp_table_dispatch () =
   let cpu = fresh_cpu () in
   let p =
@@ -1461,11 +1543,24 @@ let prop_blits_match_byte_loops =
    registers seeded to point into the mapped data region, so accesses
    usually hit mapped pages until the program (or an injection)
    perturbs the base — which is exactly how the fault paths get
-   compared too.  Roughly a third of the cases carry no injection and
-   exercise the compiled engine's index-driven hot loop; the rest take
-   the injection-capable loop. *)
+   compared too.  A fifth of the displacements aim at the edges of the
+   compiled engine's in-page fast path instead: the last 16 bytes of
+   the base's page and the first 8 of the next (a word at offset
+   4089-4095 crosses into the next page; one at 4088 is the last in
+   place), and the same window around both ends of the data region,
+   where a mapped page borders an unmapped one.
+   Roughly a third of the cases carry no injection and exercise the
+   compiled engine's index-driven hot loop; the rest take the
+   injection-capable loop. *)
 
 let diff_gpr_gen = QCheck.Gen.oneofl (Array.to_list Reg.all_gprs)
+
+(* Where [diff_seeded_cpu] points each base register, relative to
+   [data_base]. *)
+let diff_base_offset = function
+  | Reg.RSI -> 0
+  | Reg.RDI -> 0x800
+  | _ -> 0x100
 
 let diff_imm_gen =
   QCheck.Gen.oneof
@@ -1477,7 +1572,17 @@ let diff_imm_gen =
 let diff_mem_gen =
   let open QCheck.Gen in
   oneofl [ Reg.RSI; Reg.RDI; Reg.RBP ] >>= fun base ->
-  int_range 0 192 >>= fun disp ->
+  let near edge =
+    map (fun k -> edge - diff_base_offset base + k) (int_range (-16) 7)
+  in
+  frequency
+    [
+      (16, int_range 0 192);
+      (2, near Memory.page_size);
+      (1, near 0);
+      (1, near 0x10000);
+    ]
+  >>= fun disp ->
   let disp = Int64.of_int disp in
   bool >>= fun indexed ->
   if indexed then
@@ -1587,13 +1692,64 @@ let diff_inject_gen =
     (int_range 0 (Array.length Reg.all_arch - 1))
     (int_range 0 63) (int_range 0 40)
 
-let diff_case_gen =
+(* Strikes for the engine comparison: a word where the generated
+   operands reach (near a base register, or at a page edge), or the
+   translation of the base registers' page, a neighbouring data page,
+   the last data page, the unmapped page above it or the top stack
+   page, struck through a low frame-number bit — aliasing another data
+   or stack page, or pointing at nothing.  Until the strike is consumed
+   every access takes the slow path; afterwards the compiled engine
+   serves accesses to the struck page in place again, through the
+   corrupted translation. *)
+let diff_mem_inject_gen =
+  let open QCheck.Gen in
+  int_range 0 40 >>= fun step ->
+  let strike target bit =
+    {
+      Cpu.inj_target = target;
+      inj_bit = bit;
+      inj_width = 1;
+      inj_window = None;
+      inj_step = step;
+    }
+  in
+  let word =
+    frequency
+      [
+        ( 3,
+          map2
+            (fun off k -> off + (8 * k))
+            (oneofl [ 0; 0x100; 0x800 ])
+            (int_range 0 24) );
+        (1, map (fun k -> 0x1000 + (8 * k)) (int_range (-2) 1));
+        (1, map (fun k -> 0x10000 + (8 * k)) (int_range (-2) (-1)));
+      ]
+  in
+  oneof
+    [
+      map2
+        (fun off bit ->
+          strike (Cpu.Inj_mem (Int64.add data_base (Int64.of_int off))) bit)
+        word (int_range 0 63);
+      map2
+        (fun page bit -> strike (Cpu.Inj_tlb (Int64.of_int page)) bit)
+        (oneofl [ 0x30; 0x30; 0x31; 0x3F; 0x40; 0x1F ])
+        (int_range 0 9);
+    ]
+
+let diff_case_with inject_gen =
   let open QCheck.Gen in
   int_range 1 20 >>= fun n ->
   list_repeat n (diff_instr_gen n) >>= fun instrs ->
   bool >>= fun fall_off ->
-  frequency [ (1, return None); (2, map Option.some diff_inject_gen) ]
+  frequency [ (1, return None); (2, map Option.some inject_gen) ]
   >>= fun inject -> return (instrs, fall_off, inject)
+
+let diff_case_gen = diff_case_with diff_inject_gen
+
+let diff_engine_case_gen =
+  diff_case_with
+    (QCheck.Gen.frequency [ (3, diff_inject_gen); (1, diff_mem_inject_gen) ])
 
 let diff_case_print (instrs, fall_off, inject) =
   let pp_instr = Instr.pp Format.pp_print_string in
@@ -1607,7 +1763,9 @@ let diff_case_print (instrs, fall_off, inject) =
         Format.asprintf "\ninject{%s bit %d step %d}"
           (match i.Cpu.inj_target with
           | Cpu.Inj_reg r -> Reg.arch_name r
-          | _ -> "?")
+          | Cpu.Inj_mem a -> Printf.sprintf "mem %Lx" a
+          | Cpu.Inj_tlb p -> Printf.sprintf "tlb page %Lx" p
+          | Cpu.Inj_pte a -> Printf.sprintf "pte %Lx" a)
           i.Cpu.inj_bit i.Cpu.inj_step)
 
 let diff_build_program instrs fall_off =
@@ -1631,14 +1789,35 @@ let diff_seeded_cpu () =
   Memory.store64 (Cpu.memory cpu) data_base 0x5EEDL;
   cpu
 
+(* The compiled engine serves an access in place only when the
+   software TLB already holds its page, so the engine comparison starts
+   with every stack and data page translated for reads and writes.  The
+   first word of each page gets its own marker, so a word that crosses
+   into the next page reads differently from one that runs off the end
+   of its frame. *)
+let diff_warm_cpu () =
+  let cpu = diff_seeded_cpu () in
+  let mem = Cpu.memory cpu in
+  List.iter
+    (fun first ->
+      for k = 0 to 15 do
+        let page = Int64.add first (Int64.of_int (k * Memory.page_size)) in
+        if not (Int64.equal page data_base) then
+          Memory.store64 mem page (Int64.of_int (0x1111 * (k + 1)));
+        let last = Int64.add page (Int64.of_int (Memory.page_size - 8)) in
+        ignore (Memory.load64 mem last)
+      done)
+    [ 0x10000L; data_base ];
+  cpu
+
 let prop_engines_agree =
   QCheck.Test.make ~name:"compiled engine matches reference engine" ~count:1500
-    (QCheck.make ~print:diff_case_print diff_case_gen)
+    (QCheck.make ~print:diff_case_print diff_engine_case_gen)
     (fun (instrs, fall_off, inject) ->
       let p = diff_build_program instrs fall_off in
       let compiled = Cpu.compile p in
-      let a = diff_seeded_cpu () in
-      let b = diff_seeded_cpu () in
+      let a = diff_warm_cpu () in
+      let b = diff_warm_cpu () in
       let ra = Cpu.run a ~program:p ~code_base ~fuel:300 ?inject () in
       let rb = Cpu.run_compiled b ~compiled ~code_base ~fuel:300 ?inject () in
       ra.Cpu.stop = rb.Cpu.stop
@@ -1654,7 +1833,9 @@ let prop_engines_agree =
       && Memory.region_equal (Cpu.memory a) (Cpu.memory b) ~addr:0x10000L
            ~len:0x10000
       && Memory.region_equal (Cpu.memory a) (Cpu.memory b) ~addr:data_base
-           ~len:0x10000)
+           ~len:0x10000
+      && Xentry_ras.Ras.Bank.drain (Cpu.ras_bank a)
+         = Xentry_ras.Ras.Bank.drain (Cpu.ras_bank b))
 
 (* --- qcheck: golden-trace recorder -------------------------------------------- *)
 
@@ -1958,6 +2139,10 @@ let () =
           Alcotest.test_case "divide by zero" `Quick test_cpu_divide_by_zero_faults;
           Alcotest.test_case "unmapped access" `Quick
             test_cpu_unmapped_access_page_faults;
+          Alcotest.test_case "compiled access to released memory raises" `Quick
+            test_compiled_released_memory_raises;
+          Alcotest.test_case "compiled engine counts TLB probes once" `Quick
+            test_compiled_counts_tlb_probes_once;
           Alcotest.test_case "jmp table dispatch" `Quick test_cpu_jmp_table_dispatch;
           Alcotest.test_case "jmp table out of range" `Quick
             test_cpu_jmp_table_out_of_range_gp;

@@ -42,6 +42,45 @@ let test_rng_split_independent () =
   let ys = Array.init 10 (fun _ -> Rng.next_int64 b) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
+(* Known answers, pinned from the generator before its state moved
+   into unboxed bytes: every seeded campaign, stream and detector
+   depends on these exact streams. *)
+let test_rng_known_answers () =
+  let draws r n = List.init n (fun _ -> Rng.next_int64 r) in
+  let check_draws name expected got =
+    Alcotest.(check (list int64)) name expected got
+  in
+  check_draws "create 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ]
+    (draws (Rng.create 0) 3);
+  check_draws "create 42"
+    [ -4767286540954276203L; 2949826092126892291L ]
+    (draws (Rng.create 42) 2);
+  check_draws "create -7" [ 7790691224305936752L ] (draws (Rng.create (-7)) 1);
+  let parent = Rng.create 1 in
+  let child = Rng.split parent in
+  check_draws "split child"
+    [ 6791897765849424158L; -1041056189838986770L ]
+    (draws child 2);
+  check_draws "split parent" [ -4689498862643123097L ] (draws parent 1);
+  let a = Rng.create 9 in
+  let b = Rng.copy a in
+  ignore (Rng.next_int64 a);
+  check_draws "copy" [ -5859373336115519388L ] (draws b 1);
+  Alcotest.(check (list int))
+    "derive"
+    [ 1227844342346046657; -4373826470845021568; 3270929947005349778 ]
+    [ Rng.derive 1 0; Rng.derive 1 5; Rng.derive 12345 99 ];
+  let r = Rng.create 2014 in
+  Alcotest.(check (list int))
+    "int 1000"
+    [ 89; 688; 110; 570; 474; 618 ]
+    (List.init 6 (fun _ -> Rng.int r 1000));
+  let r = Rng.create 3 in
+  Alcotest.(check (list int))
+    "int 64" [ 59; 34; 0; 51 ]
+    (List.init 4 (fun _ -> Rng.int r 64))
+
 let test_rng_int_bounds () =
   let r = Rng.create 5 in
   for _ = 1 to 1000 do
@@ -639,6 +678,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy independence" `Quick test_rng_copy_independent;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
