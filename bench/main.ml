@@ -915,8 +915,7 @@ type campaign_bench = {
       (** planner off, pre-planner campaign shape: one golden run per
           injection *)
   cb_exhaustive_s : float;
-  cb_cold_s : float;  (** planned, recording traces into a cold cache *)
-  cb_warm_s : float;  (** planned, traces served from the cache *)
+  cb_planned_s : float;
   cb_pruned_fraction : float;
   cb_collapsed_fraction : float;
   cb_fast_forward_fraction : float;
@@ -944,31 +943,18 @@ let campaign () =
     Campaign.Config.make ~jobs:!jobs ~benchmark:Profile.Postmark ~injections
       ~seed:2014 ~fuel ~faults_per_run ~prune:true ~snapshot_interval:64 ()
   in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xentry-bench-traces-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let traces () =
-    match Xentry_store.Trace_cache.for_campaign ~dir base with
-    | Ok tc -> tc
-    | Error e -> failwith (Xentry_store.Trace_cache.open_error_message e)
-  in
-  let timed ?traces config =
+  let timed config =
     let t0 = Unix.gettimeofday () in
-    let records, stats = Campaign.execute_with_stats ?traces config in
+    let records, stats = Campaign.execute_with_stats config in
     (Unix.gettimeofday () -. t0, records, stats)
   in
-  (* Four runs: the pre-planner campaign shape (planner off AND no
+  (* Three runs: the pre-planner campaign shape (planner off AND no
      golden sharing — one golden run per injection, exactly the loop
      this planner replaced; its fault stream necessarily differs, so
      it is the speedup baseline, not an identity leg); every fault
-     simulated under the shared-golden shape; planned against freshly
-     recorded traces (cold cache); planned against cached traces
-     (warm — the repeated-campaign steady state, golden runs on the
-     fast path with survivors forked straight off the paused golden
-     run). *)
+     simulated under the shared-golden shape; and planned (golden runs
+     recorded with periodic snapshots, survivors resumed from the
+     nearest one). *)
   let legacy_s, _, _ =
     timed
       (Campaign.Config.make ~jobs:!jobs ~benchmark:Profile.Postmark
@@ -978,12 +964,8 @@ let campaign () =
   let exhaustive_s, exhaustive_records, _ =
     timed { base with Campaign.prune = false }
   in
-  let cold_s, cold_records, _ = timed ~traces:(traces ()) base in
-  let warm_s, warm_records, stats = timed ~traces:(traces ()) base in
-  rm_rf dir;
-  let identical =
-    cold_records = exhaustive_records && warm_records = exhaustive_records
-  in
+  let planned_s, planned_records, stats = timed base in
+  let identical = planned_records = exhaustive_records in
   let planned = float_of_int (max 1 stats.Campaign.planned) in
   let pruned_fraction = float_of_int stats.Campaign.pruned /. planned in
   let collapsed_fraction = float_of_int stats.Campaign.collapsed /. planned in
@@ -997,38 +979,34 @@ let campaign () =
     (eff legacy_s);
   printf "exhaustive (shared golden)        %.3fs   %10.0f inj/s\n"
     exhaustive_s (eff exhaustive_s);
-  printf "planned (cold cache)              %.3fs   %10.0f inj/s\n" cold_s
-    (eff cold_s);
-  printf "planned (warm cache)              %.3fs   %10.0f inj/s\n" warm_s
-    (eff warm_s);
+  printf "planned                           %.3fs   %10.0f inj/s\n" planned_s
+    (eff planned_s);
   printf
     "pruning + fast-forwarding on vs. off: %.1fx effective injections/s \
      (%.1fx vs. shared-golden exhaustive)\n"
-    (legacy_s /. Float.max 1e-9 warm_s)
-    (exhaustive_s /. Float.max 1e-9 warm_s);
+    (legacy_s /. Float.max 1e-9 planned_s)
+    (exhaustive_s /. Float.max 1e-9 planned_s);
   printf
     "pruned %.1f%%  class-collapsed %.1f%%  fast-forwarded %.1f%%  simulated \
      %d of %d\n"
     (100.0 *. pruned_fraction)
     (100.0 *. collapsed_fraction)
     (100.0 *. ff_fraction) stats.Campaign.simulated stats.Campaign.planned;
-  printf "records bit-identical (exhaustive = cold = warm): %b\n" identical;
+  printf "records bit-identical (exhaustive = planned): %b\n" identical;
   if not identical then begin
     Printf.eprintf "FATAL: planned campaign records diverged from exhaustive\n%!";
     exit 1
   end;
   record_phase "campaign-legacy" legacy_s total;
   record_phase "campaign-exhaustive" exhaustive_s total;
-  record_phase "campaign-planned-cold" cold_s total;
-  record_phase "campaign-planned-warm" warm_s total;
+  record_phase "campaign-planned" planned_s total;
   campaign_bench_result :=
     Some
       {
         cb_total = total;
         cb_legacy_s = legacy_s;
         cb_exhaustive_s = exhaustive_s;
-        cb_cold_s = cold_s;
-        cb_warm_s = warm_s;
+        cb_planned_s = planned_s;
         cb_pruned_fraction = pruned_fraction;
         cb_collapsed_fraction = collapsed_fraction;
         cb_fast_forward_fraction = ff_fraction;
@@ -1899,19 +1877,19 @@ let write_json path =
       let eff s = float_of_int cb.cb_total /. Float.max 1e-9 s in
       out
         "  \"campaign\": {\"injections\": %d, \"legacy_seconds\": %.6f, \
-         \"exhaustive_seconds\": %.6f, \"cold_seconds\": %.6f, \
-         \"warm_seconds\": %.6f, \"pruned_fraction\": %.4f, \
-         \"collapsed_fraction\": %.4f, \"fast_forward_fraction\": %.4f, \
+         \"exhaustive_seconds\": %.6f, \"planned_seconds\": %.6f, \
+         \"pruned_fraction\": %.4f, \"collapsed_fraction\": %.4f, \
+         \"fast_forward_fraction\": %.4f, \
          \"effective_injections_per_sec\": %.1f, \
          \"effective_injections_per_sec_exhaustive\": %.1f, \
          \"effective_injections_per_sec_legacy\": %.1f, \"speedup\": %.3f, \
          \"speedup_vs_exhaustive\": %.3f, \"identical\": %b},\n"
-        cb.cb_total cb.cb_legacy_s cb.cb_exhaustive_s cb.cb_cold_s cb.cb_warm_s
+        cb.cb_total cb.cb_legacy_s cb.cb_exhaustive_s cb.cb_planned_s
         cb.cb_pruned_fraction cb.cb_collapsed_fraction
-        cb.cb_fast_forward_fraction (eff cb.cb_warm_s) (eff cb.cb_exhaustive_s)
-        (eff cb.cb_legacy_s)
-        (cb.cb_legacy_s /. Float.max 1e-9 cb.cb_warm_s)
-        (cb.cb_exhaustive_s /. Float.max 1e-9 cb.cb_warm_s)
+        cb.cb_fast_forward_fraction (eff cb.cb_planned_s)
+        (eff cb.cb_exhaustive_s) (eff cb.cb_legacy_s)
+        (cb.cb_legacy_s /. Float.max 1e-9 cb.cb_planned_s)
+        (cb.cb_exhaustive_s /. Float.max 1e-9 cb.cb_planned_s)
         cb.cb_identical
   | None -> ());
   (match !cluster_bench_result with

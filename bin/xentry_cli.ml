@@ -281,8 +281,7 @@ let train_quick_detector ~jobs ~seed ~benchmarks ~mode ~train_injections
 (* --- inject ------------------------------------------------------------------ *)
 
 let inject benchmark mode injections seed jobs engine detector_src checkpoint
-    no_prune faults_per_run snapshot_interval trace_cache workers telemetry
-    fault_classes =
+    no_prune faults_per_run snapshot_interval workers telemetry fault_classes =
   apply_engine engine;
   let worker_dumps = ref [] in
   with_worker_telemetry telemetry worker_dumps @@ fun () ->
@@ -349,24 +348,9 @@ let inject benchmark mode injections seed jobs engine detector_src checkpoint
               (Xentry_store.Journal.open_error_message e);
             exit 1)
   in
-  let traces =
-    match trace_cache with
-    | None -> None
-    | Some dir -> (
-        match Xentry_store.Trace_cache.for_campaign ~dir config with
-        | Ok tc -> Some tc
-        | Error e ->
-            Printf.eprintf "xentry: %s\n%!"
-              (Xentry_store.Trace_cache.open_error_message e);
-            exit 1)
-  in
   let records =
-    if workers <= 0 then Campaign.execute ?checkpoint ?traces config
+    if workers <= 0 then Campaign.execute ?checkpoint config
     else begin
-      if trace_cache <> None then
-        prerr_endline
-          "xentry: note: --trace-cache stays local to each process; \
-           distributed workers plan without a shared cache";
       with_cluster_socket @@ fun sock ->
       let pids =
         List.init workers (fun _ ->
@@ -496,7 +480,9 @@ let inject_cmd =
             "Dynamic steps between mid-run COW snapshots on recorded golden \
              runs (default 64; 0 disables mid-run snapshots).  Smaller \
              intervals shorten replayed suffixes at the cost of more \
-             clones.")
+             clones.  Records match --no-prune's except, rarely, a tlb \
+             fault's: whether a TLB strike's alias survives later writes \
+             depends on where the resumed snapshot was taken.")
   in
   let fault_classes =
     let classes_conv =
@@ -523,23 +509,12 @@ let inject_cmd =
              (page-table entry).  The default keeps campaign records \
              bit-identical to the register-only fault model.")
   in
-  let trace_cache =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-cache" ] ~docv:"DIR"
-          ~doc:
-            "Persist golden def/use traces to $(docv) and reuse them on \
-             repeated campaigns over the same golden stream, skipping \
-             recording entirely (campaigns differing only in detector, \
-             detection framework or --faults-per-run share a cache).")
-  in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
     Term.(
       const inject $ benchmark_arg $ mode_arg $ injections $ seed_arg
       $ jobs_arg $ engine_arg $ detector_src $ checkpoint $ no_prune
-      $ faults_per_run $ snapshot_interval $ trace_cache $ workers_arg
+      $ faults_per_run $ snapshot_interval $ workers_arg
       $ telemetry_arg $ fault_classes)
 
 (* --- train -------------------------------------------------------------------- *)

@@ -56,9 +56,11 @@ module Config = struct
      belongs in the fingerprint refuses to compile.  Three fields are
      execution-only and excluded: [jobs] (campaigns are bit-identical
      for any worker count), and [prune]/[snapshot_interval] (the
-     planner's verdict-identity invariant makes records bit-identical
-     with pruning and fast-forwarding on or off, enforced by the
-     prune-vs-exhaustive differential tests). *)
+     planner's verdict-identity invariant makes records identical with
+     pruning and fast-forwarding on or off, enforced by the
+     prune-vs-exhaustive differential tests; the one known exception,
+     a [tlb] strike whose outcome moves with the snapshot it resumes
+     from, is documented in campaign.mli). *)
   let canonical ~detector_digest
       {
         seed;
@@ -91,38 +93,6 @@ module Config = struct
         Printf.sprintf "vm_transition=%b" vm_transition;
         Printf.sprintf "ras_polling=%b" ras_polling;
         "fault_classes=" ^ Fault.classes_to_string fault_classes;
-        Printf.sprintf "fuel=%d" fuel;
-        Printf.sprintf "hardened=%b" hardened;
-      ]
-
-  (* Canonical encoding of the fields a shard's *golden trace sequence*
-     depends on — the trace cache's fingerprint.  Golden runs never see
-     the detector, the framework config (the live host always runs with
-     assertions enabled), the per-run fault count (fault sampling draws
-     from an independent stream), or the planner knobs, so campaigns
-     differing only in those reuse one another's traces. *)
-  let trace_canonical
-      {
-        seed;
-        injections;
-        faults_per_run = _;
-        benchmark;
-        mode;
-        detector = _;
-        framework = _;
-        fault_classes = _;
-        fuel;
-        hardened;
-        prune = _;
-        snapshot_interval = _;
-        jobs = _;
-      } =
-    String.concat ";"
-      [
-        Printf.sprintf "seed=%d" seed;
-        Printf.sprintf "injections=%d" injections;
-        "benchmark=" ^ Xentry_workload.Profile.benchmark_name benchmark;
-        "mode=" ^ Xentry_workload.Profile.mode_name mode;
         Printf.sprintf "fuel=%d" fuel;
         Printf.sprintf "hardened=%b" hardened;
       ]
@@ -206,8 +176,6 @@ let tm_pruned = Tm.counter "campaign.pruned"
 let tm_collapsed = Tm.counter "campaign.class_collapsed"
 let tm_fast_forwarded = Tm.counter "campaign.fast_forwarded"
 let tm_simulated = Tm.counter "campaign.simulated"
-let tm_trace_hit = Tm.counter "campaign.trace.hit"
-let tm_trace_miss = Tm.counter "campaign.trace.miss"
 let tm_shard_wall = Tm.histogram "campaign.shard.ns"
 
 let record_shard_telemetry config records stats ~wall =
@@ -233,8 +201,6 @@ let record_shard_telemetry config records stats ~wall =
   Tm.add tm_collapsed stats.collapsed;
   Tm.add tm_fast_forwarded stats.fast_forwarded;
   Tm.add tm_simulated stats.simulated;
-  Tm.add tm_trace_hit stats.trace_hits;
-  Tm.add tm_trace_miss stats.trace_misses;
   Tm.observe_span tm_shard_wall wall;
   Tm.event "campaign.shard"
     [
@@ -414,22 +380,17 @@ let run_shard_exhaustive config =
   done;
   Hypervisor.release host;
   let n = config.injections * config.faults_per_run in
-  ( List.rev !records,
-    { zero_stats with planned = n; simulated = !simulated },
-    [] )
+  (List.rev !records, { zero_stats with planned = n; simulated = !simulated })
 
-(* One shard, planned: per golden execution, classify every sampled
-   fault against the golden trace; prune the dead ones, collapse
-   equivalence classes, and run only the representatives — each resumed
-   from the nearest snapshot at or before its injection step.  With
-   cached traces the golden run needs no recording and snapshots are
-   taken only where a survivor needs one (no snapshots at all when
-   everything prunes). *)
-let run_shard_planned ?cached config =
+(* One shard, planned: each golden execution is recorded with its
+   def/use trace and periodic snapshots; every sampled fault is
+   classified against the trace, dead ones are pruned, equivalence
+   classes collapse, and only the representatives run — each resumed
+   from the nearest snapshot at or before its activation step. *)
+let run_shard_planned config =
   let profile = Xentry_workload.Profile.get config.benchmark in
   let request_rng, fault_rng = shard_rngs config in
   let host = shard_host config in
-  let n_faults = config.faults_per_run in
   let periodic =
     if config.snapshot_interval <= 0 then [| 0 |]
     else
@@ -442,10 +403,8 @@ let run_shard_planned ?cached config =
   let collapsed = ref 0 in
   let fast_forwarded = ref 0 in
   let simulated = ref 0 in
-  let fresh_traces = ref [] in
-  (* Greatest snapshot at or before [step]; the step-0 snapshot (or, in
-     cached mode, the survivor's own clamped step) guarantees one
-     exists. *)
+  (* Greatest snapshot at or before [step]; the step-0 snapshot
+     guarantees one exists. *)
   let nearest_snap snaps step =
     let rec go best = function
       | [] -> best
@@ -456,206 +415,98 @@ let run_shard_planned ?cached config =
     | Some s -> s
     | None -> failwith "Campaign: no snapshot at or before fault step"
   in
-  let act_of (plan : Planner.plan) rep =
-    match plan.Planner.dispositions.(rep) with
-    | Planner.Run { act; _ } -> act
-    | Planner.Pruned _ -> assert false
-  in
-  (* Detected run plus the assertion-retry natural run for one
-     representative, from a caller-supplied materialize/resume pair
-     (snapshot-based on the cold path, fork-at-pause on the warm
-     path).  The returned host is the caller's to release; a detected
-     host the natural run replaces is released here. *)
-  let faulted_pair ~materialize ~resume_on =
-    let det_host = materialize () in
-    Hypervisor.set_assertions_enabled det_host
-      config.framework.Pipeline.sw_assertions;
-    let det_result = resume_on det_host in
-    let det_ras = Hypervisor.drain_ras det_host in
-    match det_result.Cpu.stop with
-    | Cpu.Assertion_failure _ ->
-        Hypervisor.release det_host;
-        let h = materialize () in
-        Hypervisor.set_assertions_enabled h false;
-        let r = resume_on h in
-        (det_result, det_ras, h, r)
-    | _ -> (det_result, det_ras, det_host, det_result)
-  in
-  (* Fault-indexed record assembly shared by both paths: pruned faults
-     share one synthesized record modulo their fault identity — the
-     verdict re-judges the same golden result each time, so the
-     synthesis (in particular the transition-detector classification
-     of the golden PMU) runs at most once per golden execution — and
-     collapsed class members share their representative's record. *)
-  let assemble req golden_result faults (plan : Planner.plan) ~record_of_rep =
-    let pruned_template =
-      lazy (synthesize_pruned config ~req ~golden_result faults.(0))
-    in
-    for i = 0 to Array.length faults - 1 do
-      let record =
-        match plan.Planner.dispositions.(i) with
-        | Planner.Pruned _ ->
-            incr pruned;
-            { (Lazy.force pruned_template) with Outcome.fault = faults.(i) }
-        | Planner.Run { rep; act = _ } ->
-            let r = record_of_rep rep in
-            if rep = i then r
-            else begin
-              (* A collapsed class member: same execution, its own
-                 fault identity.  Everything else in the record is
-                 shared with the representative. *)
-              incr collapsed;
-              { r with Outcome.fault = faults.(i) }
-            end
+  (* A representative's record.  Inject at the activation step, from
+     the nearest snapshot at or before it: the target is untouched
+     between the sampled step and activation, so skipping the dead
+     interval leaves the execution (and the derived record)
+     bit-identical.  The natural run repeats the detected one with
+     assertions off when an assertion cut it short. *)
+  let simulate req ~golden_result snaps fault ~act =
+    let snap = nearest_snap snaps act in
+    let inject = Fault.to_injection { fault with Fault.step = act } in
+    let run ~assertions =
+      let h =
+        Tm.with_span "campaign.snapshot.restore" (fun () ->
+            Hypervisor.restore snap)
       in
-      records := record :: !records
-    done
+      Hypervisor.set_assertions_enabled h assertions;
+      let r =
+        Tm.with_span "campaign.resume" (fun () ->
+            Hypervisor.resume h snap ~inject ~fuel:config.fuel req)
+      in
+      (h, r)
+    in
+    let det_host, det_result =
+      run ~assertions:config.framework.Pipeline.sw_assertions
+    in
+    let det_ras = Hypervisor.drain_ras det_host in
+    let nat_host, nat_result =
+      match det_result.Cpu.stop with
+      | Cpu.Assertion_failure _ ->
+          Hypervisor.release det_host;
+          run ~assertions:false
+      | _ -> (det_host, det_result)
+    in
+    incr simulated;
+    if Hypervisor.snapshot_step snap > 0 then incr fast_forwarded;
+    let record =
+      Tm.with_span "campaign.classify" (fun () ->
+          classify_faulted config ~req ~host ~golden_result ~fault ~det_result
+            ~det_ras ~nat_host ~nat_result)
+    in
+    Hypervisor.release nat_host;
+    record
   in
-  let emit req golden_result faults (plan : Planner.plan) snaps =
-    let rep_records = Array.make (Array.length faults) None in
-    List.iter
-      (fun rep ->
-        let fault = faults.(rep) in
-        (* Inject at the activation step, from the nearest snapshot at
-           or before it: the target is untouched between the sampled
-           step and activation, so skipping the dead interval leaves
-           the execution (and the derived record) bit-identical. *)
-        let act = act_of plan rep in
-        let snap = nearest_snap snaps act in
-        let inject = Fault.to_injection { fault with Fault.step = act } in
-        let materialize () =
-          Tm.with_span "campaign.snapshot.restore" (fun () ->
-              Hypervisor.restore snap)
-        in
-        let resume_on h =
-          Tm.with_span "campaign.resume" (fun () ->
-              Hypervisor.resume h snap ~inject ~fuel:config.fuel req)
-        in
-        let det_result, det_ras, nat_host, nat_result =
-          faulted_pair ~materialize ~resume_on
-        in
-        incr simulated;
-        if Hypervisor.snapshot_step snap > 0 then incr fast_forwarded;
-        rep_records.(rep) <-
-          Some
-            (Tm.with_span "campaign.classify" (fun () ->
-                 classify_faulted config ~req ~host ~golden_result ~fault
-                   ~det_result ~det_ras ~nat_host ~nat_result));
-        Hypervisor.release nat_host)
-      plan.Planner.reps;
-    assemble req golden_result faults plan ~record_of_rep:(fun rep ->
-        match rep_records.(rep) with None -> assert false | Some r -> r)
-  in
-  for iter = 0 to config.injections - 1 do
+  for _ = 1 to config.injections do
     let req =
       Xentry_workload.Profile.sample_request profile config.mode request_rng
     in
     Hypervisor.prepare host req;
-    (match cached with
-    | Some (traces : Golden_trace.t array) ->
-        let trace = traces.(iter) in
-        (* Fault sampling is independent of the golden execution (its
-           own RNG stream; the bound comes from the cached trace), so
-           the plan is known before the golden run.  Each survivor's
-           host is forked straight off the paused golden run at its
-           resume step — no intermediate snapshot clone — and its
-           detected/natural suffixes execute during the pause; only
-           classification waits for the golden final state. *)
-        let max_step = max 1 trace.Golden_trace.result_steps in
-        let faults =
-          Array.init n_faults (fun _ ->
-              Fault.sample ~classes:config.fault_classes fault_rng ~max_step)
+    let golden_result, trace, snaps =
+      Tm.with_span "campaign.golden" (fun () ->
+          Hypervisor.execute_recorded host ~fuel:config.fuel
+            ~snapshot_at:periodic req)
+    in
+    let max_step = max 1 golden_result.Cpu.steps in
+    let faults =
+      Array.init config.faults_per_run (fun _ ->
+          Fault.sample ~classes:config.fault_classes fault_rng ~max_step)
+    in
+    let plan =
+      Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults)
+    in
+    (* Records in fault order.  Pruned faults share one synthesized
+       record modulo their fault identity — the verdict re-judges the
+       same golden result each time, so the synthesis (in particular
+       the transition-detector classification of the golden PMU) runs
+       at most once per golden execution.  A representative precedes
+       the members of its class, which share its record. *)
+    let pruned_template =
+      lazy (synthesize_pruned config ~req ~golden_result faults.(0))
+    in
+    let rep_records = Array.make (Array.length faults) None in
+    Array.iteri
+      (fun i fault ->
+        let record =
+          match plan.Planner.dispositions.(i) with
+          | Planner.Pruned _ ->
+              incr pruned;
+              { (Lazy.force pruned_template) with Outcome.fault }
+          | Planner.Run { rep; act } when rep = i ->
+              let r = simulate req ~golden_result snaps fault ~act in
+              rep_records.(i) <- Some r;
+              r
+          | Planner.Run { rep; act = _ } -> (
+              incr collapsed;
+              match rep_records.(rep) with
+              | Some r -> { r with Outcome.fault }
+              | None -> assert false)
         in
-        let plan = Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults) in
-        (* Survivors grouped by the step their suffix resumes from:
-           the activation step, clamped to the last executed step so
-           the pause always fires. *)
-        let clamp = max 0 (trace.Golden_trace.result_steps - 1) in
-        let by_step = Hashtbl.create 16 in
-        List.iter
-          (fun rep ->
-            let s = min (act_of plan rep) clamp in
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt by_step s)
-            in
-            Hashtbl.replace by_step s (rep :: prev))
-          plan.Planner.reps;
-        let pause_at =
-          Hashtbl.fold (fun s _ acc -> s :: acc) by_step []
-          |> List.sort compare |> Array.of_list
-        in
-        let pending = Array.make (Array.length faults) None in
-        let on_pause st =
-          let reps =
-            Option.value ~default:[]
-              (Hashtbl.find_opt by_step (Cpu.run_state_steps st))
-          in
-          List.iter
-            (fun rep ->
-              let fault = faults.(rep) in
-              let act = act_of plan rep in
-              let inject =
-                Fault.to_injection { fault with Fault.step = act }
-              in
-              let materialize () =
-                Tm.with_span "campaign.snapshot.restore" (fun () ->
-                    Hypervisor.clone host)
-              in
-              let resume_on h =
-                Tm.with_span "campaign.resume" (fun () ->
-                    Hypervisor.resume_at h ~inject ~fuel:config.fuel st req)
-              in
-              let det_result, det_ras, nat_host, nat_result =
-                faulted_pair ~materialize ~resume_on
-              in
-              incr simulated;
-              if Cpu.run_state_steps st > 0 then incr fast_forwarded;
-              pending.(rep) <-
-                Some (fault, det_result, det_ras, nat_host, nat_result))
-            (List.rev reps)
-        in
-        let golden_result =
-          Hypervisor.execute_paused host ~fuel:config.fuel ~pause_at ~on_pause
-            req
-        in
-        if golden_result.Cpu.steps <> trace.Golden_trace.result_steps then
-          failwith
-            "Campaign: cached golden trace disagrees with the live golden \
-             run (stale or corrupt trace cache)";
-        let rep_records = Array.make (Array.length faults) None in
-        List.iter
-          (fun rep ->
-            match pending.(rep) with
-            | None -> assert false
-            | Some (fault, det_result, det_ras, nat_host, nat_result) ->
-                rep_records.(rep) <-
-                  Some
-                    (Tm.with_span "campaign.classify" (fun () ->
-                         classify_faulted config ~req ~host ~golden_result
-                           ~fault ~det_result ~det_ras ~nat_host ~nat_result));
-                Hypervisor.release nat_host)
-          plan.Planner.reps;
-        assemble req golden_result faults plan ~record_of_rep:(fun rep ->
-            match rep_records.(rep) with None -> assert false | Some r -> r)
-    | None ->
-        let golden_result, trace, snaps =
-          Tm.with_span "campaign.golden" (fun () ->
-              Hypervisor.execute_recorded host ~fuel:config.fuel
-                ~snapshot_at:periodic req)
-        in
-        fresh_traces := trace :: !fresh_traces;
-        let max_step = max 1 golden_result.Cpu.steps in
-        let faults =
-          Array.init n_faults (fun _ ->
-              Fault.sample ~classes:config.fault_classes fault_rng ~max_step)
-        in
-        let plan =
-          Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults)
-        in
-        emit req golden_result faults plan snaps;
-        (* Every restore is done: the snapshots' TLB arrays go back to
-           the pool for the next iteration's captures. *)
-        List.iter Hypervisor.release_snapshot snaps);
+        records := record :: !records)
+      faults;
+    (* Every restore is done: the snapshots' TLB arrays go back to the
+       pool for the next iteration's captures. *)
+    List.iter Hypervisor.release_snapshot snaps;
     Hypervisor.retire host req
   done;
   Hypervisor.release host;
@@ -668,22 +519,18 @@ let run_shard_planned ?cached config =
       collapsed = !collapsed;
       fast_forwarded = !fast_forwarded;
       simulated = !simulated;
-    },
-    List.rev !fresh_traces )
+    } )
 
-(* One shard, dispatched on the planner switch; returns the records,
-   the shard's planner statistics and (planned, uncached runs only) the
-   freshly recorded golden traces for the cache. *)
-let run_shard_with ?cached config =
+let run_shard config =
   let t0 = if !Tm.enabled_ref then Xentry_util.Clock.monotonic () else 0.0 in
-  let records, stats, traces =
-    if config.prune then run_shard_planned ?cached config
+  let records, stats =
+    if config.prune then run_shard_planned config
     else run_shard_exhaustive config
   in
   if !Tm.enabled_ref then
     record_shard_telemetry config records stats
       ~wall:(Xentry_util.Clock.monotonic () -. t0);
-  (records, stats, traces)
+  (records, stats)
 
 (* Campaigns are cut into fixed-size shards whose seeds derive from
    (campaign seed, shard index) alone.  The decomposition is a pure
@@ -712,72 +559,38 @@ let shard_configs config =
    so results merge bit-identically no matter which process ran what. *)
 let shard_plan config = List.mapi (fun i shard -> (i, shard)) (shard_configs config)
 
-let run_shard shard =
-  let records, stats, _traces = run_shard_with shard in
-  (records, stats)
-
 type checkpoint = {
   lookup : int -> Outcome.record list option;
   commit : int -> Outcome.record list -> unit;
 }
 
-type trace_cache = {
-  trace_lookup : int -> Golden_trace.t list option;
-  trace_commit : int -> Golden_trace.t list -> unit;
-}
-
-let execute_with_stats ?checkpoint ?traces (config : Config.t) =
+let execute_with_stats ?checkpoint (config : Config.t) =
   let jobs =
     match config.jobs with
     | Some j -> j
     | None -> Xentry_util.Pool.default_jobs ()
   in
   let pool = Xentry_util.Pool.create ~jobs in
-  (* Each work item is (shard index, shard config); the index keys both
-     the record checkpoint and the trace cache.  Journaled shards
-     replay from storage, the rest run and commit from whichever worker
-     computed them — either way the per-shard records are identical, so
-     the shard-order merge is unchanged by interruption, resumption,
-     caching or the worker count. *)
-  let compute (index, shard) =
-    let cached =
-      match traces with
-      | Some tc when shard.prune -> (
-          match tc.trace_lookup index with
-          | Some l when List.length l = shard.injections ->
-              Some (Array.of_list l)
-          | Some _ | None -> None)
-      | _ -> None
-    in
-    let records, stats, fresh = run_shard_with ?cached shard in
-    (match (traces, cached) with
-    | Some tc, None when shard.prune && fresh <> [] ->
-        tc.trace_commit index fresh
-    | _ -> ());
-    let stats =
-      match (traces, cached) with
-      | Some _, Some _ -> { stats with trace_hits = 1 }
-      | Some _, None when shard.prune -> { stats with trace_misses = 1 }
-      | _ -> stats
-    in
-    (records, stats)
-  in
+  (* Each work item is (shard index, shard config); the index keys the
+     record checkpoint.  Journaled shards replay from storage, the rest
+     run and commit from whichever worker computed them — either way
+     the per-shard records are identical, so the shard-order merge is
+     unchanged by interruption, resumption or the worker count. *)
   let run_one =
     match checkpoint with
-    | None -> compute
+    | None -> fun (_, shard) -> run_shard shard
     | Some cp -> (
         fun (index, shard) ->
           match cp.lookup index with
           | Some records -> (records, zero_stats)
           | None ->
-              let records, stats = compute (index, shard) in
+              let records, stats = run_shard shard in
               cp.commit index records;
               (records, stats))
   in
   Tm.with_span "campaign.run" (fun () ->
       let results =
-        Xentry_util.Pool.map_list pool run_one
-          (List.mapi (fun i shard -> (i, shard)) (shard_configs config))
+        Xentry_util.Pool.map_list pool run_one (shard_plan config)
       in
       (* The calling domain ran shards too; what its pools still hold
          would otherwise stay live for the rest of the process (worker
@@ -789,8 +602,8 @@ let execute_with_stats ?checkpoint ?traces (config : Config.t) =
       in
       (records, stats))
 
-let execute ?checkpoint ?traces (config : Config.t) =
-  fst (execute_with_stats ?checkpoint ?traces config)
+let execute ?checkpoint (config : Config.t) =
+  fst (execute_with_stats ?checkpoint config)
 
 let fault_free_shard ~seed ~benchmark ~mode ~runs =
   let profile = Xentry_workload.Profile.get benchmark in

@@ -27,9 +27,11 @@
     simulation, faults with identical def-use consequences collapse
     into one representative run, and surviving runs fast-forward from
     the nearest mid-run COW snapshot instead of re-executing the whole
-    prefix ({!Planner}).  The records are {e bit-identical} to the
-    exhaustive path for any [jobs] value — enforced by differential
-    tests — so pruning is purely a throughput optimization. *)
+    prefix ({!Planner}).  The records equal the exhaustive path's for
+    any [jobs] value — enforced by differential tests — so pruning is
+    a throughput optimization, with one known exception: a [tlb]
+    strike's outcome can depend on where the snapshot it resumes from
+    was taken (see [snapshot_interval]). *)
 
 (** Campaign configuration.  One record names every knob; the same
     record drives both execution ({!execute}) and the persistent
@@ -64,13 +66,22 @@ module Config : sig
     prune : bool;
         (** plan against the golden trace (prune + collapse +
             fast-forward) instead of simulating every fault.
-            Execution-only: records are bit-identical either way, so
-            it is excluded from {!canonical}.  Default: true unless
+            Execution-only, so it is excluded from {!canonical}: the
+            records are meant to be identical either way (but see
+            [snapshot_interval]).  Default: true unless
             [XENTRY_PRUNE=0]. *)
     snapshot_interval : int;
         (** dynamic steps between mid-run COW snapshots on recorded
             golden runs (default 64; [<= 0] = only the step-0
-            snapshot).  Execution-only, excluded from {!canonical}. *)
+            snapshot).  Excluded from {!canonical}, but not purely
+            execution-only: a [tlb] strike aliases the struck page to
+            another page's record, and whether later writes keep the
+            alias depends on whether that record is still
+            copy-on-write shared at the strike, which depends on
+            where the resumed snapshot was taken.  On postmark PV,
+            seed 1, 1,600 x 64 faults of all six classes, planned and
+            exhaustive records agree at intervals 0, 64 and 128 and
+            differ on one [tlb] record at 1, 7, 16 and 32. *)
     jobs : int option;
         (** worker domains; [None] = [Pool.default_jobs ()].
             Execution-only: records are bit-identical for any value,
@@ -107,20 +118,13 @@ module Config : sig
     t ->
     string
   (** Canonical [key=value;…] encoding of every record-affecting field
-      ([jobs], [prune] and [snapshot_interval] excluded — the planner
-      invariant keeps records bit-identical across all of them).  The
+      ([jobs], [prune] and [snapshot_interval] excluded: the planner
+      invariant keeps records identical across them, up to the [tlb]
+      caveat under [snapshot_interval]).  The
       implementation destructures the whole record, so adding a field
       forces a decision here — config and fingerprint cannot silently
       drift.  [detector_digest] renders the detector (the store digests
       its encoded bytes). *)
-
-  val trace_canonical : t -> string
-  (** Canonical encoding of the fields the campaign's {e golden trace
-      sequence} depends on (seed, injections, benchmark, mode, fuel,
-      hardened) — the trace cache's fingerprint.  Golden runs never see
-      the detector, the detection framework, [faults_per_run] or the
-      planner knobs, so campaigns differing only in those share cached
-      traces. *)
 end
 
 type config = Config.t = {
@@ -154,8 +158,8 @@ type stats = {
   fast_forwarded : int;
       (** simulated runs resumed from a snapshot past step 0 *)
   simulated : int;  (** detected executions actually run *)
-  trace_hits : int;  (** shards served by the trace cache *)
-  trace_misses : int;  (** shards that recorded fresh traces *)
+  trace_hits : int;  (** always 0; kept for source compatibility *)
+  trace_misses : int;  (** always 0; kept for source compatibility *)
 }
 (** Planner effectiveness totals, summed over shards.  The exhaustive
     path reports [planned = simulated] and zeros elsewhere. *)
@@ -171,10 +175,9 @@ val shard_plan : Config.t -> (int * Config.t) list
 
 val run_shard : Config.t -> Outcome.record list * stats
 (** Execute one shard config from {!shard_plan} on the calling domain
-    (planner honoured, no trace cache) and return its records and
-    planner statistics.  [run_shard shard] for every planned shard,
-    concatenated in index order, equals {!execute} of the campaign
-    config. *)
+    (planner honoured) and return its records and planner statistics.
+    [run_shard shard] for every planned shard, concatenated in index
+    order, equals {!execute} of the campaign config. *)
 
 type checkpoint = {
   lookup : int -> Outcome.record list option;
@@ -191,42 +194,23 @@ type checkpoint = {
     rest merges into a record list bit-identical to an uninterrupted
     run, for any [jobs] value. *)
 
-type trace_cache = {
-  trace_lookup : int -> Xentry_machine.Golden_trace.t list option;
-      (** cached golden traces for a shard index (one per injection
-          iteration, in order), if any *)
-  trace_commit : int -> Xentry_machine.Golden_trace.t list -> unit;
-      (** persist the traces a worker just recorded for a shard *)
-}
-(** Golden-trace caching hooks, the planner's analogue of
-    {!checkpoint}: [Xentry_store.Trace_cache] implements the pair over
-    an on-disk directory keyed by {!Config.trace_canonical}.  A shard
-    served by [trace_lookup] samples its faults and builds its plan
-    {e before} the golden run, executes the golden run without
-    recording overhead, and snapshots only at surviving faults' steps
-    (none at all when everything prunes).  Only consulted when
-    [config.prune] is set; a cached list whose length does not match
-    the shard is treated as a miss. *)
-
 val execute :
   ?checkpoint:checkpoint ->
-  ?traces:trace_cache ->
   Config.t ->
   Outcome.record list
 (** Execute the campaign; [faults_per_run] records per injection
     iteration, in fault-sample order.  Shards run on [config.jobs]
     domains ([Pool.default_jobs ()] when [None], i.e. [XENTRY_JOBS] or
     serial) and merge in shard order, so the record list is
-    bit-identical for every [jobs] value — and, by the planner
-    invariant, for [prune] on or off and any [snapshot_interval].
-    With [checkpoint], already-journaled shards are served from
-    [lookup] instead of being re-executed and each newly computed
-    shard is [commit]ted as soon as it completes — a killed run
-    resumes where it left off. *)
+    bit-identical for every [jobs] value and, by the planner
+    invariant, for [prune] on or off, up to the [tlb] caveat under
+    [Config.snapshot_interval].  With [checkpoint], already-journaled
+    shards are served from [lookup] instead of being re-executed and
+    each newly computed shard is [commit]ted as soon as it completes —
+    a killed run resumes where it left off. *)
 
 val execute_with_stats :
   ?checkpoint:checkpoint ->
-  ?traces:trace_cache ->
   Config.t ->
   Outcome.record list * stats
 (** {!execute}, also returning planner statistics (checkpoint-served

@@ -10,8 +10,8 @@
     shape the planner's soundness argument needs.  Both engines
     produce bit-identical traces for the same execution (the recorder
     only consumes the [on_step] callback and the {!Cpu.set_mem_hook}
-    observer both engines already share), so a trace recorded under
-    either engine prunes campaigns run under the other.
+    observer both engines already share), so the planner prunes the
+    same faults under either engine.
 
     {b Length semantics.}  [length t] is the number of [on_step]
     callbacks, i.e. of instructions that reached the execute stage:

@@ -158,13 +158,12 @@ let fresh id =
    lands in the slow path, which raises.
 
    Pools are domain-local ([Domain.DLS], no locks) and small.  A
-   campaign's cold path keeps one faulted host alive at a time and
-   recycles as well with 8 frames and one TLB set as with 128 and 16;
-   the warm trace-cache path, which holds its forked hosts until the
-   golden run ends, reuses more with deeper pools.  But pooled frames
-   are live memory: at 128 and 16 they left the micro-reboot serve
-   benchmark, which trains its detector through campaigns first, about
-   1.3 MiB more resident after training.  See DESIGN.md §9. *)
+   planned campaign keeps one faulted host alive at a time and
+   recycles as well with 8 frames and one TLB set as with 128 and 16.
+   Pooled frames are live memory: at 128 and 16 they left the
+   micro-reboot serve benchmark, which trains its detector through
+   campaigns first, about 1.3 MiB more resident after training.  See
+   DESIGN.md §9. *)
 let frame_pool_cap = 32
 let tlb_pool_cap = 4
 

@@ -238,74 +238,6 @@ let outcome_records =
     read = (fun r -> W.read_list read_record r);
   }
 
-(* --- golden traces ----------------------------------------------------- *)
-
-module GT = Xentry_machine.Golden_trace
-
-let write_trace buf (t : GT.t) =
-  W.array_ W.u32 buf t.GT.index;
-  (* Metadata words carry flag bits above bit 32, so they travel as
-     full integers. *)
-  W.array_ W.int_ buf t.GT.meta;
-  W.int_ buf t.GT.result_steps;
-  W.bool_ buf t.GT.asserted;
-  W.bool_ buf t.GT.fetch_faulted;
-  W.array_ W.int_ buf t.GT.accesses;
-  W.str buf t.GT.access_addrs
-
-let read_trace r : GT.t =
-  let index = W.read_array W.read_u32 r in
-  let meta = W.read_array W.read_int r in
-  if Array.length index <> Array.length meta then
-    W.corrupt "golden trace: index/meta length mismatch";
-  let result_steps = W.read_int r in
-  (* The result's step count is the trace length, or one less when the
-     run stopped on a mid-execution hardware fault (the faulting step
-     never retired). *)
-  let len = Array.length index in
-  if result_steps <> len && result_steps <> len - 1 then
-    W.corrupt
-      (Printf.sprintf "golden trace: result_steps %d vs length %d" result_steps
-         len);
-  let asserted = W.read_bool r in
-  let fetch_faulted = W.read_bool r in
-  let accesses = W.read_array W.read_int r in
-  let access_addrs = W.read_str r in
-  if String.length access_addrs <> 8 * Array.length accesses then
-    W.corrupt "golden trace: access address bytes vs entry count";
-  (* The planner binary-searches the log by step: steps must never
-     decrease, and every access belongs to a recorded step. *)
-  let prev = ref 0 in
-  Array.iter
-    (fun e ->
-      let step = e asr 1 in
-      if step < !prev || step >= len then
-        W.corrupt
-          (Printf.sprintf "golden trace: access step %d after %d (length %d)"
-             step !prev len);
-      prev := step)
-    accesses;
-  {
-    GT.index;
-    meta;
-    result_steps;
-    asserted;
-    fetch_faulted;
-    accesses;
-    access_addrs;
-  }
-
-let golden_traces =
-  {
-    kind = "golden-traces";
-    (* v2: appended the sorted page-touch summaries memory-class
-       pruning consults.  v3: the untimed summaries became the timed
-       access log (step, store bit and address of every access). *)
-    version = 3;
-    write = (fun buf traces -> W.list_ write_trace buf traces);
-    read = (fun r -> W.read_list read_trace r);
-  }
-
 (* --- datasets --------------------------------------------------------- *)
 
 let write_sample buf (s : Dataset.sample) =

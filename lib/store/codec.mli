@@ -46,12 +46,6 @@ val pareto : Xentry_core.Pareto.front t
     optimizer — what [optimize --save] writes and [serve --rungs]
     reloads. *)
 
-val golden_traces : Xentry_machine.Golden_trace.t list t
-(** One shard's golden traces, one per injection iteration in order
-    (the trace cache's shard payload).  The reader validates that the
-    per-step arrays agree in length and that the recorded step count is
-    consistent with the trace length. *)
-
 val corpus : Xentry_faultinject.Training.corpus t
 
 val trained : Xentry_faultinject.Training.trained t
@@ -65,8 +59,6 @@ val trained : Xentry_faultinject.Training.trained t
 
 val write_record : Buffer.t -> Xentry_faultinject.Outcome.record -> unit
 val read_record : Wire.reader -> Xentry_faultinject.Outcome.record
-val write_trace : Buffer.t -> Xentry_machine.Golden_trace.t -> unit
-val read_trace : Wire.reader -> Xentry_machine.Golden_trace.t
 val write_tree : Buffer.t -> Xentry_mlearn.Tree.t -> unit
 val read_tree : Wire.reader -> Xentry_mlearn.Tree.t
 val write_detector : Buffer.t -> Xentry_core.Transition_detector.t -> unit

@@ -1,6 +1,7 @@
-(* Built at module initialisation, not on first use: journal and
-   trace-cache commits reach it from pool worker domains, and a [lazy]
-   forced by two domains at once raises [CamlinternalLazy.Undefined]. *)
+(* Built at module initialisation, not on first use: journal commits
+   reach it from the pool worker domains that computed their shards,
+   and a [lazy] forced by two domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 let table =
   Array.init 256 (fun n ->
       let c = ref (Int32.of_int n) in

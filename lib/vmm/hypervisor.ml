@@ -379,35 +379,27 @@ let dispatch t ?inject ~fuel ?on_step ?(pause_at = [||]) ?on_pause ?resume
         ~code_base:Layout.code_base ?inject ~fuel ?on_step ~pause_at ?on_pause
         ?resume ()
 
-let snapshot_collector t acc (st : Cpu.run_state) =
-  let snap_host = Telemetry.with_span "hv.snapshot.capture" (fun () -> clone t) in
-  acc :=
-    { snap_step = Cpu.run_state_steps st; snap_host; snap_state = st } :: !acc
-
-let execute_plain t ?(fuel = 50_000) ?(snapshot_at = [||]) (req : Request.t) =
-  seed_cpu t req;
-  t.exits <- t.exits + 1;
-  let snaps = ref [] in
-  let result =
-    dispatch t ~fuel ~pause_at:snapshot_at ~on_pause:(snapshot_collector t snaps)
-      req
-  in
-  if !Telemetry.enabled_ref then record_execute t req result;
-  (result, List.rev !snaps)
-
 let execute_recorded t ?(fuel = 50_000) ?(snapshot_at = [||]) (req : Request.t) =
   seed_cpu t req;
   t.exits <- t.exits + 1;
   let program = Handlers.program ~hardened:t.hardened req.Request.reason in
   let recorder = Golden_trace.recorder ~meta:program.Xentry_isa.Program.meta in
   let snaps = ref [] in
+  let on_pause st =
+    let snap_host =
+      Telemetry.with_span "hv.snapshot.capture" (fun () -> clone t)
+    in
+    snaps :=
+      { snap_step = Cpu.run_state_steps st; snap_host; snap_state = st }
+      :: !snaps
+  in
   Cpu.set_mem_hook t.cpu (Some (Golden_trace.mem_hook recorder));
   let result =
     Fun.protect
       ~finally:(fun () -> Cpu.set_mem_hook t.cpu None)
       (fun () ->
         dispatch t ~fuel ~on_step:(Golden_trace.on_step recorder)
-          ~pause_at:snapshot_at ~on_pause:(snapshot_collector t snaps) req)
+          ~pause_at:snapshot_at ~on_pause req)
   in
   if !Telemetry.enabled_ref then record_execute t req result;
   (result, Golden_trace.finish recorder ~result, List.rev !snaps)
@@ -421,31 +413,14 @@ let drain_ras t =
         Xentry_ras.Ras.Bank.drain bank)
   else Xentry_ras.Ras.Bank.drain bank
 
-(* Pause-driven execution without the snapshot middleman: the caller
-   sees each pause's [run_state] and can [clone] the host right there,
-   which is state-identical to [restore] of a snapshot captured at the
-   same pause but saves the intermediate capture clone.  The planner's
-   warm path (plan known before the golden run) forks every survivor
-   host this way. *)
-let execute_paused t ?(fuel = 50_000) ~pause_at ~on_pause (req : Request.t) =
-  seed_cpu t req;
-  t.exits <- t.exits + 1;
-  let result = dispatch t ~fuel ~pause_at ~on_pause req in
-  if !Telemetry.enabled_ref then record_execute t req result;
-  result
-
 let restore snap = clone snap.snap_host
 let release_snapshot snap = release snap.snap_host
 
-let resume_at t ?inject ?(fuel = 50_000) (st : Cpu.run_state) (req : Request.t)
-    =
+let resume t snap ?inject ?(fuel = 50_000) (req : Request.t) =
   t.exits <- t.exits + 1;
-  let result = dispatch t ?inject ~fuel ~resume:st req in
+  let result = dispatch t ?inject ~fuel ~resume:snap.snap_state req in
   if !Telemetry.enabled_ref then record_execute t req result;
   result
-
-let resume t snap ?inject ?fuel (req : Request.t) =
-  resume_at t ?inject ?fuel snap.snap_state req
 
 let guest_output_regions t =
   let dom_regions =

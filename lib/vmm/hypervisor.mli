@@ -149,17 +149,6 @@ type snapshot
 val snapshot_step : snapshot -> int
 (** The dynamic step the snapshot was taken at. *)
 
-val execute_plain :
-  t ->
-  ?fuel:int ->
-  ?snapshot_at:int array ->
-  Request.t ->
-  Xentry_machine.Cpu.run_result * snapshot list
-(** {!execute} plus snapshots at the given (sorted ascending) dynamic
-    steps; steps the run never reaches yield no snapshot.  Without
-    [snapshot_at] this is exactly {!execute} on the fast path — no
-    recording overhead. *)
-
 val execute_recorded :
   t ->
   ?fuel:int ->
@@ -168,24 +157,9 @@ val execute_recorded :
   Xentry_machine.Cpu.run_result
   * Xentry_machine.Golden_trace.t
   * snapshot list
-(** {!execute_plain} plus golden-trace recording (which forces the
-    engines' instrumented loop — use it once per (host state, request)
-    and persist the trace). *)
-
-val execute_paused :
-  t ->
-  ?fuel:int ->
-  pause_at:int array ->
-  on_pause:(Xentry_machine.Cpu.run_state -> unit) ->
-  Request.t ->
-  Xentry_machine.Cpu.run_result
-(** {!execute} with a callback at the given (sorted ascending) dynamic
-    steps, each invoked before the step's instruction with the CPU
-    {!Xentry_machine.Cpu.run_state} at that point.  [clone] of the
-    host inside the callback plus {!resume_at} with the callback's
-    state is state-identical to capturing a snapshot at the pause and
-    {!restore}+{!resume}-ing it, minus the intermediate capture
-    clone. *)
+(** {!execute} plus golden-trace recording (which forces the engines'
+    instrumented loop) and snapshots at the given (sorted ascending)
+    dynamic steps; steps the run never reaches yield no snapshot. *)
 
 val restore : snapshot -> t
 (** An independent host positioned at the snapshot point (COW clone;
@@ -197,17 +171,6 @@ val release_snapshot : snapshot -> unit
     software-TLB arrays go back to the pool ({!release}); hosts already
     restored from it are unaffected.  A later {!restore} raises
     [Invalid_argument]. *)
-
-val resume_at :
-  t ->
-  ?inject:Xentry_machine.Cpu.injection ->
-  ?fuel:int ->
-  Xentry_machine.Cpu.run_state ->
-  Request.t ->
-  Xentry_machine.Cpu.run_result
-(** {!resume} with the mid-run CPU state passed explicitly instead of
-    via a {!snapshot} — the pair for {!execute_paused}'s callback
-    states. *)
 
 val resume :
   t ->

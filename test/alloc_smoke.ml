@@ -135,8 +135,8 @@ let interpreter_leg () =
       end
     end
     else begin
-      let golden, snaps =
-        Hypervisor.execute_plain host ~snapshot_at:[| 0; 40 |] req
+      let golden, _trace, snaps =
+        Hypervisor.execute_recorded host ~snapshot_at:[| 0; 40 |] req
       in
       List.iter
         (fun snap ->

@@ -429,25 +429,11 @@ let planner_config ?fault_classes ~prune ~jobs ~seed ~injections
     ~benchmark:Xentry_workload.Profile.Postmark ~injections ~seed ~fuel:2000
     ~faults_per_run ~prune ~snapshot_interval:32 ()
 
-let with_trace_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xentry-test-traces-%d-%d" (Unix.getpid ())
-         (Random.bits ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-    (fun () -> f dir)
-
 (* The non-negotiable planner invariant: pruned + fast-forwarded
    campaigns produce records structurally identical to exhaustive
-   ones, for any worker count, on every planner path — no cache
-   (periodic snapshots), cold cache (recording) and warm cache
-   (survivors forked off the paused golden run) — with faults drawn
-   from all six classes, so the mem, tlb and pte strikes' page-table
-   and copy-on-write paths are covered too. *)
+   ones, for any worker count, with faults drawn from all six classes,
+   so the mem, tlb and pte strikes' page-table and copy-on-write paths
+   are covered too. *)
 let test_planned_verdicts_identical_any_jobs () =
   List.iter
     (fun jobs ->
@@ -456,36 +442,13 @@ let test_planned_verdicts_identical_any_jobs () =
           ~jobs ~seed:29 ~injections:6 ~faults_per_run:16 ()
       in
       let exhaustive = Campaign.execute (cfg false) in
-      let planned = Campaign.execute (cfg true) in
+      let planned, stats = Campaign.execute_with_stats (cfg true) in
       Alcotest.(check bool)
         (Printf.sprintf "planned identical (jobs=%d)" jobs)
         true (planned = exhaustive);
-      with_trace_dir (fun dir ->
-          let traces () =
-            match Xentry_store.Trace_cache.for_campaign ~dir (cfg true) with
-            | Ok tc -> tc
-            | Error e ->
-                failwith (Xentry_store.Trace_cache.open_error_message e)
-          in
-          let cold, cold_stats =
-            Campaign.execute_with_stats ~traces:(traces ()) (cfg true)
-          in
-          let warm, warm_stats =
-            Campaign.execute_with_stats ~traces:(traces ()) (cfg true)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "cold-cache identical (jobs=%d)" jobs)
-            true (cold = exhaustive);
-          Alcotest.(check bool)
-            (Printf.sprintf "warm-cache identical (jobs=%d)" jobs)
-            true (warm = exhaustive);
-          Alcotest.(check bool)
-            "second run served from the cache" true
-            (warm_stats.Campaign.trace_hits > 0
-            && cold_stats.Campaign.trace_misses > 0);
-          Alcotest.(check bool)
-            "pruning actually happened" true
-            (warm_stats.Campaign.pruned > 0)))
+      Alcotest.(check bool)
+        "pruning actually happened" true
+        (stats.Campaign.pruned > 0))
     [ 1; 4 ]
 
 (* Satellite regression: a fault whose sampled step lies at or beyond
@@ -978,8 +941,8 @@ let prop_page_grouped_diffs_match_region_walk =
       let req = next_request () in
       Hypervisor.prepare host req;
       let base = Hypervisor.clone host in
-      let golden_result, snaps =
-        Hypervisor.execute_plain host ~fuel:2000
+      let golden_result, _trace, snaps =
+        Hypervisor.execute_recorded host ~fuel:2000
           ~snapshot_at:[| 0; 8; 16; 32; 64; 128 |] req
       in
       let agree faulted =

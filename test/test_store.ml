@@ -253,11 +253,9 @@ let test_artifact_version_skew () =
 
 let test_codec_version_bumps () =
   (* The fault-model widening (fault classes, non-register targets)
-     re-shaped the record image, and the timed access log the trace
-     image; the version bumps turn old artifacts into typed skew errors
-     instead of silently misparsed data. *)
+     re-shaped the record image; the version bump turns old artifacts
+     into typed skew errors instead of silently misparsed data. *)
   Alcotest.(check int) "records codec at v2" 2 Codec.outcome_records.Codec.version;
-  Alcotest.(check int) "traces codec at v3" 3 Codec.golden_traces.Codec.version;
   let skew name codec v =
     let vprev = { codec with Codec.version = codec.Codec.version - 1 } in
     let data = Artifact.encode vprev v in
@@ -269,8 +267,7 @@ let test_codec_version_bumps () =
         Alcotest.failf "%s: wrong error %s" name (Artifact.error_message e)
     | Ok _ -> Alcotest.failf "%s: version skew accepted" name
   in
-  skew "records" Codec.outcome_records (Lazy.force campaign_records);
-  skew "traces" Codec.golden_traces []
+  skew "records" Codec.outcome_records (Lazy.force campaign_records)
 
 let test_artifact_truncation_sweep () =
   let data = Artifact.encode Codec.tree (Tree.train grid_dataset) in
@@ -582,75 +579,6 @@ let test_lifecycle_codec_flip_sweeps () =
     (versioned_fixture ());
   flip_sweep "pareto" Codec.pareto (front_fixture ())
 
-(* --- golden traces ----------------------------------------------------------- *)
-
-(* Traces recorded from a postmark host, so the access logs are real. *)
-let postmark_traces =
-  lazy
-    (let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
-     let rng = Xentry_util.Rng.create 9 in
-     let host = Xentry_vmm.Hypervisor.create ~seed:9 () in
-     List.init 4 (fun _ ->
-         let req =
-           Xentry_workload.Profile.sample_request profile
-             Xentry_workload.Profile.PV rng
-         in
-         Xentry_vmm.Hypervisor.prepare host req;
-         let _, trace, _ =
-           Xentry_vmm.Hypervisor.execute_recorded host ~fuel:2000 req
-         in
-         Xentry_vmm.Hypervisor.retire host req;
-         trace))
-
-let test_codec_golden_traces () =
-  let traces = Lazy.force postmark_traces in
-  Alcotest.(check bool) "every trace logged accesses" true
-    (List.for_all
-       (fun t -> Array.length t.Xentry_machine.Golden_trace.accesses > 0)
-       traces);
-  check_roundtrip "golden traces" Codec.golden_traces traces;
-  flip_sweep "golden traces" Codec.golden_traces traces
-
-(* The reader's own checks, behind a valid frame: the planner
-   binary-searches the log by step, so a log whose steps decrease or
-   reach the trace length, or whose address bytes do not match its
-   entry count, is malformed. *)
-let test_golden_trace_log_validation () =
-  let module GT = Xentry_machine.Golden_trace in
-  let t = List.hd (Lazy.force postmark_traces) in
-  let n = Array.length t.GT.accesses in
-  let with_log f =
-    let accesses = Array.copy t.GT.accesses in
-    f accesses;
-    { t with GT.accesses }
-  in
-  let malformed name bad =
-    check_error name "malformed"
-      (Artifact.decode Codec.golden_traces
-         (Artifact.encode Codec.golden_traces [ bad ]))
-  in
-  malformed "steps decrease"
-    (with_log (fun a ->
-         (* Swap the first two neighbours whose steps differ. *)
-         let i = ref 0 in
-         while a.(!i) lsr 1 = a.(!i + 1) lsr 1 do
-           incr i
-         done;
-         let e = a.(!i) in
-         a.(!i) <- a.(!i + 1);
-         a.(!i + 1) <- e));
-  malformed "step reaches the length"
-    (with_log (fun a -> a.(n - 1) <- GT.length t lsl 1));
-  malformed "negative step" (with_log (fun a -> a.(0) <- -2));
-  malformed "address bytes short"
-    {
-      t with
-      GT.access_addrs =
-        String.sub t.GT.access_addrs 0 (String.length t.GT.access_addrs - 8);
-    };
-  malformed "address bytes long"
-    { t with GT.access_addrs = t.GT.access_addrs ^ "\000" }
-
 (* --------------------------------------------------------------------------- *)
 
 let () =
@@ -679,9 +607,6 @@ let () =
           Alcotest.test_case "detector variants" `Quick
             test_codec_detector_variants;
           Alcotest.test_case "corpus and trained" `Quick test_codec_trained;
-          Alcotest.test_case "golden traces" `Quick test_codec_golden_traces;
-          Alcotest.test_case "golden trace log validation" `Quick
-            test_golden_trace_log_validation;
         ] );
       ( "artifact",
         [
