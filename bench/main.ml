@@ -6,8 +6,8 @@
 
    Usage:  dune exec bench/main.exe [-- OPTION... EXPERIMENT...]
    where EXPERIMENT is one of: all fig3 table1 accuracy fig6 fig7 fig8
-   fig9 fig10 table2 fig11 ablation modes exposure hardening speedup
-   resume campaign serve recover cluster classes micro (default: all).
+   fig9 fig10 table2 fig11 ablation modes exposure hardening campaign
+   cluster serve recover micro classes (default: all).
    Every name is checked before anything runs: an unknown one prints
    the usage to stderr and exits 2.
 
@@ -20,9 +20,9 @@
                       ref (match-based reference) or fast (threaded
                       code); default from XENTRY_ENGINE, else fast.
                       Results are bit-identical for both.
-     --json FILE      write per-experiment wall-clock timings and
-                      campaign sizes as JSON (perf trajectory for
-                      BENCH_*.json tracking).
+     --json FILE      write per-phase and per-experiment wall-clock
+                      timings, campaign sizes and each experiment's
+                      measurements as one single-line JSON object.
      --telemetry FILE enable the Telemetry subsystem for the run and
                       write its counters/histograms/events as JSON
                       Lines to FILE at exit; the --json export gains
@@ -73,14 +73,11 @@ let jobs = ref (Pool.default_jobs ())
 let json_path : string option ref = ref None
 let telemetry_path : string option ref = ref (Sys.getenv_opt "XENTRY_TELEMETRY")
 
-(* --json accumulators: per-phase and per-experiment wall clock plus
-   the campaign sizes behind them. *)
+(* --json's "phases": wall clock and campaign size per phase, newest
+   first.  The shared artifacts below record theirs whichever
+   experiment forces them first. *)
 let phase_timings : (string * float * int) list ref = ref []
-let experiment_timings : (string * float) list ref = ref []
-let speedup_result : (int * int * float * float * bool) option ref = ref None
 
-(* micro's engine comparison: (ref steps/s, fast steps/s, ref==fast). *)
-let micro_engine_result : (float * float * bool) option ref = ref None
 let record_phase name seconds injections =
   phase_timings := (name, seconds, injections) :: !phase_timings
 
@@ -801,128 +798,8 @@ let hardening () =
      be captured..., but not all').\n"
 
 (* ------------------------------------------------------------------ *)
-(* Speedup: the parallel campaign engine against its serial fallback   *)
-(* ------------------------------------------------------------------ *)
-
-let speedup () =
-  print (R.section "Parallel campaign engine: speedup and determinism");
-  let injections = scaled 2_000 in
-  let par_jobs = max 2 !jobs in
-  let config =
-    Campaign.Config.make ~benchmark:Profile.Postmark ~injections ~seed:2014 ()
-  in
-  let timed j =
-    let t0 = Unix.gettimeofday () in
-    let records = Campaign.execute { config with Campaign.jobs = Some j } in
-    (Unix.gettimeofday () -. t0, records)
-  in
-  let serial_s, serial_records = timed 1 in
-  let parallel_s, parallel_records = timed par_jobs in
-  let identical = serial_records = parallel_records in
-  let ratio = serial_s /. Float.max 1e-9 parallel_s in
-  printf "%d injections (%d shards of %d), postmark PV\n" injections
-    ((injections + Campaign.shard_size - 1) / Campaign.shard_size)
-    Campaign.shard_size;
-  printf "jobs=1   %.3fs\n" serial_s;
-  printf "jobs=%-3d %.3fs   speedup %.2fx\n" par_jobs parallel_s ratio;
-  printf "records bit-identical across jobs: %b\n" identical;
-  if par_jobs = 2 && !jobs < 2 then
-    printf "(pass -j N or set XENTRY_JOBS to sweep a wider worker count)\n";
-  record_phase "speedup-serial" serial_s injections;
-  record_phase "speedup-parallel" parallel_s injections;
-  speedup_result := Some (injections, par_jobs, serial_s, parallel_s, identical)
-
-(* ------------------------------------------------------------------ *)
-(* Resume: shard-journal checkpoint overhead and restart speedup       *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun q -> rm_rf (Filename.concat p q)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
-let resume () =
-  print (R.section "Shard journal: checkpoint overhead and resume speedup");
-  let injections = scaled 2_000 in
-  let config =
-    Campaign.Config.make ~jobs:!jobs ~benchmark:Profile.Postmark ~injections
-      ~seed:2718 ()
-  in
-  let nshards = (injections + Campaign.shard_size - 1) / Campaign.shard_size in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xentry-bench-resume-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let checkpoint () =
-    match Xentry_store.Journal.for_campaign ~dir config with
-    | Ok cp -> cp
-    | Error e -> failwith (Xentry_store.Journal.open_error_message e)
-  in
-  let timed ?checkpoint () =
-    let t0 = Unix.gettimeofday () in
-    let records = Campaign.execute ?checkpoint config in
-    (Unix.gettimeofday () -. t0, records)
-  in
-  (* Four runs of the same campaign: no journal; journaling every
-     shard as it completes (cold); replaying a complete journal
-     (warm); and resuming after "losing" the second half of the
-     journal, the mid-campaign-crash shape. *)
-  let plain_s, plain_records = timed () in
-  let cold_s, cold_records = timed ~checkpoint:(checkpoint ()) () in
-  let warm_s, warm_records = timed ~checkpoint:(checkpoint ()) () in
-  for i = nshards / 2 to nshards - 1 do
-    let f = Xentry_store.Journal.shard_file ~dir i in
-    if Sys.file_exists f then Sys.remove f
-  done;
-  let half_s, half_records = timed ~checkpoint:(checkpoint ()) () in
-  let identical =
-    cold_records = plain_records
-    && warm_records = plain_records
-    && half_records = plain_records
-  in
-  printf "%d injections (%d shards of %d), postmark PV, jobs=%d\n" injections
-    nshards Campaign.shard_size !jobs;
-  printf "no journal            %.3fs\n" plain_s;
-  printf "cold (write journal)  %.3fs   overhead %+.1f%%\n" cold_s
-    (100.0 *. ((cold_s /. Float.max 1e-9 plain_s) -. 1.0));
-  printf "warm (replay journal) %.3fs   speedup %.1fx\n" warm_s
-    (plain_s /. Float.max 1e-9 warm_s);
-  printf "resume (half lost)    %.3fs   speedup %.1fx\n" half_s
-    (plain_s /. Float.max 1e-9 half_s);
-  printf "records bit-identical across all four runs: %b\n" identical;
-  if not identical then begin
-    Printf.eprintf "FATAL: journaled campaign records diverged\n%!";
-    exit 1
-  end;
-  record_phase "resume-plain" plain_s injections;
-  record_phase "resume-cold" cold_s injections;
-  record_phase "resume-warm" warm_s injections;
-  record_phase "resume-half" half_s injections;
-  rm_rf dir
-
-(* ------------------------------------------------------------------ *)
 (* Campaign planner: def-use pruning + snapshot fast-forwarding        *)
 (* ------------------------------------------------------------------ *)
-
-type campaign_bench = {
-  cb_total : int;  (** records per run (injections * faults_per_run) *)
-  cb_legacy_s : float;
-      (** planner off, pre-planner campaign shape: one golden run per
-          injection *)
-  cb_exhaustive_s : float;
-  cb_planned_s : float;
-  cb_pruned_fraction : float;
-  cb_collapsed_fraction : float;
-  cb_fast_forward_fraction : float;
-  cb_identical : bool;
-}
-
-let campaign_bench_result : campaign_bench option ref = ref None
 
 let campaign () =
   print
@@ -971,6 +848,8 @@ let campaign () =
   let collapsed_fraction = float_of_int stats.Campaign.collapsed /. planned in
   let ff_fraction = float_of_int stats.Campaign.fast_forwarded /. planned in
   let eff s = float_of_int total /. Float.max 1e-9 s in
+  let speedup = legacy_s /. Float.max 1e-9 planned_s in
+  let speedup_vs_exhaustive = exhaustive_s /. Float.max 1e-9 planned_s in
   printf
     "%d golden runs x %d faults = %d injections, postmark PV, fuel=%d, \
      jobs=%d\n"
@@ -984,8 +863,7 @@ let campaign () =
   printf
     "pruning + fast-forwarding on vs. off: %.1fx effective injections/s \
      (%.1fx vs. shared-golden exhaustive)\n"
-    (legacy_s /. Float.max 1e-9 planned_s)
-    (exhaustive_s /. Float.max 1e-9 planned_s);
+    speedup speedup_vs_exhaustive;
   printf
     "pruned %.1f%%  class-collapsed %.1f%%  fast-forwarded %.1f%%  simulated \
      %d of %d\n"
@@ -1000,18 +878,20 @@ let campaign () =
   record_phase "campaign-legacy" legacy_s total;
   record_phase "campaign-exhaustive" exhaustive_s total;
   record_phase "campaign-planned" planned_s total;
-  campaign_bench_result :=
-    Some
-      {
-        cb_total = total;
-        cb_legacy_s = legacy_s;
-        cb_exhaustive_s = exhaustive_s;
-        cb_planned_s = planned_s;
-        cb_pruned_fraction = pruned_fraction;
-        cb_collapsed_fraction = collapsed_fraction;
-        cb_fast_forward_fraction = ff_fraction;
-        cb_identical = identical;
-      }
+  Json.(
+    Obj
+      [ ("injections", Int total); ("legacy_seconds", Float legacy_s);
+        ("exhaustive_seconds", Float exhaustive_s);
+        ("planned_seconds", Float planned_s);
+        ("pruned_fraction", Float pruned_fraction);
+        ("collapsed_fraction", Float collapsed_fraction);
+        ("fast_forward_fraction", Float ff_fraction);
+        ("effective_injections_per_sec", Float (eff planned_s));
+        ("effective_injections_per_sec_exhaustive", Float (eff exhaustive_s));
+        ("effective_injections_per_sec_legacy", Float (eff legacy_s));
+        ("speedup", Float speedup);
+        ("speedup_vs_exhaustive", Float speedup_vs_exhaustive);
+        ("identical", Bool identical) ])
 
 (* ------------------------------------------------------------------ *)
 (* Serve: sustained throughput and shed rate of the request engine     *)
@@ -1019,8 +899,27 @@ let campaign () =
 
 module Serve = Xentry_serve.Server
 
-(* --json: (scenario, offered rate, summary) per serve scenario. *)
-let serve_results : (string * float * Serve.summary) list ref = ref []
+let serve_scenario_json (name, rate, s) =
+  Json.(
+    Obj
+      [ ("scenario", String name); ("offered_rps", Float rate);
+        ("throughput_rps", Float s.Serve.throughput_rps);
+        ("completed", Int s.Serve.completed);
+        ("detected", Int s.Serve.detected);
+        ("shed_fraction", Float (Serve.shed_fraction s));
+        ("shed_queue_full", Int s.Serve.shed_queue_full);
+        ("shed_deadline", Int s.Serve.shed_deadline);
+        ("shed_draining", Int s.Serve.shed_draining);
+        ("p50_us", Float (Serve.latency_quantile s 0.50));
+        ("p99_us", Float (Serve.latency_quantile s 0.99));
+        ("deepest_level", String s.Serve.rung_names.(s.Serve.deepest_rung));
+        ("final_level", String s.Serve.rung_names.(s.Serve.final_rung));
+        ("peak_occupancy", Float s.Serve.peak_occupancy);
+        ("injected", Int s.Serve.injected);
+        ("recoveries", Int s.Serve.recoveries);
+        ("recovery_p50_us", Float (Serve.recovery_quantile s 0.50));
+        ("recovery_p99_us", Float (Serve.recovery_quantile s 0.99));
+        ("availability", Float s.Serve.availability) ])
 
 let serve () =
   print
@@ -1040,28 +939,31 @@ let serve () =
     per_worker serve_jobs capacity duration_s;
   let scenario name factor =
     let rate = factor *. capacity in
-    let cfg = { base with Serve.rate } in
-    let s = Serve.run cfg in
-    serve_results := (name, rate, s) :: !serve_results;
+    let s = Serve.run { base with Serve.rate } in
     record_phase ("serve-" ^ name) s.Serve.wall_s s.Serve.completed;
-    [
-      name;
-      Printf.sprintf "%.0f" rate;
-      Printf.sprintf "%.0f" s.Serve.throughput_rps;
-      Printf.sprintf "%.0f us" (Serve.latency_quantile s 0.50);
-      Printf.sprintf "%.0f us" (Serve.latency_quantile s 0.99);
-      R.percent (100.0 *. Serve.shed_fraction s);
-      s.Serve.rung_names.(s.Serve.deepest_rung);
-      s.Serve.rung_names.(s.Serve.final_rung);
-    ]
+    (name, rate, s)
   in
-  let rows = [ scenario "steady" 0.25; scenario "overload" 2.0 ] in
+  let steady_leg = scenario "steady" 0.25 in
+  let overload_leg = scenario "overload" 2.0 in
   print
     (R.table
        ~header:
          [ "scenario"; "offered/s"; "completed/s"; "p50"; "p99"; "shed";
            "deepest level"; "final level" ]
-       ~rows);
+       ~rows:
+         (List.map
+            (fun (name, rate, s) ->
+              [
+                name;
+                Printf.sprintf "%.0f" rate;
+                Printf.sprintf "%.0f" s.Serve.throughput_rps;
+                Printf.sprintf "%.0f us" (Serve.latency_quantile s 0.50);
+                Printf.sprintf "%.0f us" (Serve.latency_quantile s 0.99);
+                R.percent (100.0 *. Serve.shed_fraction s);
+                s.Serve.rung_names.(s.Serve.deepest_rung);
+                s.Serve.rung_names.(s.Serve.final_rung);
+              ])
+            [ steady_leg; overload_leg ]));
   printf
     "\nCalibration is a single tight-loop domain, so it upper-bounds the\n\
      live service (which timeshares producer + workers over the machine's\n\
@@ -1090,7 +992,6 @@ let serve () =
     }
   in
   let s = Serve.run scfg in
-  serve_results := ("storm-microboot", storm_rate, s) :: !serve_results;
   record_phase "serve-storm-microboot" s.Serve.wall_s s.Serve.completed;
   printf
     "\nfault storm (2%% of requests, 20-70%% of the run, micro-reboot \
@@ -1182,8 +1083,6 @@ let serve () =
   in
   let fixed = median fixed_runs in
   let pareto = median pareto_runs in
-  serve_results := ("overload-fixed-ladder", 2.0 *. capacity, fixed) :: !serve_results;
-  serve_results := ("overload-pareto-ladder", 2.0 *. capacity, pareto) :: !serve_results;
   printf
     "overload, fixed ladder:  completed %d (deepest %s)\n\
      overload, pareto ladder: completed %d (deepest %s)\n"
@@ -1201,7 +1100,12 @@ let serve () =
        %!"
       pareto.Serve.completed fixed.Serve.completed;
     exit 1
-  end
+  end;
+  Json.List
+    (List.map serve_scenario_json
+       [ steady_leg; overload_leg; ("storm-microboot", storm_rate, s);
+         ("overload-fixed-ladder", 2.0 *. capacity, fixed);
+         ("overload-pareto-ladder", 2.0 *. capacity, pareto) ])
 
 (* ------------------------------------------------------------------ *)
 (* Recover: the paper's SVI checkpoint restore and ReHype-style        *)
@@ -1209,9 +1113,6 @@ let serve () =
 (* ------------------------------------------------------------------ *)
 
 module RecCampaign = Xentry_recover.Campaign
-
-let recover_bench_results : (Profile.benchmark * RecCampaign.result) list ref =
-  ref []
 
 let recover () =
   print
@@ -1312,7 +1213,8 @@ let recover () =
         exit 1
       end)
     results;
-  recover_bench_results := results
+  Json.List
+    (List.map (fun (benchmark, r) -> RecCampaign.to_json ~benchmark r) results)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: multi-process scale-out of campaigns and serve              *)
@@ -1322,38 +1224,38 @@ module CP = Xentry_cluster.Protocol
 module Coordinator = Xentry_cluster.Coordinator
 module Front = Xentry_cluster.Front
 
-type cluster_leg = {
-  clw : int;  (** worker processes *)
-  clj : int;  (** domains per worker *)
-  cls : float;  (** wall seconds *)
-  cli : bool;  (** records identical to single-process baseline *)
-}
-
-type cluster_bench = {
-  ck_injections : int;
-  ck_shards : int;
-  ck_domains : int;  (** total domain budget, equal across legs *)
-  ck_legs : cluster_leg list;  (** first leg is the 1-process baseline *)
-  ck_kill : (float * bool * bool) option;
-      (** kill-leg seconds, identical, resume identical *)
-  ck_serve : (int * Front.summary) option;  (** workers, front summary *)
-}
-
-let cluster_bench_result : cluster_bench option ref = ref None
-
-(* The bench binary doubles as its own cluster worker: the cluster
-   experiment re-executes [Sys.executable_name] with this argv (never
-   fork — worker pools are domains). *)
-let cluster_worker_argv sock jobs =
-  [| Sys.executable_name; "--cluster-worker"; sock; string_of_int jobs |]
-
-let spawn_cluster_worker sock jobs =
-  Unix.create_process Sys.executable_name
-    (cluster_worker_argv sock jobs)
-    Unix.stdin Unix.stdout Unix.stderr
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun q -> rm_rf (Filename.concat p q)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
 
 let reap_pid pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 let kill_pid pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* Run [f pids] with [n] worker processes of [jobs] domains each
+   connecting to [sock].  The bench binary doubles as its own cluster
+   worker: it re-executes [Sys.executable_name] with "--cluster-worker"
+   (never fork — worker pools are domains).  Once [f] returns or raises
+   the workers are stateless; they are killed before they are reaped so
+   a straggler that never reached the coordinator can't hold the reap
+   for its connect retries. *)
+let with_cluster_workers sock ~n ~jobs f =
+  let argv =
+    [| Sys.executable_name; "--cluster-worker"; sock; string_of_int jobs |]
+  in
+  let pids =
+    List.init n (fun _ ->
+        Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
+          Unix.stderr)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter kill_pid pids;
+      List.iter reap_pid pids)
+    (fun () -> f pids)
 
 let cluster () =
   print (R.section "Cluster: multi-process scale-out (socket coordinator)");
@@ -1373,30 +1275,17 @@ let cluster () =
     Sys.mkdir dir 0o755;
     Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
   in
-  let run_cluster ?checkpoint ?on_progress ~workers ~jobs_per dir =
+  (* Coordinate [config] over [n] workers; [on_progress] gets the
+     worker pids.  Returns the wall seconds and the merged records. *)
+  let run_cluster ?checkpoint ?(on_progress = fun _ _ -> ()) ~n ~jobs dir =
     let sock = Filename.concat dir "coord.sock" in
-    let pids = List.init workers (fun _ -> spawn_cluster_worker sock jobs_per) in
-    (* Once the records are merged (or the run failed) workers are
-       stateless; kill before reaping so a straggler that never reached
-       the coordinator can't hold the reap for its connect retries. *)
-    let finish () =
-      List.iter kill_pid pids;
-      List.iter reap_pid pids
-    in
-    match
-      let t0 = Unix.gettimeofday () in
-      let records =
-        Coordinator.run ?checkpoint ?on_progress ~idle_timeout_s:30.
-          ~listen:(CP.Unix_sock sock) config
-      in
-      (Unix.gettimeofday () -. t0, records, pids)
-    with
-    | r ->
-        finish ();
-        r
-    | exception e ->
-        finish ();
-        raise e
+    with_cluster_workers sock ~n ~jobs (fun pids ->
+        let t0 = Unix.gettimeofday () in
+        let records =
+          Coordinator.run ?checkpoint ~on_progress:(on_progress pids)
+            ~idle_timeout_s:30. ~listen:(CP.Unix_sock sock) config
+        in
+        (Unix.gettimeofday () -. t0, records))
   in
   let eff s = float_of_int injections /. Float.max 1e-9 s in
   (* Baseline: one process holding the whole domain budget. *)
@@ -1404,18 +1293,21 @@ let cluster () =
   let baseline = Campaign.execute { config with Campaign.jobs = Some domains } in
   let base_s = Unix.gettimeofday () -. t0 in
   record_phase "cluster-1-process" base_s injections;
-  let legs = ref [ { clw = 1; clj = domains; cls = base_s; cli = true } ] in
-  List.iter
-    (fun workers ->
-      let jobs_per = max 1 (domains / workers) in
-      scratch (Printf.sprintf "w%d" workers) (fun dir ->
-          let s, records, _ = run_cluster ~workers ~jobs_per dir in
-          record_phase (Printf.sprintf "cluster-%d-process" workers) s injections;
-          legs :=
-            { clw = workers; clj = jobs_per; cls = s; cli = records = baseline }
-            :: !legs))
-    [ 2; 4 ];
-  let legs = List.rev !legs in
+  (* (worker processes, domains per worker, seconds, records identical
+     to the single-process baseline); the first leg is that baseline. *)
+  let legs =
+    (1, domains, base_s, true)
+    :: List.map
+         (fun workers ->
+           let jobs_per = max 1 (domains / workers) in
+           scratch (Printf.sprintf "w%d" workers) (fun dir ->
+               let s, records = run_cluster ~n:workers ~jobs:jobs_per dir in
+               record_phase
+                 (Printf.sprintf "cluster-%d-process" workers)
+                 s injections;
+               (workers, jobs_per, s, records = baseline)))
+         [ 2; 4 ]
+  in
   printf "%d injections, %d shards, postmark PV, %d total domains per leg\n"
     injections nshards domains;
   print
@@ -1423,23 +1315,24 @@ let cluster () =
        ~header:[ "topology"; "seconds"; "eff inj/s"; "identical" ]
        ~rows:
          (List.map
-            (fun l ->
+            (fun (w, j, s, ok) ->
               [
-                Printf.sprintf "%d proc x %d domains" l.clw l.clj;
-                Printf.sprintf "%.3f" l.cls;
-                Printf.sprintf "%.0f" (eff l.cls);
-                string_of_bool l.cli;
+                Printf.sprintf "%d proc x %d domains" w j;
+                Printf.sprintf "%.3f" s;
+                Printf.sprintf "%.0f" (eff s);
+                string_of_bool ok;
               ])
             legs));
-  let leg4 = List.find (fun l -> l.clw = 4) legs in
+  let _, _, leg4_s, _ = List.find (fun (w, _, _, _) -> w = 4) legs in
+  let speedup4 = base_s /. Float.max 1e-9 leg4_s in
   printf
     "4 processes vs 1: %.2fx effective injections/s at equal total domains\n\
      (process scaling needs cores: this host reports %d; a single OCaml\n\
      runtime also serialises in the shared major GC, which separate\n\
      processes do not)\n"
-    (base_s /. Float.max 1e-9 leg4.cls)
-    (Pool.recommended_jobs ());
-  if not (List.for_all (fun l -> l.cli) legs) then begin
+    speedup4 (Pool.recommended_jobs ());
+  let identical = List.for_all (fun (_, _, _, ok) -> ok) legs in
+  if not identical then begin
     Printf.eprintf
       "FATAL: distributed campaign records diverged from single-process run\n%!";
     exit 1
@@ -1447,11 +1340,11 @@ let cluster () =
   (* Kill leg: SIGKILL one worker after the first shard lands; the
      journal plus lease reissue must still converge to the identical
      record list, and a warm resume must replay every shard. *)
-  let kill_result =
+  let kill_json =
     if nshards < 3 then begin
       printf "kill leg skipped: %d shard(s) at this scale (needs >= 3)\n"
         nshards;
-      None
+      []
     end
     else
       scratch "kill" (fun dir ->
@@ -1463,33 +1356,17 @@ let cluster () =
                 failwith (Xentry_store.Journal.open_error_message e)
           in
           let killed = ref false in
-          let victim = ref None in
-          let on_progress (p : Coordinator.progress) =
+          let on_progress pids (p : Coordinator.progress) =
             if (not !killed) && p.Coordinator.completed < p.Coordinator.total
             then begin
               killed := true;
-              Option.iter kill_pid !victim
+              kill_pid (List.hd pids)
             end
           in
-          let sock = Filename.concat dir "coord.sock" in
-          let pids = List.init 2 (fun _ -> spawn_cluster_worker sock 2) in
-          victim := Some (List.hd pids);
-          let t0 = Unix.gettimeofday () in
-          let records =
-            match
-              Coordinator.run ~checkpoint:(checkpoint ()) ~on_progress
-                ~idle_timeout_s:30. ~listen:(CP.Unix_sock sock) config
-            with
-            | r ->
-                List.iter kill_pid pids;
-                List.iter reap_pid pids;
-                r
-            | exception e ->
-                List.iter kill_pid pids;
-                List.iter reap_pid pids;
-                raise e
+          let kill_s, records =
+            run_cluster ~checkpoint:(checkpoint ()) ~on_progress ~n:2 ~jobs:2
+              dir
           in
-          let kill_s = Unix.gettimeofday () -. t0 in
           let resumed =
             Campaign.execute ~checkpoint:(checkpoint ())
               { config with Campaign.jobs = Some 1 }
@@ -1506,12 +1383,16 @@ let cluster () =
               "FATAL: records diverged after mid-campaign worker kill/resume\n%!";
             exit 1
           end;
-          Some (kill_s, identical, resume_identical))
+          [ ( "kill",
+              Json.(
+                Obj
+                  [ ("seconds", Float kill_s); ("identical", Bool identical);
+                    ("resume_identical", Bool resume_identical) ]) ) ])
   in
   (* Serve leg: front tier over 2 worker processes, one killed at 40%
      of the run — the ring rebalances and the survivor absorbs the
      remapped streams. *)
-  let serve_result =
+  let serve_json =
     scratch "serve" (fun dir ->
         let workers = 2 in
         let jobs_per = max 1 (domains / workers) in
@@ -1524,24 +1405,16 @@ let cluster () =
         let rate = 0.5 *. per_worker *. float_of_int (jobs_per * workers) in
         let cfg = { base with Serve.rate } in
         let sock = Filename.concat dir "front.sock" in
-        let pids = List.init workers (fun _ -> spawn_cluster_worker sock jobs_per) in
-        let killed = ref false in
-        let on_tick ~elapsed =
-          if (not !killed) && elapsed >= 0.4 *. duration_s then begin
-            killed := true;
-            kill_pid (List.hd pids)
-          end
-        in
         let summary =
-          match Front.run ~on_tick ~listen:(CP.Unix_sock sock) ~workers cfg with
-          | s ->
-              List.iter kill_pid pids;
-              List.iter reap_pid pids;
-              s
-          | exception e ->
-              List.iter kill_pid pids;
-              List.iter reap_pid pids;
-              raise e
+          with_cluster_workers sock ~n:workers ~jobs:jobs_per (fun pids ->
+              let killed = ref false in
+              let on_tick ~elapsed =
+                if (not !killed) && elapsed >= 0.4 *. duration_s then begin
+                  killed := true;
+                  kill_pid (List.hd pids)
+                end
+              in
+              Front.run ~on_tick ~listen:(CP.Unix_sock sock) ~workers cfg)
         in
         record_phase "cluster-serve-kill" summary.Front.wall_s
           summary.Front.completed;
@@ -1558,18 +1431,34 @@ let cluster () =
           Printf.eprintf "FATAL: serve kill leg never lost its worker\n%!";
           exit 1
         end;
-        Some (workers, summary))
+        Json.(
+          Obj
+            [ ("workers", Int workers);
+              ("throughput_rps", Float summary.Front.throughput_rps);
+              ("completed", Int summary.Front.completed);
+              ("p50_us", Float (Front.latency_quantile summary 0.50));
+              ("p99_us", Float (Front.latency_quantile summary 0.99));
+              ("workers_lost", Int summary.Front.workers_lost);
+              ("streams_remapped", Int summary.Front.streams_remapped);
+              ("shed_worker_lost", Int summary.Front.shed_worker_lost) ]))
   in
-  cluster_bench_result :=
-    Some
-      {
-        ck_injections = injections;
-        ck_shards = nshards;
-        ck_domains = domains;
-        ck_legs = legs;
-        ck_kill = kill_result;
-        ck_serve = serve_result;
-      }
+  Json.(
+    Obj
+      ([ ("injections", Int injections); ("shards", Int nshards);
+         ("total_domains", Int domains);
+         ( "legs",
+           List
+             (List.map
+                (fun (w, j, s, ok) ->
+                  Obj
+                    [ ("workers", Int w); ("jobs_per_worker", Int j);
+                      ("seconds", Float s);
+                      ("effective_injections_per_sec", Float (eff s));
+                      ("identical", Bool ok) ])
+                legs) );
+         ("speedup_workers4_vs_1", Float speedup4) ]
+      @ kill_json
+      @ [ ("serve", serve_json); ("identical", Bool identical) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one kernel per table/figure               *)
@@ -1728,20 +1617,21 @@ let micro () =
   printf "  fast  %11.0f steps/s   speedup %.2fx\n" fast_sps
     (fast_sps /. Float.max 1e-9 ref_sps);
   printf "  ref/fast results identical over %d requests: %b\n" n_reqs identical;
-  micro_engine_result := Some (ref_sps, fast_sps, identical);
   if not identical then begin
     Printf.eprintf
       "FATAL: ref and fast engines diverged on the handler stream\n%!";
     exit 1
-  end
+  end;
+  Json.(
+    Obj
+      [ ("ref_steps_per_sec", Float ref_sps);
+        ("fast_steps_per_sec", Float fast_sps);
+        ("engine_speedup", Float (fast_sps /. Float.max 1e-9 ref_sps));
+        ("identical", Bool identical) ])
 
 (* ------------------------------------------------------------------ *)
 (* Fault classes: coverage under the widened fault model                *)
 (* ------------------------------------------------------------------ *)
-
-let fault_class_rows :
-    (string * Xentry_faultinject.Report.summary) list ref =
-  ref []
 
 let classes () =
   print (R.section "Fault classes: per-class coverage (widened model)");
@@ -1786,230 +1676,113 @@ let classes () =
     "RAS error records caught %d manifested faults the synchronous\n\
      channels (exceptions, assertions, VM-transition tree) missed.\n"
     ras_only;
-  fault_class_rows := List.map (fun (c, s) -> (Fault.cls_name c, s)) per_class
+  Json.List
+    (List.map
+       (fun (c, s) ->
+         let t = s.Report.techniques in
+         Json.(
+           Obj
+             [ ("class", String (Fault.cls_name c));
+               ("injections", Int s.Report.total_injections);
+               ("activated", Int s.Report.activated);
+               ("manifested", Int s.Report.manifested);
+               ("coverage", Float s.Report.coverage);
+               ("hw_exception", Int t.Report.hw_exception);
+               ("sw_assertion", Int t.Report.sw_assertion);
+               ("vm_transition", Int t.Report.vm_transition);
+               ("ras_report", Int t.Report.ras_report);
+               ("undetected", Int t.Report.undetected) ]))
+       per_class)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The experiment table, in the order "all" runs it.  An experiment
+   whose measurements --json keeps returns them as a named section;
+   the report lists sections in this table's order, whatever order the
+   command line names them in. *)
+let no_json f () =
+  f ();
+  None
+
+let section key f () = Some (key, f ())
+
 let experiments =
   [
-    ("fig3", fig3);
-    ("table1", table1);
-    ("accuracy", accuracy);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("table2", table2);
-    ("fig11", fig11);
-    ("ablation", ablation);
-    ("modes", modes);
-    ("exposure", exposure);
-    ("hardening", hardening);
-    ("speedup", speedup);
-    ("resume", resume);
-    ("campaign", campaign);
-    ("serve", serve);
-    ("recover", recover);
-    ("cluster", cluster);
-    ("classes", classes);
-    ("micro", micro);
+    ("fig3", no_json fig3);
+    ("table1", no_json table1);
+    ("accuracy", no_json accuracy);
+    ("fig6", no_json fig6);
+    ("fig7", no_json fig7);
+    ("fig8", no_json fig8);
+    ("fig9", no_json fig9);
+    ("fig10", no_json fig10);
+    ("table2", no_json table2);
+    ("fig11", no_json fig11);
+    ("ablation", no_json ablation);
+    ("modes", no_json modes);
+    ("exposure", no_json exposure);
+    ("hardening", no_json hardening);
+    ("campaign", section "campaign" campaign);
+    ("cluster", section "cluster" cluster);
+    ("serve", section "serve" serve);
+    ("recover", section "recover" recover);
+    ("micro", section "micro" micro);
+    ("classes", section "fault_classes" classes);
   ]
 
-(* --- machine-readable timing output ------------------------------- *)
+(* --- machine-readable report -------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json path =
+(* [ran]: (experiment, wall seconds, its section) in run order; an
+   experiment named twice reports its last run. *)
+let write_json path ran =
+  let sections =
+    List.filter_map
+      (fun (name, _) ->
+        List.find_map
+          (fun (n, _, section) -> if n = name then section else None)
+          (List.rev ran))
+      experiments
+  in
+  let doc =
+    Json.(
+      Obj
+        ([ ("scale", Float scale); ("jobs", Int !jobs);
+           ("engine", String (Mcpu.engine_name (Mcpu.default_engine ())));
+           ( "campaign_sizes",
+             Obj
+               [ ("train_injections", Int (scaled 23_400));
+                 ("test_injections", Int (scaled 17_700));
+                 ("coverage_injections", Int (scaled (30_000 / 6) * 6));
+                 ("shard_size", Int Campaign.shard_size) ] );
+           ( "phases",
+             List
+               (List.rev_map
+                  (fun (name, seconds, injections) ->
+                    Obj
+                      [ ("name", String name); ("seconds", Float seconds);
+                        ("injections", Int injections) ])
+                  !phase_timings) ) ]
+        @ sections
+        @ (if Telemetry.enabled () then [ ("telemetry", Telemetry.json ()) ]
+           else [])
+        @ [ ( "experiments",
+              List
+                (List.map
+                   (fun (name, seconds, _) ->
+                     Obj [ ("name", String name); ("seconds", Float seconds) ])
+                   ran) ) ]))
+  in
   match open_out path with
   | exception Sys_error msg ->
       Printf.eprintf "[json] cannot write %s: %s\n%!" path msg;
       exit 1
   | oc ->
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"scale\": %g,\n" scale;
-  out "  \"jobs\": %d,\n" !jobs;
-  out "  \"engine\": \"%s\",\n" (Mcpu.engine_name (Mcpu.default_engine ()));
-  out "  \"campaign_sizes\": {\n";
-  out "    \"train_injections\": %d,\n" (scaled 23_400);
-  out "    \"test_injections\": %d,\n" (scaled 17_700);
-  out "    \"coverage_injections\": %d,\n" (scaled (30_000 / 6) * 6);
-  out "    \"shard_size\": %d\n" Campaign.shard_size;
-  out "  },\n";
-  let entries fmt1 items =
-    List.iteri
-      (fun i item ->
-        fmt1 item;
-        if i < List.length items - 1 then out ",\n" else out "\n")
-      items
-  in
-  out "  \"phases\": [\n";
-  entries
-    (fun (name, seconds, injections) ->
-      out "    {\"name\": \"%s\", \"seconds\": %.6f, \"injections\": %d}"
-        (json_escape name) seconds injections)
-    (List.rev !phase_timings);
-  out "  ],\n";
-  (match !speedup_result with
-  | Some (injections, par_jobs, serial_s, parallel_s, identical) ->
-      out
-        "  \"speedup\": {\"injections\": %d, \"jobs\": %d, \"serial_seconds\": \
-         %.6f, \"parallel_seconds\": %.6f, \"speedup\": %.3f, \"identical\": \
-         %b},\n"
-        injections par_jobs serial_s parallel_s
-        (serial_s /. Float.max 1e-9 parallel_s)
-        identical
-  | None -> ());
-  (match !campaign_bench_result with
-  | Some cb ->
-      let eff s = float_of_int cb.cb_total /. Float.max 1e-9 s in
-      out
-        "  \"campaign\": {\"injections\": %d, \"legacy_seconds\": %.6f, \
-         \"exhaustive_seconds\": %.6f, \"planned_seconds\": %.6f, \
-         \"pruned_fraction\": %.4f, \"collapsed_fraction\": %.4f, \
-         \"fast_forward_fraction\": %.4f, \
-         \"effective_injections_per_sec\": %.1f, \
-         \"effective_injections_per_sec_exhaustive\": %.1f, \
-         \"effective_injections_per_sec_legacy\": %.1f, \"speedup\": %.3f, \
-         \"speedup_vs_exhaustive\": %.3f, \"identical\": %b},\n"
-        cb.cb_total cb.cb_legacy_s cb.cb_exhaustive_s cb.cb_planned_s
-        cb.cb_pruned_fraction cb.cb_collapsed_fraction
-        cb.cb_fast_forward_fraction (eff cb.cb_planned_s)
-        (eff cb.cb_exhaustive_s) (eff cb.cb_legacy_s)
-        (cb.cb_legacy_s /. Float.max 1e-9 cb.cb_planned_s)
-        (cb.cb_exhaustive_s /. Float.max 1e-9 cb.cb_planned_s)
-        cb.cb_identical
-  | None -> ());
-  (match !cluster_bench_result with
-  | Some ck ->
-      let eff s = float_of_int ck.ck_injections /. Float.max 1e-9 s in
-      let base_s = (List.hd ck.ck_legs).cls in
-      out
-        "  \"cluster\": {\"injections\": %d, \"shards\": %d, \
-         \"total_domains\": %d,\n"
-        ck.ck_injections ck.ck_shards ck.ck_domains;
-      out "    \"legs\": [\n";
-      entries
-        (fun l ->
-          out
-            "      {\"workers\": %d, \"jobs_per_worker\": %d, \"seconds\": \
-             %.6f, \"effective_injections_per_sec\": %.1f, \"identical\": %b}"
-            l.clw l.clj l.cls (eff l.cls) l.cli)
-        ck.ck_legs;
-      out "    ],\n";
-      (match List.find_opt (fun l -> l.clw = 4) ck.ck_legs with
-      | Some l4 ->
-          out "    \"speedup_workers4_vs_1\": %.3f,\n"
-            (base_s /. Float.max 1e-9 l4.cls)
-      | None -> ());
-      (match ck.ck_kill with
-      | Some (s, identical, resume_identical) ->
-          out
-            "    \"kill\": {\"seconds\": %.6f, \"identical\": %b, \
-             \"resume_identical\": %b},\n"
-            s identical resume_identical
-      | None -> ());
-      (match ck.ck_serve with
-      | Some (workers, s) ->
-          out
-            "    \"serve\": {\"workers\": %d, \"throughput_rps\": %.1f, \
-             \"completed\": %d, \"p50_us\": %.1f, \"p99_us\": %.1f, \
-             \"workers_lost\": %d, \"streams_remapped\": %d, \
-             \"shed_worker_lost\": %d},\n"
-            workers s.Front.throughput_rps s.Front.completed
-            (Front.latency_quantile s 0.50)
-            (Front.latency_quantile s 0.99)
-            s.Front.workers_lost s.Front.streams_remapped
-            s.Front.shed_worker_lost
-      | None -> ());
-      out "    \"identical\": %b},\n"
-        (List.for_all (fun l -> l.cli) ck.ck_legs)
-  | None -> ());
-  (match List.rev !serve_results with
-  | [] -> ()
-  | results ->
-      out "  \"serve\": [\n";
-      entries
-        (fun (name, rate, s) ->
-          out
-            "    {\"scenario\": \"%s\", \"offered_rps\": %.1f, \
-             \"throughput_rps\": %.1f, \"completed\": %d, \"detected\": %d, \
-             \"shed_fraction\": %.4f, \"shed_queue_full\": %d, \
-             \"shed_deadline\": %d, \"shed_draining\": %d, \"p50_us\": %.1f, \
-             \"p99_us\": %.1f, \"deepest_level\": \"%s\", \"final_level\": \
-             \"%s\", \"peak_occupancy\": %.3f, \"injected\": %d, \
-             \"recoveries\": %d, \"recovery_p50_us\": %.1f, \
-             \"recovery_p99_us\": %.1f, \"availability\": %.6f}"
-            (json_escape name) rate s.Serve.throughput_rps s.Serve.completed
-            s.Serve.detected (Serve.shed_fraction s) s.Serve.shed_queue_full
-            s.Serve.shed_deadline s.Serve.shed_draining
-            (Serve.latency_quantile s 0.50)
-            (Serve.latency_quantile s 0.99)
-            (json_escape s.Serve.rung_names.(s.Serve.deepest_rung))
-            (json_escape s.Serve.rung_names.(s.Serve.final_rung))
-            s.Serve.peak_occupancy s.Serve.injected s.Serve.recoveries
-            (Serve.recovery_quantile s 0.50)
-            (Serve.recovery_quantile s 0.99)
-            s.Serve.availability)
-        results;
-      out "  ],\n");
-  (match !recover_bench_results with
-  | [] -> ()
-  | results ->
-      out "  \"recover\": [\n";
-      entries
-        (fun (benchmark, r) -> out "    %s" (RecCampaign.to_json ~benchmark r))
-        results;
-      out "  ],\n");
-  (match !micro_engine_result with
-  | Some (ref_sps, fast_sps, identical) ->
-      out
-        "  \"micro\": {\"ref_steps_per_sec\": %.1f, \"fast_steps_per_sec\": \
-         %.1f, \"engine_speedup\": %.3f, \"identical\": %b},\n"
-        ref_sps fast_sps
-        (fast_sps /. Float.max 1e-9 ref_sps)
-        identical
-  | None -> ());
-  (match !fault_class_rows with
-  | [] -> ()
-  | rows ->
-      out "  \"fault_classes\": [\n";
-      entries
-        (fun (name, (s : Report.summary)) ->
-          let t = s.Report.techniques in
-          out
-            "    {\"class\": \"%s\", \"injections\": %d, \"activated\": %d, \
-             \"manifested\": %d, \"coverage\": %.4f, \"hw_exception\": %d, \
-             \"sw_assertion\": %d, \"vm_transition\": %d, \"ras_report\": %d, \
-             \"undetected\": %d}"
-            (json_escape name) s.Report.total_injections s.Report.activated
-            s.Report.manifested s.Report.coverage t.Report.hw_exception
-            t.Report.sw_assertion t.Report.vm_transition t.Report.ras_report
-            t.Report.undetected)
-        rows;
-      out "  ],\n");
-  if Telemetry.enabled () then out "  \"telemetry\": %s,\n" (Telemetry.to_json ());
-  out "  \"experiments\": [\n";
-  entries
-    (fun (name, seconds) ->
-      out "    {\"name\": \"%s\", \"seconds\": %.6f}" (json_escape name) seconds)
-    (List.rev !experiment_timings);
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
-  printf "[json] wrote %s\n" path
+      output_string oc (Json.to_string doc);
+      output_char oc '\n';
+      close_out oc;
+      printf "[json] wrote %s\n" path
 
 (* --- argument parsing --------------------------------------------- *)
 
@@ -2052,7 +1825,7 @@ let parse_args () =
   go [] (List.tl (Array.to_list Sys.argv))
 
 (* Cluster-worker re-exec entry: the cluster experiment spawns this
-   binary back as its worker processes (see [cluster_worker_argv]). *)
+   binary back as its worker processes (see [with_cluster_workers]). *)
 let () =
   match Sys.argv with
   | [| _; "--cluster-worker"; sock; jobs |] ->
@@ -2073,14 +1846,15 @@ let () =
      XENTRY_SCALE / -j / --engine to adjust)\n"
     scale !jobs
     (Mcpu.engine_name (Mcpu.default_engine ()));
-  List.iter
-    (fun name ->
-      let t0 = Unix.gettimeofday () in
-      (List.assoc name experiments) ();
-      experiment_timings :=
-        (name, Unix.gettimeofday () -. t0) :: !experiment_timings)
-    to_run;
-  Option.iter write_json !json_path;
+  let ran =
+    List.map
+      (fun name ->
+        let t0 = Unix.gettimeofday () in
+        let section = (List.assoc name experiments) () in
+        (name, Unix.gettimeofday () -. t0, section))
+      to_run
+  in
+  Option.iter (fun path -> write_json path ran) !json_path;
   Option.iter
     (fun path ->
       Telemetry.export_file path;

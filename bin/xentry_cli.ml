@@ -106,6 +106,7 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE" ~env ~doc)
 
 let apply_engine e = Xentry_machine.Cpu.set_default_engine e
+let print_json v = print_endline (Xentry_util.Json.to_string v)
 
 let telemetry_arg =
   let doc =
@@ -692,23 +693,6 @@ let front_summary_text workers (s : Xentry_cluster.Front.summary) =
     s.Xentry_cluster.Front.workers_lost
     s.Xentry_cluster.Front.streams_remapped
 
-let front_summary_json workers (s : Xentry_cluster.Front.summary) =
-  let q = Xentry_cluster.Front.latency_quantile s in
-  Printf.sprintf
-    "{\"schema\":\"xentry-cluster-serve-v1\",\"workers\":%d,\"wall_s\":%.3f,\
-     \"offered\":%d,\"sent\":%d,\"completed\":%d,\"detected\":%d,\
-     \"shed_window_full\":%d,\"shed_worker_lost\":%d,\"shed_draining\":%d,\
-     \"throughput_rps\":%.1f,\"latency_us\":{\"p50\":%.1f,\"p90\":%.1f,\
-     \"p99\":%.1f},\"workers_lost\":%d,\"streams_remapped\":%d}"
-    workers s.Xentry_cluster.Front.wall_s s.Xentry_cluster.Front.offered
-    s.Xentry_cluster.Front.sent s.Xentry_cluster.Front.completed
-    s.Xentry_cluster.Front.detected s.Xentry_cluster.Front.shed_window_full
-    s.Xentry_cluster.Front.shed_worker_lost
-    s.Xentry_cluster.Front.shed_draining
-    s.Xentry_cluster.Front.throughput_rps (q 0.50) (q 0.90) (q 0.99)
-    s.Xentry_cluster.Front.workers_lost
-    s.Xentry_cluster.Front.streams_remapped
-
 let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
     seed engine workers recovery storm_window storm_prob retrain_on
     retrain_interval shadow_window retrain_dir rungs json telemetry =
@@ -773,7 +757,7 @@ let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
   let cfg = { base with Serve.rate } in
   if workers <= 0 then begin
     let summary = Serve.run cfg in
-    if json then print_endline (Serve.summary_json cfg summary)
+    if json then print_json (Serve.summary_json cfg summary)
     else Format.printf "%a@." Serve.pp_summary summary
   end
   else begin
@@ -792,7 +776,8 @@ let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
         reap_workers pids;
         worker_dumps :=
           List.rev summary.Xentry_cluster.Front.worker_telemetry;
-        if json then print_endline (front_summary_json workers summary)
+        if json then
+          print_json (Xentry_cluster.Front.summary_json ~workers summary)
         else front_summary_text workers summary
     | exception e ->
         kill_workers pids;
@@ -977,7 +962,7 @@ let recover benchmark injections follow_ups fuel seed engine json =
     }
   in
   let r = C.run cfg in
-  if json then print_endline (C.to_json ~benchmark r)
+  if json then print_json (C.to_json ~benchmark r)
   else begin
     List.iter
       (fun (c : C.class_stats) ->
@@ -1089,29 +1074,7 @@ let optimize benchmark mode injections fault_free seed jobs engine depths
       ~depths ~thresholds ~jobs ~benchmark ()
   in
   let r = O.sweep ~detector_version:(Detector.version detector) cfg ~detector in
-  let on_front p =
-    List.exists
-      (fun (q : Xentry_core.Pareto.point) -> q == p)
-      r.O.front.Xentry_core.Pareto.points
-  in
-  if json then begin
-    let point (p : Xentry_core.Pareto.point) =
-      Printf.sprintf
-        "{\"label\":\"%s\",\"coverage\":%.6f,\"fp_rate\":%.6f,\
-         \"overhead_s\":%.9g,\"comparisons\":%d,\"on_front\":%b}"
-        p.Xentry_core.Pareto.label p.Xentry_core.Pareto.coverage
-        p.Xentry_core.Pareto.fp_rate p.Xentry_core.Pareto.overhead
-        p.Xentry_core.Pareto.comparisons (on_front p)
-    in
-    Printf.printf
-      "{\"schema\":\"xentry-optimize-v1\",\"benchmark\":\"%s\",\
-       \"manifested\":%d,\"clean_runs\":%d,\"source_version\":%d,\
-       \"points\":[%s]}\n"
-      (Profile.benchmark_name benchmark)
-      r.O.manifested r.O.clean_runs
-      r.O.front.Xentry_core.Pareto.source_version
-      (String.concat "," (List.map point r.O.all_points))
-  end
+  if json then print_json (O.to_json cfg r)
   else begin
     Printf.printf
       "swept %d candidates over %d manifested faults, %d clean runs:\n"
@@ -1127,7 +1090,7 @@ let optimize benchmark mode injections fault_free seed jobs engine depths
           (100. *. p.Xentry_core.Pareto.fp_rate)
           (1e6 *. p.Xentry_core.Pareto.overhead)
           p.Xentry_core.Pareto.comparisons
-          (if on_front p then "*" else ""))
+          (if O.on_front r p then "*" else ""))
       r.O.all_points;
     Printf.printf "Pareto front: %d rungs (most detection first)\n"
       (List.length r.O.front.Xentry_core.Pareto.points);

@@ -34,13 +34,24 @@ type summary = {
 }
 
 let latency_quantile s q =
-  let a = Array.copy s.latency_us in
-  let n = Array.length a in
-  if n = 0 then 0.
-  else begin
-    Array.sort compare a;
-    a.(min (n - 1) (int_of_float (q *. float_of_int n)))
-  end
+  if Array.length s.latency_us = 0 then 0.
+  else Xentry_util.Stats.quantile s.latency_us q
+
+let summary_json ~workers s =
+  let open Xentry_util.Json in
+  let q p = Float (latency_quantile s p) in
+  Obj
+    [ ("schema", String "xentry-cluster-serve-v1"); ("workers", Int workers);
+      ("wall_s", Float s.wall_s); ("offered", Int s.offered);
+      ("sent", Int s.sent); ("completed", Int s.completed);
+      ("detected", Int s.detected);
+      ("shed_window_full", Int s.shed_window_full);
+      ("shed_worker_lost", Int s.shed_worker_lost);
+      ("shed_draining", Int s.shed_draining);
+      ("throughput_rps", Float s.throughput_rps);
+      ("latency_us", Obj [ ("p50", q 0.50); ("p90", q 0.90); ("p99", q 0.99) ]);
+      ("workers_lost", Int s.workers_lost);
+      ("streams_remapped", Int s.streams_remapped) ]
 
 type wstate = {
   wid : int;

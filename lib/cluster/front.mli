@@ -48,7 +48,15 @@ type summary = {
 }
 
 val latency_quantile : summary -> float -> float
-(** Latency quantile in microseconds (0 when nothing completed). *)
+(** Latency quantile in microseconds (0 when nothing completed), by
+    {!Xentry_util.Stats.quantile} — the definition
+    {!Xentry_serve.Server.latency_quantile} uses, so single-process
+    and cluster serve report percentiles alike. *)
+
+val summary_json : workers:int -> summary -> Xentry_util.Json.t
+(** JSON object, schema [xentry-cluster-serve-v1]: the fleet size,
+    the summary's counters, throughput, latency p50/p90/p99, and the
+    worker-loss tallies. *)
 
 val run :
   ?on_tick:(elapsed:float -> unit) ->

@@ -166,6 +166,7 @@ let add_stats a b =
    records themselves — campaigns stay bit-identical with telemetry on
    or off. *)
 module Tm = Xentry_util.Telemetry
+module Json = Xentry_util.Json
 
 let tm_verdict_hw = Tm.counter "campaign.verdict.hw_exception"
 let tm_verdict_sw = Tm.counter "campaign.verdict.sw_assertion"
@@ -204,17 +205,17 @@ let record_shard_telemetry config records stats ~wall =
   Tm.observe_span tm_shard_wall wall;
   Tm.event "campaign.shard"
     [
-      ("seed", Tm.Int config.seed);
-      ("injections", Tm.Int config.injections);
-      ("wall_s", Tm.Float wall);
-      ("hw_exception", Tm.Int !hw);
-      ("sw_assertion", Tm.Int !sw);
-      ("vm_transition", Tm.Int !vm);
-      ("ras_report", Tm.Int !ras);
-      ("clean", Tm.Int !clean);
-      ("pruned", Tm.Int stats.pruned);
-      ("fast_forwarded", Tm.Int stats.fast_forwarded);
-      ("simulated", Tm.Int stats.simulated);
+      ("seed", Json.Int config.seed);
+      ("injections", Json.Int config.injections);
+      ("wall_s", Json.Float wall);
+      ("hw_exception", Json.Int !hw);
+      ("sw_assertion", Json.Int !sw);
+      ("vm_transition", Json.Int !vm);
+      ("ras_report", Json.Int !ras);
+      ("clean", Json.Int !clean);
+      ("pruned", Json.Int stats.pruned);
+      ("fast_forwarded", Json.Int stats.fast_forwarded);
+      ("simulated", Json.Int stats.simulated);
     ]
 
 (* --- per-fault classification ------------------------------------------ *)

@@ -10,6 +10,7 @@ type corpus = {
 }
 
 module Tm = Xentry_util.Telemetry
+module Json = Xentry_util.Json
 
 let collect ?jobs ~seed ~benchmarks ~mode ~injections_per_benchmark
     ~fault_free_per_benchmark () =
@@ -67,11 +68,11 @@ let collect ?jobs ~seed ~benchmarks ~mode ~injections_per_benchmark
   if Tm.enabled () then
     Tm.event "training.corpus"
       [
-        ("seed", Tm.Int seed);
-        ("benchmarks", Tm.Int (List.length benchmarks));
-        ("samples", Tm.Int (List.length !samples));
-        ("correct", Tm.Int !correct);
-        ("incorrect", Tm.Int !incorrect);
+        ("seed", Json.Int seed);
+        ("benchmarks", Json.Int (List.length benchmarks));
+        ("samples", Json.Int (List.length !samples));
+        ("correct", Json.Int !correct);
+        ("incorrect", Json.Int !incorrect);
       ];
   {
     dataset = Features.dataset_of_samples !samples;

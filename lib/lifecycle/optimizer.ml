@@ -185,3 +185,22 @@ let sweep ?(detector_version = 0) cfg ~detector =
     manifested;
     clean_runs;
   }
+
+let on_front r (p : Pareto.point) = List.memq p r.front.Pareto.points
+
+let to_json cfg r =
+  let open Xentry_util.Json in
+  let point (p : Pareto.point) =
+    Obj
+      [ ("label", String p.Pareto.label); ("coverage", Float p.Pareto.coverage);
+        ("fp_rate", Float p.Pareto.fp_rate);
+        ("overhead_s", Float p.Pareto.overhead);
+        ("comparisons", Int p.Pareto.comparisons);
+        ("on_front", Bool (on_front r p)) ]
+  in
+  Obj
+    [ ("schema", String "xentry-optimize-v1");
+      ("benchmark", String (Profile.benchmark_name cfg.benchmark));
+      ("manifested", Int r.manifested); ("clean_runs", Int r.clean_runs);
+      ("source_version", Int r.front.Pareto.source_version);
+      ("points", List (List.map point r.all_points)) ]

@@ -61,3 +61,12 @@ val sweep :
 (** Run the measurement campaign and score the grid.  [detector] is
     the model whose knob variants are swept; [detector_version] stamps
     the emitted front's [source_version]. *)
+
+val on_front : sweep_result -> Xentry_core.Pareto.point -> bool
+(** [on_front r p]: [p] (one of [r.all_points]) is on the emitted
+    front. *)
+
+val to_json : config -> sweep_result -> Xentry_util.Json.t
+(** JSON object, schema [xentry-optimize-v1]: the benchmark, the
+    populations the scores are over, the front's source version, and
+    every candidate point with its scores and an [on_front] flag. *)

@@ -2,15 +2,10 @@ let buf_add = Buffer.add_string
 
 let class_name c = Printf.sprintf "c%d" c
 
-(* Shortest decimal rendering that parses back to the same float:
-   feature values in the corpus are mostly small integers (PMU counts
-   and latencies), which "%g" renders exactly, but nothing stops a
-   caller storing an arbitrary double — fall back to "%.17g" (always
-   exact for finite doubles) when "%g" loses bits, so [of_arff
-   (to_arff ds) = ds] holds for every dataset. *)
-let float_repr v =
-  let s = Printf.sprintf "%g" v in
-  if float_of_string s = v then s else Printf.sprintf "%.17g" v
+(* Round-trip rendering, so [of_arff (to_arff ds) = ds] holds for
+   every dataset: "%g" for the small integers most features are, "%.17g"
+   when "%g" would lose bits. *)
+let float_repr = Xentry_util.Json.float_repr
 
 let to_arff ?(relation = "xentry") ds =
   let buf = Buffer.create 4096 in

@@ -258,26 +258,28 @@ let pp ppf r =
     r.image_bytes r.reboot_ns_mean
 
 let to_json ~benchmark r =
+  let open Xentry_util.Json in
   let class_json c =
-    Printf.sprintf
-      "{\"class\":\"%s\",\"faults\":%d,\"checkpoint_recovered\":%d,\
-       \"recovered_exactly\":%d,\"mismatches\":%d,\"carryover\":%d}"
-      (class_name c.cls) c.faults c.checkpoint_recovered c.recovered_exactly
-      c.mismatches c.carryover
+    Obj
+      [ ("class", String (class_name c.cls)); ("faults", Int c.faults);
+        ("checkpoint_recovered", Int c.checkpoint_recovered);
+        ("recovered_exactly", Int c.recovered_exactly);
+        ("mismatches", Int c.mismatches); ("carryover", Int c.carryover) ]
   in
-  Printf.sprintf
-    "{\"schema\":\"xentry-recover-v2\",\"benchmark\":\"%s\",\
-     \"injections\":%d,\"detected\":%d,\"undetected_manifested\":%d,\
-     \"masked\":%d,\"checkpoint_work_recovered\":%d,\
-     \"micro_work_recovered\":%d,\"micro_work_lost\":%d,\
-     \"micro_state_lost\":%d,\"restart_work_lost\":%d,\
-     \"restart_state_lost\":%d,\"mttf_improvement\":%s,\"image_bytes\":%d,\
-     \"reboot_ns_mean\":%.1f,\"reboot_ns_p99\":%.1f,\"classes\":[%s]}"
-    (Profile.benchmark_name benchmark)
-    r.injections r.detected r.undetected_manifested r.masked
-    r.checkpoint_work_recovered r.micro_work_recovered r.micro_work_lost
-    r.micro_state_lost r.restart_work_lost r.restart_state_lost
-    (if r.mttf_improvement = Float.infinity then "null"
-     else Printf.sprintf "%.3f" r.mttf_improvement)
-    r.image_bytes r.reboot_ns_mean r.reboot_ns_p99
-    (String.concat "," (List.map class_json r.classes))
+  Obj
+    [ ("schema", String "xentry-recover-v2");
+      ("benchmark", String (Profile.benchmark_name benchmark));
+      ("injections", Int r.injections); ("detected", Int r.detected);
+      ("undetected_manifested", Int r.undetected_manifested);
+      ("masked", Int r.masked);
+      ("checkpoint_work_recovered", Int r.checkpoint_work_recovered);
+      ("micro_work_recovered", Int r.micro_work_recovered);
+      ("micro_work_lost", Int r.micro_work_lost);
+      ("micro_state_lost", Int r.micro_state_lost);
+      ("restart_work_lost", Int r.restart_work_lost);
+      ("restart_state_lost", Int r.restart_state_lost);
+      ("mttf_improvement", Float r.mttf_improvement);
+      ("image_bytes", Int r.image_bytes);
+      ("reboot_ns_mean", Float r.reboot_ns_mean);
+      ("reboot_ns_p99", Float r.reboot_ns_p99);
+      ("classes", List (List.map class_json r.classes)) ]

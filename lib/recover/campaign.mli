@@ -88,7 +88,8 @@ val run : config -> result
 
 val pp : Format.formatter -> result -> unit
 
-val to_json : benchmark:Xentry_workload.Profile.benchmark -> result -> string
-(** One-line JSON object, schema [xentry-recover-v2]: the [result]
-    fields with [mttf_improvement] [null] when infinite, and [classes]
-    as an array of per-class objects. *)
+val to_json :
+  benchmark:Xentry_workload.Profile.benchmark -> result -> Xentry_util.Json.t
+(** JSON object, schema [xentry-recover-v2]: the [result] fields with
+    [mttf_improvement] [null] when infinite, and [classes] as an array
+    of per-class objects. *)

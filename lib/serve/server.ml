@@ -7,6 +7,8 @@ module Mb = Xentry_recover.Microboot
 module Cpu = Xentry_machine.Cpu
 module Rng = Xentry_util.Rng
 module Tm = Xentry_util.Telemetry
+module Json = Xentry_util.Json
+module Stats = Xentry_util.Stats
 module Miner = Xentry_lifecycle.Miner
 module Shadow = Xentry_lifecycle.Shadow
 module Retrainer = Xentry_lifecycle.Retrainer
@@ -211,11 +213,11 @@ let throughput_of ~completed ~wall_s =
 
 let latency_quantile s q =
   if Array.length s.latency_us = 0 then 0.
-  else Xentry_util.Stats.quantile s.latency_us q
+  else Stats.quantile s.latency_us q
 
 let recovery_quantile s q =
   if Array.length s.recovery_us = 0 then 0.
-  else Xentry_util.Stats.quantile s.recovery_us q
+  else Stats.quantile s.recovery_us q
 
 (* Monotonic: deadlines and the duration budget must not move when NTP
    steps the wall clock mid-run. *)
@@ -689,10 +691,10 @@ let run (cfg : config) =
         if !Tm.enabled_ref then
           Tm.event "serve.transition"
             [
-              ("t_s", Tm.Float elapsed);
-              ("from", Tm.String (Ladder.name cfg.ladder from_rung));
-              ("to", Tm.String (Ladder.name cfg.ladder to_rung));
-              ("occupancy", Tm.Float occupancy);
+              ("t_s", Json.Float elapsed);
+              ("from", Json.String (Ladder.name cfg.ladder from_rung));
+              ("to", Json.String (Ladder.name cfg.ladder to_rung));
+              ("occupancy", Json.Float occupancy);
             ]);
     time_at_rung.(Ladder.rung !ladder) <-
       time_at_rung.(Ladder.rung !ladder) +. dt;
@@ -805,107 +807,95 @@ let calibrate ?(seconds = 0.25) (cfg : config) =
 
 (* --- JSON ----------------------------------------------------------- *)
 
+let rung_name (s : summary) i =
+  if i >= 0 && i < Array.length s.rung_names then s.rung_names.(i)
+  else string_of_int i
+
 let summary_json (cfg : config) (s : summary) =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let rung_name i =
-    if i >= 0 && i < Array.length s.rung_names then s.rung_names.(i)
-    else string_of_int i
+  let open Json in
+  (* count, mean, the named quantiles and max; zeros when empty *)
+  let samples xs quantiles =
+    let stat f = Float (if Array.length xs = 0 then 0. else f xs) in
+    let quantile (k, q) = (k, stat (fun xs -> Stats.quantile xs q)) in
+    Obj
+      ((("count", Int (Array.length xs)) :: ("mean", stat Stats.mean)
+       :: List.map quantile quantiles)
+      @ [ ("max", stat Stats.maximum) ])
   in
-  add "{\n";
-  add "  \"schema\": \"xentry-serve-summary-v2\",\n";
-  add "  \"benchmark\": \"%s\",\n" (Profile.benchmark_name cfg.benchmark);
-  add "  \"mode\": \"%s\",\n" (Profile.mode_name cfg.mode);
-  add "  \"streams\": %d,\n" cfg.streams;
-  add "  \"jobs\": %d,\n" cfg.jobs;
-  add "  \"rate_rps\": %.17g,\n" cfg.rate;
-  (match cfg.burst with
-  | None -> add "  \"burst\": null,\n"
-  | Some { burst_start; burst_end; burst_factor } ->
-      add
-        "  \"burst\": {\"start_s\": %.17g, \"end_s\": %.17g, \"factor\": \
-         %.17g},\n"
-        burst_start burst_end burst_factor);
-  (match cfg.storm with
-  | None -> add "  \"storm\": null,\n"
-  | Some { storm_start; storm_end; storm_prob } ->
-      add
-        "  \"storm\": {\"start_s\": %.17g, \"end_s\": %.17g, \"prob\": \
-         %.17g},\n"
-        storm_start storm_end storm_prob);
-  (match cfg.deadline_us with
-  | None -> add "  \"deadline_us\": null,\n"
-  | Some d -> add "  \"deadline_us\": %d,\n" d);
-  add "  \"queue_capacity\": %d,\n" cfg.queue_capacity;
-  add "  \"duration_s\": %.17g,\n" cfg.duration_s;
-  add "  \"wall_s\": %.17g,\n" s.wall_s;
-  add "  \"offered\": %d,\n" s.offered;
-  add "  \"admitted\": %d,\n" s.admitted;
-  add "  \"completed\": %d,\n" s.completed;
-  add "  \"detected\": %d,\n" s.detected;
-  add
-    "  \"recovery\": {\"policy\": \"%s\", \"injected\": %d, \"recoveries\": \
-     %d, \"total_s\": %.17g, \"availability\": %.17g, \"recovery_us\": \
-     {\"count\": %d, \"mean\": %.17g, \"p50\": %.17g, \"p99\": %.17g, \
-     \"max\": %.17g}},\n"
-    (recovery_policy_name cfg.recovery)
-    s.injected s.recoveries s.recovery_total_s s.availability
-    (Array.length s.recovery_us)
-    (if Array.length s.recovery_us = 0 then 0.
-     else Xentry_util.Stats.mean s.recovery_us)
-    (recovery_quantile s 0.5) (recovery_quantile s 0.99)
-    (if Array.length s.recovery_us = 0 then 0.
-     else Xentry_util.Stats.maximum s.recovery_us);
-  add
-    "  \"lifecycle\": {\"mined\": %d, \"dropped\": %d, \"retrained\": %d, \
-     \"rejected\": %d, \"final_detector_version\": %d, \"swaps\": [%s]},\n"
-    s.mined s.mine_dropped s.retrained s.shadow_rejected
-    s.final_detector_version
-    (String.concat ", "
-       (List.map
-          (fun sw ->
-            Printf.sprintf
-              "{\"t_s\": %.17g, \"version\": %d, \"scored\": %d}" sw.swap_t_s
-              sw.swap_version sw.swap_stats.Shadow.scored)
-          s.swaps));
-  add
-    "  \"shed\": {\"queue_full\": %d, \"deadline_expired\": %d, \"draining\": \
-     %d, \"total\": %d},\n"
-    s.shed_queue_full s.shed_deadline s.shed_draining (shed_total s);
-  add "  \"shed_fraction\": %.17g,\n" (shed_fraction s);
-  add "  \"throughput_rps\": %.17g,\n" s.throughput_rps;
-  add
-    "  \"latency_us\": {\"count\": %d, \"mean\": %.17g, \"p50\": %.17g, \
-     \"p90\": %.17g, \"p99\": %.17g, \"max\": %.17g},\n"
-    (Array.length s.latency_us)
-    (if Array.length s.latency_us = 0 then 0.
-     else Xentry_util.Stats.mean s.latency_us)
-    (latency_quantile s 0.5) (latency_quantile s 0.9) (latency_quantile s 0.99)
-    (if Array.length s.latency_us = 0 then 0.
-     else Xentry_util.Stats.maximum s.latency_us);
-  add "  \"transitions\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun (t, r) ->
-            Printf.sprintf "{\"t_s\": %.17g, \"to\": \"%s\"}" t (rung_name r))
-          s.transitions));
-  add "  \"time_at_level\": {%s},\n"
-    (String.concat ", "
-       (Array.to_list
-          (Array.mapi
-             (fun i dt -> Printf.sprintf "\"%s\": %.17g" (rung_name i) dt)
-             s.time_at_rung)));
-  add "  \"final_level\": \"%s\",\n" (rung_name s.final_rung);
-  add "  \"deepest_level\": \"%s\",\n" (rung_name s.deepest_rung);
-  add "  \"peak_occupancy\": %.17g\n" s.peak_occupancy;
-  add "}";
-  Buffer.contents b
+  Obj
+    [ ("schema", String "xentry-serve-summary-v2");
+      ("benchmark", String (Profile.benchmark_name cfg.benchmark));
+      ("mode", String (Profile.mode_name cfg.mode));
+      ("streams", Int cfg.streams); ("jobs", Int cfg.jobs);
+      ("rate_rps", Float cfg.rate);
+      ( "burst",
+        option
+          (fun b ->
+            Obj
+              [ ("start_s", Float b.burst_start); ("end_s", Float b.burst_end);
+                ("factor", Float b.burst_factor) ])
+          cfg.burst );
+      ( "storm",
+        option
+          (fun st ->
+            Obj
+              [ ("start_s", Float st.storm_start);
+                ("end_s", Float st.storm_end); ("prob", Float st.storm_prob) ])
+          cfg.storm );
+      ("deadline_us", option (fun d -> Int d) cfg.deadline_us);
+      ("queue_capacity", Int cfg.queue_capacity);
+      ("duration_s", Float cfg.duration_s); ("wall_s", Float s.wall_s);
+      ("offered", Int s.offered); ("admitted", Int s.admitted);
+      ("completed", Int s.completed); ("detected", Int s.detected);
+      ( "recovery",
+        Obj
+          [ ("policy", String (recovery_policy_name cfg.recovery));
+            ("injected", Int s.injected); ("recoveries", Int s.recoveries);
+            ("total_s", Float s.recovery_total_s);
+            ("availability", Float s.availability);
+            ( "recovery_us",
+              samples s.recovery_us [ ("p50", 0.5); ("p99", 0.99) ] ) ] );
+      ( "lifecycle",
+        Obj
+          [ ("mined", Int s.mined); ("dropped", Int s.mine_dropped);
+            ("retrained", Int s.retrained); ("rejected", Int s.shadow_rejected);
+            ("final_detector_version", Int s.final_detector_version);
+            ( "swaps",
+              List
+                (List.map
+                   (fun sw ->
+                     Obj
+                       [ ("t_s", Float sw.swap_t_s);
+                         ("version", Int sw.swap_version);
+                         ("scored", Int sw.swap_stats.Shadow.scored) ])
+                   s.swaps) ) ] );
+      ( "shed",
+        Obj
+          [ ("queue_full", Int s.shed_queue_full);
+            ("deadline_expired", Int s.shed_deadline);
+            ("draining", Int s.shed_draining);
+            ("total", Int (shed_total s)) ] );
+      ("shed_fraction", Float (shed_fraction s));
+      ("throughput_rps", Float s.throughput_rps);
+      ( "latency_us",
+        samples s.latency_us [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ] );
+      ( "transitions",
+        List
+          (List.map
+             (fun (t, r) ->
+               Obj [ ("t_s", Float t); ("to", String (rung_name s r)) ])
+             s.transitions) );
+      ( "time_at_level",
+        Obj
+          (List.mapi
+             (fun i dt -> (rung_name s i, Float dt))
+             (Array.to_list s.time_at_rung)) );
+      ("final_level", String (rung_name s s.final_rung));
+      ("deepest_level", String (rung_name s s.deepest_rung));
+      ("peak_occupancy", Float s.peak_occupancy) ]
 
 let pp_summary ppf (s : summary) =
-  let rung_name i =
-    if i >= 0 && i < Array.length s.rung_names then s.rung_names.(i)
-    else string_of_int i
-  in
+  let rung_name = rung_name s in
   Format.fprintf ppf
     "wall %.2fs offered %d admitted %d completed %d (%.0f req/s) shed %d \
      (%.1f%%: full %d, deadline %d, draining %d) p50 %.0fus p99 %.0fus \

@@ -206,10 +206,12 @@ val calibrate : ?seconds:float -> config -> float
     config's pipeline at full detection — the capacity unit callers
     use to pick overload [rate]s (default 0.25 s measurement). *)
 
-val summary_json : config -> summary -> string
+val summary_json : config -> summary -> Xentry_util.Json.t
 (** Self-contained JSON object (schema [xentry-serve-summary-v2]):
     config echo plus every summary metric, latencies as
     mean/p50/p90/p99/max, rung names for ladder fields, and a
-    [lifecycle] object with mining/retraining/swap counts. *)
+    [lifecycle] object with mining/retraining/swap counts.  Rung names
+    can come from a Pareto front loaded from a file; the emitter
+    escapes them. *)
 
 val pp_summary : Format.formatter -> summary -> unit

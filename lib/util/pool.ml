@@ -87,9 +87,9 @@ let map t f arr =
       if telemetry then
         Telemetry.event "pool.worker"
           [
-            ("worker", Telemetry.Int widx);
-            ("items", Telemetry.Int !items);
-            ("busy_s", Telemetry.Float !busy);
+            ("worker", Json.Int widx);
+            ("items", Json.Int !items);
+            ("busy_s", Json.Float !busy);
           ]
     in
     let spawned =

@@ -155,9 +155,7 @@ let with_span name f =
     Fun.protect ~finally f
   end
 
-type field = Int of int | Float of float | String of string | Bool of bool
-
-type event_record = { ev_name : string; ev_fields : (string * field) list }
+type event_record = { ev_name : string; ev_fields : (string * Json.t) list }
 
 (* Per-domain event buffers, newest first; registration mirrors the
    histogram parts.  Buffers are bounded: an always-on service (the
@@ -228,59 +226,25 @@ let reset () =
 
 (* --- JSON rendering ------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f else "0"
-
-let field_json = function
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Bool b -> string_of_bool b
-
-let fields_json fields =
-  fields
-  |> List.map (fun (k, v) ->
-         Printf.sprintf "\"%s\": %s" (json_escape k) (field_json v))
-  |> String.concat ", "
-
 (* Non-empty buckets as [[lo, hi, count], ...]; bucket 0's lower bound
    is rendered as 0 (no JSON-representable min_int needed: observed
    values below zero are clamped into that bucket anyway). *)
-let histogram_buckets_json h =
+let histogram_fields h =
   let merged = merged_buckets h in
-  let cells = ref [] in
-  for b = buckets - 1 downto 0 do
-    if merged.(b) > 0 then begin
-      let lo, hi = bucket_bounds b in
-      let lo = max lo 0 in
-      cells := Printf.sprintf "[%d, %d, %d]" lo hi merged.(b) :: !cells
-    end
-  done;
-  "[" ^ String.concat ", " !cells ^ "]"
+  let cell b =
+    let lo, hi = bucket_bounds b in
+    if merged.(b) = 0 then None
+    else Some Json.(List [ Int (max lo 0); Int hi; Int merged.(b) ])
+  in
+  Json.
+    [ ("count", Int (histogram_count h)); ("sum", Int (histogram_sum h));
+      ("buckets", List (List.filter_map cell (List.init buckets Fun.id))) ]
 
-let histogram_body h =
-  Printf.sprintf "\"count\": %d, \"sum\": %d, \"buckets\": %s"
-    (histogram_count h) (histogram_sum h) (histogram_buckets_json h)
-
-let event_line e =
-  Printf.sprintf "{\"type\": \"event\", \"name\": \"%s\", \"fields\": {%s}}"
-    (json_escape e.ev_name) (fields_json e.ev_fields)
+let event_json e =
+  Json.(
+    Obj
+      [ ("type", String "event"); ("name", String e.ev_name);
+        ("fields", Obj e.ev_fields) ])
 
 let export oc =
   let metrics = metrics_sorted () in
@@ -288,55 +252,46 @@ let export oc =
   let n_counters =
     List.length (List.filter (function _, Counter _ -> true | _ -> false) metrics)
   in
-  Printf.fprintf oc
-    "{\"type\": \"meta\", \"schema\": \"xentry-telemetry-v1\", \"counters\": \
-     %d, \"histograms\": %d, \"events\": %d}\n"
-    n_counters
-    (List.length metrics - n_counters)
-    (List.length events);
+  let line v =
+    output_string oc (Json.to_string v);
+    output_char oc '\n'
+  in
+  line
+    Json.(
+      Obj
+        [ ("type", String "meta"); ("schema", String "xentry-telemetry-v1");
+          ("counters", Int n_counters);
+          ("histograms", Int (List.length metrics - n_counters));
+          ("events", Int (List.length events)) ]);
   List.iter
     (fun (name, m) ->
-      match m with
-      | Counter c ->
-          Printf.fprintf oc
-            "{\"type\": \"counter\", \"name\": \"%s\", \"value\": %d}\n"
-            (json_escape name) (counter_value c)
-      | Histogram h ->
-          Printf.fprintf oc
-            "{\"type\": \"histogram\", \"name\": \"%s\", %s}\n"
-            (json_escape name) (histogram_body h))
+      let typ, body =
+        match m with
+        | Counter c -> ("counter", [ ("value", Json.Int (counter_value c)) ])
+        | Histogram h -> ("histogram", histogram_fields h)
+      in
+      line
+        (Json.Obj
+           (("type", Json.String typ) :: ("name", Json.String name) :: body)))
     metrics;
-  List.iter (fun e -> output_string oc (event_line e ^ "\n")) events
+  List.iter (fun e -> line (event_json e)) events
 
 let export_file path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> export oc)
 
-let to_json () =
+let json () =
   let metrics = metrics_sorted () in
-  let counters =
-    List.filter_map
-      (function
-        | name, Counter c ->
-            Some
-              (Printf.sprintf "\"%s\": %d" (json_escape name)
-                 (counter_value c))
-        | _ -> None)
-      metrics
-  in
-  let histograms =
-    List.filter_map
-      (function
-        | name, Histogram h ->
-            Some
-              (Printf.sprintf "\"%s\": {%s}" (json_escape name)
-                 (histogram_body h))
-        | _ -> None)
-      metrics
-  in
-  let events = List.map event_line (merged_events ()) in
-  Printf.sprintf
-    "{\"counters\": {%s}, \"histograms\": {%s}, \"events\": [%s]}"
-    (String.concat ", " counters)
-    (String.concat ", " histograms)
-    (String.concat ", " events)
+  let section f = Json.Obj (List.filter_map f metrics) in
+  Json.Obj
+    [ ( "counters",
+        section (function
+          | name, Counter c -> Some (name, Json.Int (counter_value c))
+          | _ -> None) );
+      ( "histograms",
+        section (function
+          | name, Histogram h -> Some (name, Json.Obj (histogram_fields h))
+          | _ -> None) );
+      ("events", Json.List (List.map event_json (merged_events ()))) ]
+
+let to_json () = Json.to_string (json ())

@@ -82,19 +82,13 @@ val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] times [f ()] and records the wall-clock duration
     into histogram [name ^ ".ns"].  When disabled, exactly [f ()]. *)
 
-type field =
-  | Int of int
-  | Float of float
-  | String of string
-  | Bool of bool
-
-val event : string -> (string * field) list -> unit
+val event : string -> (string * Json.t) list -> unit
 (** Append a structured record (e.g. one campaign shard's summary) to
-    the calling domain's event buffer.  Buffers are bounded (see
-    {!set_event_capacity}): once the calling domain's buffer is full
-    the event is dropped and counted in [telemetry.events_dropped]
-    instead — always-on services cannot leak memory through
-    telemetry. *)
+    the calling domain's event buffer; the fields export in the order
+    given.  Buffers are bounded (see {!set_event_capacity}): once the
+    calling domain's buffer is full the event is dropped and counted
+    in [telemetry.events_dropped] instead — always-on services cannot
+    leak memory through telemetry. *)
 
 val set_event_capacity : int -> unit
 (** Cap each domain's event buffer at [n] records (default 65_536).
@@ -116,7 +110,11 @@ val export : out_channel -> unit
 
 val export_file : string -> unit
 
-val to_json : unit -> string
+val json : unit -> Json.t
 (** The same data as a single JSON object
     [{"counters": {...}, "histograms": {...}, "events": [...]}] — the
-    [--json] embedding used by [bench/main.exe]. *)
+    ["telemetry"] section of [bench/main.exe --json]. *)
+
+val to_json : unit -> string
+(** {!json} rendered on one line — the dump a cluster worker sends
+    its coordinator. *)

@@ -53,7 +53,7 @@ let json_balanced s =
   !ok && !depth = 0 && not !in_string
 
 let check_json cfg summary =
-  let json = Serve.summary_json cfg summary in
+  let json = Xentry_util.Json.to_string (Serve.summary_json cfg summary) in
   if String.length json < 2 || json.[0] <> '{' then
     fail "summary_json does not open an object";
   if not (json_balanced json) then fail "summary_json is unbalanced: %s" json;

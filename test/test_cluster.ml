@@ -354,6 +354,40 @@ let test_ring_balance () =
       if c > 600 then Alcotest.failf "member %d owns %d of 1000 keys" i c)
     counts
 
+(* --- front summary JSON: schema xentry-cluster-serve-v1 -------------------- *)
+
+(* Percentiles interpolate between order statistics as the
+   single-process engine's do: p90 of these five latencies is 46, not
+   the nearest-rank 50. *)
+let test_front_summary_json_golden () =
+  let s =
+    {
+      Front.wall_s = 2.5;
+      offered = 1200;
+      sent = 1100;
+      completed = 1000;
+      detected = 5;
+      shed_window_full = 100;
+      shed_worker_lost = 60;
+      shed_draining = 40;
+      throughput_rps = 400.;
+      latency_us = [| 40.; 10.; 30.; 20.; 50. |];
+      workers_lost = 1;
+      streams_remapped = 3;
+      worker_telemetry = [];
+      detector_pushes = 0;
+      detector_acks = [];
+    }
+  in
+  Alcotest.(check string) "byte-exact"
+    "{\"schema\": \"xentry-cluster-serve-v1\", \"workers\": 2, \
+     \"wall_s\": 2.5, \"offered\": 1200, \"sent\": 1100, \
+     \"completed\": 1000, \"detected\": 5, \"shed_window_full\": 100, \
+     \"shed_worker_lost\": 60, \"shed_draining\": 40, \
+     \"throughput_rps\": 400, \"latency_us\": {\"p50\": 30, \"p90\": 46, \
+     \"p99\": 49.6}, \"workers_lost\": 1, \"streams_remapped\": 3}"
+    (Xentry_util.Json.to_string (Front.summary_json ~workers:2 s))
+
 (* --- main ------------------------------------------------------------------ *)
 
 let () =
@@ -386,5 +420,10 @@ let () =
           Alcotest.test_case "empty and single" `Quick test_ring_empty_and_single;
           Alcotest.test_case "balance" `Quick test_ring_balance;
           QCheck_alcotest.to_alcotest prop_ring_removal_is_local;
+        ] );
+      ( "front",
+        [
+          Alcotest.test_case "xentry-cluster-serve-v1 golden" `Quick
+            test_front_summary_json_golden;
         ] );
     ]

@@ -411,6 +411,50 @@ let test_optimizer_grid () =
         ras_polling = true;
       })
 
+(* The sweep's JSON (schema xentry-optimize-v1), pinned on a hand-built
+   result.  Labels reach the serve ladder's rung names and can come
+   back from a file, so one carries a quote and a backslash. *)
+let test_optimizer_json_golden () =
+  let point label detection knob coverage fp_rate overhead comparisons =
+    { Pareto.label; detection; knob; coverage; fp_rate; overhead; comparisons }
+  in
+  let full =
+    point "full" Pipeline.full_detection Detector.Stock 0.95 0.001 1.5e-6 12
+  in
+  let shallow =
+    point "depth=2\"q\\" Pipeline.full_detection (Detector.Depth 2) 0.9 0.002
+      2e-6 3
+  in
+  let cheap =
+    point "filter" Optimizer.filter_only Detector.Stock 0.5 0. 2.5e-7 0
+  in
+  let all_points = [ full; shallow; cheap ] in
+  let r =
+    {
+      Optimizer.front = Pareto.make ~source_version:3 all_points;
+      all_points;
+      manifested = 40;
+      clean_runs = 100;
+    }
+  in
+  Alcotest.(check (list bool)) "on the front" [ true; false; true ]
+    (List.map (Optimizer.on_front r) all_points);
+  Alcotest.(check string) "byte-exact"
+    "{\"schema\": \"xentry-optimize-v1\", \"benchmark\": \"postmark\", \
+     \"manifested\": 40, \"clean_runs\": 100, \"source_version\": 3, \
+     \"points\": [{\"label\": \"full\", \"coverage\": 0.95, \
+     \"fp_rate\": 0.001, \"overhead_s\": 1.5e-06, \"comparisons\": 12, \
+     \"on_front\": true}, {\"label\": \"depth=2\\\"q\\\\\", \
+     \"coverage\": 0.9, \"fp_rate\": 0.002, \"overhead_s\": 2e-06, \
+     \"comparisons\": 3, \"on_front\": false}, {\"label\": \"filter\", \
+     \"coverage\": 0.5, \"fp_rate\": 0, \"overhead_s\": 2.5e-07, \
+     \"comparisons\": 0, \"on_front\": true}]}"
+    (Xentry_util.Json.to_string
+       (Optimizer.to_json
+          (Optimizer.default_config
+             ~benchmark:Xentry_workload.Profile.Postmark ())
+          r))
+
 (* ------------------------------------------------------------------------------ *)
 
 let () =
@@ -457,5 +501,7 @@ let () =
             test_pareto_front_filters_and_orders;
           test_pareto_front_properties;
           Alcotest.test_case "optimizer grid" `Quick test_optimizer_grid;
+          Alcotest.test_case "xentry-optimize-v1 golden" `Quick
+            test_optimizer_json_golden;
         ] );
     ]

@@ -326,6 +326,121 @@ let test_throughput_robust () =
   Alcotest.(check (float 1e-9)) "negative wall is zero throughput" 0.0
     (Server.throughput_of ~completed:100 ~wall_s:(-1.0))
 
+(* --- summary JSON: schema xentry-serve-summary-v2 ------------------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+let golden_config =
+  Server.make ~benchmark:Xentry_workload.Profile.Postmark ~rate:1000.
+    ~streams:4 ~jobs:2 ~duration_s:1.5 ~deadline_us:5000
+    ~recovery:Server.Microboot
+    ~storm:{ Server.storm_start = 0.25; storm_end = 0.75; storm_prob = 0.02 }
+    ()
+
+let golden_summary =
+  {
+    Server.wall_s = 1.625;
+    offered = 1000;
+    admitted = 990;
+    completed = 980;
+    detected = 3;
+    injected = 4;
+    recoveries = 2;
+    recovery_us = [| 300.; 100. |];
+    recovery_total_s = 0.0004;
+    availability = 0.999875;
+    shed_queue_full = 10;
+    shed_deadline = 6;
+    shed_draining = 4;
+    throughput_rps = 603.0769230769231;
+    latency_us = [| 40.; 10.; 30.; 20.; 50. |];
+    transitions = [ (0.25, 1); (0.75, 0) ];
+    time_at_rung = [| 1.0; 0.625 |];
+    rung_names = [| "full"; "runtime_only" |];
+    final_rung = 0;
+    deepest_rung = 1;
+    peak_occupancy = 0.875;
+    mined = 12;
+    mine_dropped = 1;
+    retrained = 2;
+    shadow_rejected = 1;
+    swaps =
+      [
+        {
+          Server.swap_t_s = 0.5;
+          swap_version = 2;
+          swap_stats =
+            {
+              Xentry_lifecycle.Shadow.scored = 64;
+              faulted = 8;
+              candidate_hits = 7;
+              incumbent_hits = 6;
+              clean = 56;
+              candidate_fp = 0;
+              incumbent_fp = 1;
+            };
+        };
+      ];
+    final_detector_version = 2;
+  }
+
+let summary_json cfg s =
+  Xentry_util.Json.to_string (Server.summary_json cfg s)
+
+let test_summary_json_golden () =
+  Alcotest.(check string) "byte-exact"
+    "{\"schema\": \"xentry-serve-summary-v2\", \"benchmark\": \"postmark\", \
+     \"mode\": \"para-virtualization\", \"streams\": 4, \"jobs\": 2, \
+     \"rate_rps\": 1000, \"burst\": null, \"storm\": {\"start_s\": 0.25, \
+     \"end_s\": 0.75, \"prob\": 0.02}, \"deadline_us\": 5000, \
+     \"queue_capacity\": 64, \"duration_s\": 1.5, \"wall_s\": 1.625, \
+     \"offered\": 1000, \"admitted\": 990, \"completed\": 980, \
+     \"detected\": 3, \"recovery\": {\"policy\": \"microboot\", \
+     \"injected\": 4, \"recoveries\": 2, \"total_s\": 0.0004, \
+     \"availability\": 0.999875, \"recovery_us\": {\"count\": 2, \
+     \"mean\": 200, \"p50\": 200, \"p99\": 298, \"max\": 300}}, \
+     \"lifecycle\": {\"mined\": 12, \"dropped\": 1, \"retrained\": 2, \
+     \"rejected\": 1, \"final_detector_version\": 2, \
+     \"swaps\": [{\"t_s\": 0.5, \"version\": 2, \"scored\": 64}]}, \
+     \"shed\": {\"queue_full\": 10, \"deadline_expired\": 6, \
+     \"draining\": 4, \"total\": 20}, \"shed_fraction\": 0.02, \
+     \"throughput_rps\": 603.07692307692309, \"latency_us\": {\"count\": 5, \
+     \"mean\": 30, \"p50\": 30, \"p90\": 46, \"p99\": 49.6, \"max\": 50}, \
+     \"transitions\": [{\"t_s\": 0.25, \"to\": \"runtime_only\"}, \
+     {\"t_s\": 0.75, \"to\": \"full\"}], \"time_at_level\": {\"full\": 1, \
+     \"runtime_only\": 0.625}, \"final_level\": \"full\", \
+     \"deepest_level\": \"runtime_only\", \"peak_occupancy\": 0.875}"
+    (summary_json golden_config golden_summary)
+
+(* Rung names can come from a file ([serve --rungs] decodes a Pareto
+   front's labels), so every field that prints one must escape it:
+   "to", the time_at_level keys, final_level and deepest_level. *)
+let test_summary_json_escapes_rung_names () =
+  let json =
+    summary_json golden_config
+      {
+        golden_summary with
+        Server.rung_names = [| "full\"/depth=8\\"; "tab\there\001" |];
+      }
+  in
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) (Printf.sprintf "contains %s" sub) true
+        (contains json sub))
+    [
+      "\"to\": \"tab\\there\\u0001\"}";
+      "\"to\": \"full\\\"/depth=8\\\\\"}";
+      "\"time_at_level\": {\"full\\\"/depth=8\\\\\": 1, \
+       \"tab\\there\\u0001\": 0.625}";
+      "\"final_level\": \"full\\\"/depth=8\\\\\"";
+      "\"deepest_level\": \"tab\\there\\u0001\"";
+    ];
+  Alcotest.(check bool) "no raw control byte" false
+    (String.contains json '\001')
+
 let () =
   Alcotest.run "xentry_serve"
     [
@@ -364,5 +479,12 @@ let () =
             test_availability_robust;
           Alcotest.test_case "throughput handles a zero wall" `Quick
             test_throughput_robust;
+        ] );
+      ( "summary json",
+        [
+          Alcotest.test_case "xentry-serve-summary-v2 golden" `Quick
+            test_summary_json_golden;
+          Alcotest.test_case "rung names are escaped" `Quick
+            test_summary_json_escapes_rung_names;
         ] );
     ]

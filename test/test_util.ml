@@ -505,7 +505,7 @@ let test_telemetry_span_and_events () =
   Alcotest.(check int) "one observation recorded" 1
     (Telemetry.histogram_count (Telemetry.histogram "test.span.ns"));
   Telemetry.event "test.event"
-    [ ("k", Telemetry.Int 3); ("s", Telemetry.String "x\"y") ];
+    [ ("k", Json.Int 3); ("s", Json.String "x\"y") ];
   let json = Telemetry.to_json () in
   Alcotest.(check bool) "event name exported" true (contains json "test.event");
   Alcotest.(check bool) "string field escaped" true (contains json "x\\\"y")
@@ -514,7 +514,7 @@ let test_telemetry_export_jsonl () =
   with_telemetry @@ fun () ->
   Telemetry.incr (Telemetry.counter "test.export.counter");
   Telemetry.observe (Telemetry.histogram "test.export.hist") 7;
-  Telemetry.event "test.export.event" [ ("ok", Telemetry.Bool true) ];
+  Telemetry.event "test.export.event" [ ("ok", Json.Bool true) ];
   let path = Filename.temp_file "telemetry" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Telemetry.export_file path;
@@ -577,7 +577,130 @@ let test_telemetry_domains () =
     (Telemetry.histogram_count h);
   Alcotest.(check int) "merged sum" (4 * 5050) (Telemetry.histogram_sum h)
 
+(* One line of each xentry-telemetry-v1 record type, byte for byte.
+   Integer and string lines keep the layout DESIGN.md §11 documents;
+   a float field prints by the shared round-trip rule, [null] when
+   non-finite.  The meta line's counts cover every metric the process
+   registered, so they are read off the export itself. *)
+let test_telemetry_golden_lines () =
+  with_telemetry @@ fun () ->
+  Telemetry.add (Telemetry.counter "test.golden.counter") 3;
+  List.iter
+    (Telemetry.observe (Telemetry.histogram "test.golden.hist"))
+    [ 0; 1; 5; 5 ];
+  Telemetry.event "test.golden.event"
+    [
+      ("n", Json.Int 7);
+      ("s", Json.String "a\"b");
+      ("x", Json.Float 0.1);
+      ("bad", Json.Float Float.nan);
+      ("ok", Json.Bool true);
+    ];
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Telemetry.export_file path;
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let count typ =
+    let prefix = "{\"type\": \"" ^ typ ^ "\"" in
+    List.length (List.filter (fun l -> contains l prefix) lines)
+  in
+  let has line = Alcotest.(check bool) line true (List.mem line lines) in
+  Alcotest.(check string) "meta line"
+    (Printf.sprintf
+       "{\"type\": \"meta\", \"schema\": \"xentry-telemetry-v1\", \
+        \"counters\": %d, \"histograms\": %d, \"events\": 1}"
+       (count "counter") (count "histogram"))
+    (List.hd lines);
+  has
+    "{\"type\": \"counter\", \"name\": \"test.golden.counter\", \
+     \"value\": 3}";
+  has
+    "{\"type\": \"histogram\", \"name\": \"test.golden.hist\", \"count\": 4, \
+     \"sum\": 11, \"buckets\": [[0, 0, 1], [1, 1, 1], [4, 7, 2]]}";
+  has
+    "{\"type\": \"event\", \"name\": \"test.golden.event\", \"fields\": \
+     {\"n\": 7, \"s\": \"a\\\"b\", \"x\": 0.1, \"bad\": null, \"ok\": true}}";
+  (* [to_json] is the dump cluster workers send; readers scan it for
+     ["name": value] and ["count": n] bytes. *)
+  let json = Telemetry.to_json () in
+  Alcotest.(check bool) "to_json counter" true
+    (contains json "\"test.golden.counter\": 3");
+  Alcotest.(check bool) "to_json histogram" true
+    (contains json
+       "\"test.golden.hist\": {\"count\": 4, \"sum\": 11, \"buckets\": \
+        [[0, 0, 1], [1, 1, 1], [4, 7, 2]]}")
+
+(* --- Json ----------------------------------------------------------------- *)
+
+let render v = Json.to_string v
+
+let test_json_escapes_control_bytes () =
+  for c = 0 to 0x1f do
+    let expected =
+      match Char.chr c with
+      | '\n' -> "\"\\n\""
+      | '\r' -> "\"\\r\""
+      | '\t' -> "\"\\t\""
+      | _ -> Printf.sprintf "\"\\u%04x\"" c
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "byte 0x%02x" c)
+      expected
+      (render (Json.String (String.make 1 (Char.chr c))))
+  done;
+  Alcotest.(check string) "quote" "\"\\\"\"" (render (Json.String "\""));
+  Alcotest.(check string) "backslash" "\"\\\\\"" (render (Json.String "\\"));
+  Alcotest.(check string) "other bytes pass through" "\"a/\x7f\xc3\xa9\""
+    (render (Json.String "a/\x7f\xc3\xa9"));
+  Alcotest.(check string) "keys are escaped too" "{\"a\\\"b\\n\": 1}"
+    (render (Json.Obj [ ("a\"b\n", Json.Int 1) ]))
+
+let test_json_non_finite_floats () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) "null"
+        (render (Json.Float f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string) "integral float" "6" (render (Json.Float 6.0));
+  Alcotest.(check string) "short decimal" "1234.56"
+    (render (Json.Float 1234.56));
+  Alcotest.(check string) "%g loses bits" "0.30000000000000004"
+    (render (Json.Float (0.1 +. 0.2)))
+
+let test_json_structure () =
+  Alcotest.(check string) "empty object" "{}" (render (Json.Obj []));
+  Alcotest.(check string) "empty list" "[]" (render (Json.List []));
+  Alcotest.(check string) "scalars"
+    "[null, true, false, -3, \"s\"]"
+    (render Json.(List [ Null; Bool true; Bool false; Int (-3); String "s" ]));
+  Alcotest.(check string) "nested"
+    "{\"a\": [1, {}, [], [[2]]], \"b\": {\"c\": null, \"d\": {\"e\": [3, 4]}}}"
+    (render
+       Json.(
+         Obj
+           [ ("a", List [ Int 1; Obj []; List []; List [ List [ Int 2 ] ] ]);
+             ( "b",
+               Obj [ ("c", Null); ("d", Obj [ ("e", List [ Int 3; Int 4 ]) ]) ]
+             ) ]));
+  let opt = Json.option (fun i -> Json.Int i) in
+  Alcotest.(check string) "option" "[null, 5]"
+    (render (Json.List [ opt None; opt (Some 5) ]))
+
 (* --- qcheck properties --------------------------------------------------- *)
+
+(* Any finite double, drawn from its bit pattern so subnormals, huge
+   exponents and 17-digit mantissas all occur. *)
+let prop_json_float_round_trips =
+  QCheck.Test.make ~name:"json float renders back to the same float" ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%h") Gen.(map Int64.float_of_bits int64))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      float_of_string (render (Json.Float f)) = f)
 
 (* Naive reference implementations the optimized Stats code must agree
    with. *)
@@ -671,6 +794,7 @@ let () =
         prop_sample_without_replacement_distinct;
         prop_stddev_matches_reference;
         prop_quantile_matches_reference;
+        prop_json_float_round_trips;
       ]
   in
   Alcotest.run "xentry_util"
@@ -749,6 +873,17 @@ let () =
             test_telemetry_export_jsonl;
           Alcotest.test_case "reset" `Quick test_telemetry_reset;
           Alcotest.test_case "cross-domain merge" `Quick test_telemetry_domains;
+          Alcotest.test_case "xentry-telemetry-v1 golden lines" `Quick
+            test_telemetry_golden_lines;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "control bytes, quote and backslash escaped"
+            `Quick test_json_escapes_control_bytes;
+          Alcotest.test_case "non-finite floats are null" `Quick
+            test_json_non_finite_floats;
+          Alcotest.test_case "empty and nested values" `Quick
+            test_json_structure;
         ] );
       ( "edge-cases",
         [
