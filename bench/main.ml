@@ -1223,39 +1223,13 @@ let recover () =
 module CP = Xentry_cluster.Protocol
 module Coordinator = Xentry_cluster.Coordinator
 module Front = Xentry_cluster.Front
-
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun q -> rm_rf (Filename.concat p q)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
-let reap_pid pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-let kill_pid pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+module Worker = Xentry_cluster.Worker
 
 (* Run [f pids] with [n] worker processes of [jobs] domains each
    connecting to [sock].  The bench binary doubles as its own cluster
-   worker: it re-executes [Sys.executable_name] with "--cluster-worker"
-   (never fork — worker pools are domains).  Once [f] returns or raises
-   the workers are stateless; they are killed before they are reaped so
-   a straggler that never reached the coordinator can't hold the reap
-   for its connect retries. *)
+   worker: it re-executes itself with "--cluster-worker". *)
 let with_cluster_workers sock ~n ~jobs f =
-  let argv =
-    [| Sys.executable_name; "--cluster-worker"; sock; string_of_int jobs |]
-  in
-  let pids =
-    List.init n (fun _ ->
-        Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
-          Unix.stderr)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter kill_pid pids;
-      List.iter reap_pid pids)
-    (fun () -> f pids)
+  Worker.with_workers ~n [ "--cluster-worker"; sock; string_of_int jobs ] f
 
 let cluster () =
   print (R.section "Cluster: multi-process scale-out (socket coordinator)");
@@ -1265,25 +1239,15 @@ let cluster () =
     Campaign.Config.make ~benchmark:Profile.Postmark ~injections ~seed:2014 ()
   in
   let nshards = List.length (Campaign.shard_plan config) in
-  let scratch name f =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "xentry-bench-cluster-%d-%s" (Unix.getpid ()) name)
-    in
-    rm_rf dir;
-    Sys.mkdir dir 0o755;
-    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-  in
-  (* Coordinate [config] over [n] workers; [on_progress] gets the
-     worker pids.  Returns the wall seconds and the merged records. *)
-  let run_cluster ?checkpoint ?(on_progress = fun _ _ -> ()) ~n ~jobs dir =
+  (* Coordinate [config] over [n] workers.  Returns the wall seconds
+     and the merged records. *)
+  let run_cluster ~n ~jobs dir =
     let sock = Filename.concat dir "coord.sock" in
-    with_cluster_workers sock ~n ~jobs (fun pids ->
+    with_cluster_workers sock ~n ~jobs (fun _pids ->
         let t0 = Unix.gettimeofday () in
         let records =
-          Coordinator.run ?checkpoint ~on_progress:(on_progress pids)
-            ~idle_timeout_s:30. ~listen:(CP.Unix_sock sock) config
+          Coordinator.run ~idle_timeout_s:30. ~listen:(CP.Unix_sock sock)
+            config
         in
         (Unix.gettimeofday () -. t0, records))
   in
@@ -1300,7 +1264,7 @@ let cluster () =
     :: List.map
          (fun workers ->
            let jobs_per = max 1 (domains / workers) in
-           scratch (Printf.sprintf "w%d" workers) (fun dir ->
+           Worker.with_scratch_dir (Printf.sprintf "w%d" workers) (fun dir ->
                let s, records = run_cluster ~n:workers ~jobs:jobs_per dir in
                record_phase
                  (Printf.sprintf "cluster-%d-process" workers)
@@ -1337,63 +1301,11 @@ let cluster () =
       "FATAL: distributed campaign records diverged from single-process run\n%!";
     exit 1
   end;
-  (* Kill leg: SIGKILL one worker after the first shard lands; the
-     journal plus lease reissue must still converge to the identical
-     record list, and a warm resume must replay every shard. *)
-  let kill_json =
-    if nshards < 3 then begin
-      printf "kill leg skipped: %d shard(s) at this scale (needs >= 3)\n"
-        nshards;
-      []
-    end
-    else
-      scratch "kill" (fun dir ->
-          let journal = Filename.concat dir "journal" in
-          let checkpoint () =
-            match Xentry_store.Journal.for_campaign ~dir:journal config with
-            | Ok cp -> cp
-            | Error e ->
-                failwith (Xentry_store.Journal.open_error_message e)
-          in
-          let killed = ref false in
-          let on_progress pids (p : Coordinator.progress) =
-            if (not !killed) && p.Coordinator.completed < p.Coordinator.total
-            then begin
-              killed := true;
-              kill_pid (List.hd pids)
-            end
-          in
-          let kill_s, records =
-            run_cluster ~checkpoint:(checkpoint ()) ~on_progress ~n:2 ~jobs:2
-              dir
-          in
-          let resumed =
-            Campaign.execute ~checkpoint:(checkpoint ())
-              { config with Campaign.jobs = Some 1 }
-          in
-          let identical = records = baseline in
-          let resume_identical = resumed = baseline in
-          record_phase "cluster-kill-resume" kill_s injections;
-          printf
-            "worker killed mid-campaign: %.3fs, records identical %b; \
-             journal resume identical %b\n"
-            kill_s identical resume_identical;
-          if not (identical && resume_identical) then begin
-            Printf.eprintf
-              "FATAL: records diverged after mid-campaign worker kill/resume\n%!";
-            exit 1
-          end;
-          [ ( "kill",
-              Json.(
-                Obj
-                  [ ("seconds", Float kill_s); ("identical", Bool identical);
-                    ("resume_identical", Bool resume_identical) ]) ) ])
-  in
   (* Serve leg: front tier over 2 worker processes, one killed at 40%
      of the run — the ring rebalances and the survivor absorbs the
      remapped streams. *)
   let serve_json =
-    scratch "serve" (fun dir ->
+    Worker.with_scratch_dir "serve" (fun dir ->
         let workers = 2 in
         let jobs_per = max 1 (domains / workers) in
         let duration_s = Float.max 0.5 (Float.min 3.0 (3.0 *. scale)) in
@@ -1411,7 +1323,8 @@ let cluster () =
               let on_tick ~elapsed =
                 if (not !killed) && elapsed >= 0.4 *. duration_s then begin
                   killed := true;
-                  kill_pid (List.hd pids)
+                  try Unix.kill (List.hd pids) Sys.sigkill
+                  with Unix.Unix_error _ -> ()
                 end
               in
               Front.run ~on_tick ~listen:(CP.Unix_sock sock) ~workers cfg)
@@ -1456,9 +1369,8 @@ let cluster () =
                       ("effective_injections_per_sec", Float (eff s));
                       ("identical", Bool ok) ])
                 legs) );
-         ("speedup_workers4_vs_1", Float speedup4) ]
-      @ kill_json
-      @ [ ("serve", serve_json); ("identical", Bool identical) ]))
+         ("speedup_workers4_vs_1", Float speedup4);
+         ("serve", serve_json); ("identical", Bool identical) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one kernel per table/figure               *)

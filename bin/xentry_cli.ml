@@ -120,7 +120,10 @@ let telemetry_arg =
     value & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE" ~env ~doc)
 
-let with_telemetry path f =
+(* After exporting this process's metrics, append the telemetry dumps
+   cluster workers sent back into [worker_dumps] (newest first), one
+   JSON line each: one file tells the whole cluster's story. *)
+let with_telemetry ?(worker_dumps = ref []) path f =
   match path with
   | None -> f ()
   | Some file ->
@@ -128,6 +131,9 @@ let with_telemetry path f =
       Fun.protect
         ~finally:(fun () ->
           Xentry_util.Telemetry.export_file file;
+          (match List.rev !worker_dumps with
+          | [] -> ()
+          | l -> Xentry_cluster.Front.append_worker_telemetry ~path:file l);
           Printf.eprintf "telemetry written to %s\n%!" file)
         f
 
@@ -155,67 +161,16 @@ let addr_conv =
   in
   Arg.conv (parse, print)
 
-(* Like [with_telemetry], but after exporting this process's metrics
-   append the telemetry dumps the workers sent back, one JSON line
-   each — one file tells the whole cluster's story. *)
-let with_worker_telemetry path dumps f =
-  match path with
-  | None -> f ()
-  | Some file ->
-      Xentry_util.Telemetry.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Xentry_util.Telemetry.export_file file;
-          (match List.rev !dumps with
-          | [] -> ()
-          | l -> Xentry_cluster.Front.append_worker_telemetry ~path:file l);
-          Printf.eprintf "telemetry written to %s\n%!" file)
-        f
-
-let with_cluster_socket f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xentry-cluster-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+(* Run [f sock] with [workers] worker processes of this binary, [jobs]
+   domains each, connecting to [sock]. *)
+let with_local_workers ~name ~workers ~jobs ~engine ~telemetry f =
+  Xentry_cluster.Worker.with_scratch_dir name @@ fun dir ->
   let sock = Filename.concat dir "coord.sock" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove sock with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f sock)
-
-(* Workers are separate processes of this same binary (never [fork]:
-   an OCaml 5 runtime with live domains must not fork). *)
-let spawn_worker ~connect ~jobs ~engine ~telemetry () =
-  let args =
-    [
-      "xentry"; "worker"; "--connect"; connect; "-j"; string_of_int jobs;
-      "--engine"; Xentry_machine.Cpu.engine_name engine;
-    ]
-    @ if telemetry then [ "--enable-telemetry" ] else []
-  in
-  Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
-    Unix.stdout Unix.stderr
-
-(* Workers are stateless once the coordinator/front returned: kill
-   before waiting so a straggler that never reached the (now removed)
-   socket can't hold the exit path through its connect retries. *)
-let reap_workers pids =
-  List.iter
-    (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    pids;
-  List.iter
-    (fun pid ->
-      try ignore (Unix.waitpid [] pid : int * Unix.process_status)
-      with Unix.Unix_error _ -> ())
-    pids
-
-let kill_workers pids =
-  List.iter
-    (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    pids
+  Xentry_cluster.Worker.with_workers ~n:workers
+    ([ "worker"; "--connect"; sock; "-j"; string_of_int jobs; "--engine";
+       Xentry_machine.Cpu.engine_name engine ]
+    @ if telemetry <> None then [ "--enable-telemetry" ] else [])
+  @@ fun _pids -> f sock
 
 (* --- simulate ------------------------------------------------------------- *)
 
@@ -285,7 +240,7 @@ let inject benchmark mode injections seed jobs engine detector_src checkpoint
     no_prune faults_per_run snapshot_interval workers telemetry fault_classes =
   apply_engine engine;
   let worker_dumps = ref [] in
-  with_worker_telemetry telemetry worker_dumps @@ fun () ->
+  with_telemetry ~worker_dumps telemetry @@ fun () ->
   let jobs = resolve_jobs jobs in
   let detector =
     match detector_src with
@@ -351,27 +306,13 @@ let inject benchmark mode injections seed jobs engine detector_src checkpoint
   in
   let records =
     if workers <= 0 then Campaign.execute ?checkpoint config
-    else begin
-      with_cluster_socket @@ fun sock ->
-      let pids =
-        List.init workers (fun _ ->
-            spawn_worker ~connect:sock ~jobs ~engine
-              ~telemetry:(telemetry <> None) ())
-      in
-      match
-        Xentry_cluster.Coordinator.run ?checkpoint
-          ~on_worker_telemetry:(fun j -> worker_dumps := j :: !worker_dumps)
-          ~listen:(Xentry_cluster.Protocol.Unix_sock sock)
-          { config with Campaign.jobs = None }
-      with
-      | records ->
-          reap_workers pids;
-          records
-      | exception e ->
-          kill_workers pids;
-          reap_workers pids;
-          raise e
-    end
+    else
+      with_local_workers ~name:"inject" ~workers ~jobs ~engine ~telemetry
+      @@ fun sock ->
+      Xentry_cluster.Coordinator.run ?checkpoint
+        ~on_worker_telemetry:(fun j -> worker_dumps := j :: !worker_dumps)
+        ~listen:(Xentry_cluster.Protocol.Unix_sock sock)
+        { config with Campaign.jobs = None }
   in
   let summary = Report.summarize records in
   Printf.printf "injections: %d  activated: %d  manifested: %d  coverage: %.1f%%\n"
@@ -461,8 +402,8 @@ let inject_cmd =
             "Simulate every sampled fault exhaustively instead of planning \
              against the golden trace (pruning, class collapsing and \
              snapshot fast-forwarding).  Records are bit-identical either \
-             way; this flag (or $(b,XENTRY_PRUNE=0)) exists for \
-             cross-checking and timing the exhaustive path.")
+             way; this flag exists for cross-checking and timing the \
+             exhaustive path.")
   in
   let faults_per_run =
     Arg.(
@@ -698,7 +639,7 @@ let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
     retrain_interval shadow_window retrain_dir rungs json telemetry =
   apply_engine engine;
   let worker_dumps = ref [] in
-  with_worker_telemetry telemetry worker_dumps @@ fun () ->
+  with_telemetry ~worker_dumps telemetry @@ fun () ->
   let jobs = resolve_jobs jobs in
   let module Serve = Xentry_serve.Server in
   let module Ladder = Xentry_serve.Ladder in
@@ -761,28 +702,16 @@ let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
     else Format.printf "%a@." Serve.pp_summary summary
   end
   else begin
-    with_cluster_socket @@ fun sock ->
-    let pids =
-      List.init workers (fun _ ->
-          spawn_worker ~connect:sock ~jobs ~engine
-            ~telemetry:(telemetry <> None) ())
-    in
-    match
+    let summary =
+      with_local_workers ~name:"serve" ~workers ~jobs ~engine ~telemetry
+      @@ fun sock ->
       Xentry_cluster.Front.run
         ~listen:(Xentry_cluster.Protocol.Unix_sock sock)
         ~workers cfg
-    with
-    | summary ->
-        reap_workers pids;
-        worker_dumps :=
-          List.rev summary.Xentry_cluster.Front.worker_telemetry;
-        if json then
-          print_json (Xentry_cluster.Front.summary_json ~workers summary)
-        else front_summary_text workers summary
-    | exception e ->
-        kill_workers pids;
-        reap_workers pids;
-        raise e
+    in
+    worker_dumps := List.rev summary.Xentry_cluster.Front.worker_telemetry;
+    if json then print_json (Xentry_cluster.Front.summary_json ~workers summary)
+    else front_summary_text workers summary
   end
 
 let serve_cmd =
@@ -813,13 +742,8 @@ let serve_cmd =
        executed.  Default from $(b,XENTRY_DEADLINE_US), else no deadline."
     in
     let env = Cmd.Env.info "XENTRY_DEADLINE_US" ~doc:"See option $(b,--deadline-us)." in
-    let default =
-      match Sys.getenv_opt "XENTRY_DEADLINE_US" with
-      | Some s -> int_of_string_opt s
-      | None -> None
-    in
     Arg.(
-      value & opt (some int) default
+      value & opt (some int) None
       & info [ "deadline-us" ] ~docv:"MICROSECONDS" ~env ~doc)
   in
   let queue_capacity =
@@ -861,14 +785,8 @@ let serve_cmd =
        In-process engine only (ignored with $(b,--workers))."
     in
     let env = Cmd.Env.info "XENTRY_RECOVERY" ~doc:"See option $(b,--recovery)." in
-    let default =
-      match Sys.getenv_opt "XENTRY_RECOVERY" with
-      | Some "microboot" -> Xentry_serve.Server.Microboot
-      | Some "restart" -> Xentry_serve.Server.Restart
-      | _ -> Xentry_serve.Server.Keep_serving
-    in
     Arg.(
-      value & opt policy_conv default
+      value & opt policy_conv Xentry_serve.Server.Keep_serving
       & info [ "recovery" ] ~docv:"POLICY" ~env ~doc)
   in
   let storm_window =

@@ -202,3 +202,42 @@ let run ?jobs ~connect () =
       serve_loop conn ~jobs ~worker_index ~seed ~detection ~detector ~fuel
   | Some P.Bye | None -> P.close conn
   | Some _ -> P.close conn
+
+(* --- local launcher -------------------------------------------------- *)
+
+let with_workers ~n args f =
+  let argv = Array.of_list (Sys.executable_name :: args) in
+  let pids =
+    List.init n (fun _ ->
+        Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
+          Unix.stderr)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+        pids;
+      List.iter
+        (fun pid ->
+          try ignore (Unix.waitpid [] pid : int * Unix.process_status)
+          with Unix.Unix_error _ -> ())
+        pids)
+    (fun () -> f pids)
+
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun q -> rm_rf (Filename.concat p q)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
+let with_scratch_dir name f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xentry-cluster-%d-%s" (Unix.getpid ()) name)
+  in
+  rm_rf dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

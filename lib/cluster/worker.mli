@@ -28,3 +28,24 @@ val run : ?jobs:int -> connect:Protocol.addr -> unit -> unit
 (** Connect (with retries — the coordinator may not be listening yet),
     announce [jobs] domains (default {!Xentry_util.Pool.default_jobs}),
     and work until the peer says [Bye] or closes the connection. *)
+
+(** {1 Local launcher}
+
+    Coordinators, fronts and their tests run their workers as local
+    processes of their own binary, which must answer the given
+    arguments by calling {!run}. *)
+
+val with_workers : n:int -> string list -> (int list -> 'a) -> 'a
+(** [with_workers ~n args f] starts [n] copies of
+    [Sys.executable_name] with [args] (never [fork]: an OCaml 5
+    runtime with live domains must not fork) and runs [f pids].  Once
+    [f] returns or raises, every worker is SIGKILLed and reaped:
+    workers are stateless by then, and killing before waiting keeps a
+    straggler that never reached the coordinator from holding the exit
+    path through its connect retries. *)
+
+val with_scratch_dir : string -> (string -> 'a) -> 'a
+(** [with_scratch_dir name f] runs [f dir] in a fresh private
+    directory [xentry-cluster-PID-name] under the temporary directory,
+    a home for the coordinator's socket, and removes it with its
+    contents afterwards. *)

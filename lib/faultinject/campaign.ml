@@ -19,14 +19,11 @@ module Config = struct
     jobs : int option;
   }
 
-  let prune_default () = Sys.getenv_opt "XENTRY_PRUNE" <> Some "0"
-
   let make ?detector ?(framework = Pipeline.full_detection)
       ?(fault_classes = [ Fault.Reg_single_bit ])
       ?(mode = Xentry_workload.Profile.PV) ?(fuel = 20_000) ?(hardened = false)
-      ?(faults_per_run = 1) ?prune ?(snapshot_interval = 64) ?jobs ~benchmark
-      ~injections ~seed () =
-    let prune = match prune with Some p -> p | None -> prune_default () in
+      ?(faults_per_run = 1) ?(prune = true) ?(snapshot_interval = 64) ?jobs
+      ~benchmark ~injections ~seed () =
     {
       seed;
       injections;

@@ -19,8 +19,8 @@
 
     {2 Golden-trace planning}
 
-    With [prune] enabled (the default; disable with [XENTRY_PRUNE=0]
-    or [--no-prune]) the campaign consults the golden execution's
+    With [prune] enabled (the default; disable with [~prune:false] or
+    [--no-prune]) the campaign consults the golden execution's
     def/use trace ({!Xentry_machine.Golden_trace}) before simulating
     anything: faults whose flipped bit is provably overwritten before
     its next use are answered from the golden result with zero
@@ -68,8 +68,7 @@ module Config : sig
             fast-forward) instead of simulating every fault.
             Execution-only, so it is excluded from {!canonical}: the
             records are meant to be identical either way (but see
-            [snapshot_interval]).  Default: true unless
-            [XENTRY_PRUNE=0]. *)
+            [snapshot_interval]).  Default: true. *)
     snapshot_interval : int;
         (** dynamic steps between mid-run COW snapshots on recorded
             golden runs (default 64; [<= 0] = only the step-0
@@ -105,9 +104,8 @@ module Config : sig
     unit ->
     t
   (** Defaults: PV mode, full detection, fuel 20_000, baseline
-      handlers, one fault per run, pruning on (honouring
-      [XENTRY_PRUNE]), snapshots every 64 steps, [Pool.default_jobs]
-      workers. *)
+      handlers, one fault per run, pruning on, snapshots every 64
+      steps, [Pool.default_jobs] workers. *)
 
   val pipeline : t -> Xentry_core.Pipeline.Config.t
   (** The per-execution pipeline config a campaign applies to each

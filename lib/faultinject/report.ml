@@ -125,12 +125,6 @@ let technique_percentages s =
     ("Undetected", pct t.undetected s.manifested);
   ]
 
-let long_latency_coverage s =
-  List.map
-    (fun (kind, detected, undetected) ->
-      (Outcome.long_name kind, pct detected (detected + undetected)))
-    s.long_latency_by_consequence
-
 let undetected_percentages s =
   let total =
     List.fold_left (fun acc (_, n) -> acc + n) 0 s.undetected_breakdown

@@ -31,9 +31,6 @@ val technique_percentages : summary -> (string * float) list
 (** Fig 8's stack: per-technique share of manifested faults plus the
     undetected remainder, in percent. *)
 
-val long_latency_coverage : summary -> (string * float) list
-(** Fig 9: detection coverage per consequence class, percent. *)
-
 val undetected_percentages : summary -> (string * float) list
 (** Table II rows, percent of undetected faults. *)
 

@@ -85,4 +85,3 @@ let arch_name = function
   | Rflags -> "rflags"
 
 let pp_gpr ppf g = Format.pp_print_string ppf (gpr_name g)
-let pp_arch ppf a = Format.pp_print_string ppf (arch_name a)

@@ -53,4 +53,3 @@ val all_arch : arch array
 val arch_name : arch -> string
 
 val pp_gpr : Format.formatter -> gpr -> unit
-val pp_arch : Format.formatter -> arch -> unit

@@ -668,8 +668,6 @@ let strike_tlb t ~page ~bit =
       flush_tlb t;
       true
 
-let mapped_bytes t = PageMap.cardinal t.pages * page_size
-
 let private_pages t =
   PageMap.fold (fun _ p acc -> if p.owner = t.id then acc + 1 else acc) t.pages 0
 

@@ -180,9 +180,6 @@ val strike_tlb : t -> page:int64 -> bit:int -> bool
     page-faulting when it is not.  [false] (and no effect) when
     [page] itself is unmapped.  Bumps the TLB generation. *)
 
-val mapped_bytes : t -> int
-(** Total bytes currently mapped (page-granular). *)
-
 val page_count : t -> int
 (** Number of mapped pages. *)
 

@@ -1,13 +1,5 @@
 type event = Inst_retired | Br_inst_retired | Mem_loads | Mem_stores
 
-let all_events = [| Inst_retired; Br_inst_retired; Mem_loads; Mem_stores |]
-
-let event_name = function
-  | Inst_retired -> "INST_RETIRED"
-  | Br_inst_retired -> "BR_INST_RETIRED"
-  | Mem_loads -> "MEM_INST_RETIRED.LOADS"
-  | Mem_stores -> "MEM_INST_RETIRED.STORES"
-
 let index = function
   | Inst_retired -> 0
   | Br_inst_retired -> 1
@@ -23,7 +15,6 @@ let enable t =
   t.enabled <- true
 
 let disable t = t.enabled <- false
-let is_enabled t = t.enabled
 
 let add t ev n = if t.enabled then
     let i = index ev in
@@ -40,8 +31,6 @@ let snapshot t =
     loads = read t Mem_loads;
     stores = read t Mem_stores;
   }
-
-let zero_snapshot = { inst = 0; branches = 0; loads = 0; stores = 0 }
 
 let pp_snapshot ppf s =
   Format.fprintf ppf "inst=%d br=%d ld=%d st=%d" s.inst s.branches s.loads

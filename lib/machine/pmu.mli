@@ -12,10 +12,6 @@ type event =
   | Mem_loads
   | Mem_stores
 
-val all_events : event array
-val event_name : event -> string
-(** Hardware event mnemonic as in the paper's Table I. *)
-
 type t
 
 val create : unit -> t
@@ -27,8 +23,6 @@ val enable : t -> unit
 val disable : t -> unit
 (** Stop counting (VM-entry hook); values remain readable. *)
 
-val is_enabled : t -> bool
-
 val add : t -> event -> int -> unit
 (** Account [n] occurrences; ignored while disabled. *)
 
@@ -37,7 +31,5 @@ val read : t -> event -> int
 type snapshot = { inst : int; branches : int; loads : int; stores : int }
 
 val snapshot : t -> snapshot
-
-val zero_snapshot : snapshot
 
 val pp_snapshot : Format.formatter -> snapshot -> unit

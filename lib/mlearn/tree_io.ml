@@ -1,78 +1,3 @@
-let to_text (t : Tree.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "xentry-tree v1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "features %s\n"
-       (String.concat "," (Array.to_list t.Tree.feature_names)));
-  Buffer.add_string buf (Printf.sprintf "classes %d\n" t.Tree.n_classes);
-  let rec emit node =
-    match node with
-    | Tree.Leaf { label; confidence; population } ->
-        Buffer.add_string buf
-          (Printf.sprintf "leaf %d %.17g %d\n" label confidence population)
-    | Tree.Split { feature; threshold; low; high } ->
-        Buffer.add_string buf
-          (Printf.sprintf "split %d %.17g\n" feature threshold);
-        emit low;
-        emit high
-  in
-  emit t.Tree.root;
-  Buffer.contents buf
-
-exception Parse of string
-
-let of_text text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | header :: features_line :: classes_line :: nodes -> (
-      if String.trim header <> "xentry-tree v1" then
-        failwith "Tree_io.of_text: bad header";
-      let feature_names =
-        match String.split_on_char ' ' features_line with
-        | [ "features"; names ] ->
-            Array.of_list (String.split_on_char ',' names)
-        | _ -> failwith "Tree_io.of_text: bad features line"
-      in
-      let n_classes =
-        match String.split_on_char ' ' classes_line with
-        | [ "classes"; n ] -> int_of_string n
-        | _ -> failwith "Tree_io.of_text: bad classes line"
-      in
-      let rest = ref nodes in
-      let next () =
-        match !rest with
-        | [] -> raise (Parse "unexpected end of node list")
-        | l :: tl ->
-            rest := tl;
-            String.split_on_char ' ' (String.trim l)
-      in
-      let rec parse_node () =
-        match next () with
-        | [ "leaf"; label; confidence; population ] ->
-            Tree.Leaf
-              {
-                label = int_of_string label;
-                confidence = float_of_string confidence;
-                population = int_of_string population;
-              }
-        | [ "split"; feature; threshold ] ->
-            let feature = int_of_string feature in
-            let threshold = float_of_string threshold in
-            let low = parse_node () in
-            let high = parse_node () in
-            Tree.Split { feature; threshold; low; high }
-        | tokens -> raise (Parse ("bad node line: " ^ String.concat " " tokens))
-      in
-      try
-        let root = parse_node () in
-        if !rest <> [] then failwith "Tree_io.of_text: trailing node lines";
-        Tree.of_parts ~root ~feature_names ~n_classes
-      with Parse msg -> failwith ("Tree_io.of_text: " ^ msg))
-  | _ -> failwith "Tree_io.of_text: truncated input"
-
 let sanitize name =
   String.map
     (fun c ->

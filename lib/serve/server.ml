@@ -107,18 +107,6 @@ let make ?(pipeline = Pipeline.Config.default) ?(mode = Profile.PV)
   then invalid_arg "Server.make: invalid configuration";
   cfg
 
-(* --- shed accounting ------------------------------------------------ *)
-
-type shed_reason =
-  | Queue_full  (** ingress queue at capacity at arrival time *)
-  | Deadline_expired  (** dequeued after its deadline already passed *)
-  | Draining  (** still queued when the service shut down *)
-
-let shed_reason_name = function
-  | Queue_full -> "queue_full"
-  | Deadline_expired -> "deadline_expired"
-  | Draining -> "draining"
-
 (* --- telemetry ------------------------------------------------------ *)
 
 let tm_offered = Tm.counter "serve.offered"
@@ -703,7 +691,7 @@ let run (cfg : config) =
     Unix.sleepf cfg.tick_s
   done;
   (* Shutdown: stop admitting, then let workers shed the backlog as
-     [Draining] (a latency-bound service must not stretch its shutdown
+     draining (a latency-bound service must not stretch its shutdown
      by executing stale work). *)
   Atomic.set draining true;
   Array.iter Bounded_queue.close queues;

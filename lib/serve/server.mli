@@ -10,7 +10,7 @@
     {!Xentry_core.Pipeline.run} under the rung the degradation
     {!Ladder} currently prescribes (detection set + detector knob).
 
-    Backpressure is explicit and typed ({!shed_reason}): a full queue
+    Backpressure is explicit and counted per cause: a full queue
     sheds at admission, an expired deadline sheds at dequeue, and
     shutdown sheds the backlog.  The producer ticks every [tick_s],
     feeding aggregate queue occupancy to the ladder; every admission,
@@ -127,13 +127,6 @@ val make :
     [Keep_serving], no retraining, no deadline, 2 s, 2 jobs, capacity
     64, default ladder, 2 ms ticks, seed 42, 200k samples.  Raises
     [Invalid_argument] on nonsensical values. *)
-
-type shed_reason =
-  | Queue_full  (** ingress queue at capacity at arrival time *)
-  | Deadline_expired  (** dequeued after its deadline already passed *)
-  | Draining  (** still queued when the service shut down *)
-
-val shed_reason_name : shed_reason -> string
 
 type swap = {
   swap_t_s : float;  (** seconds since service start *)

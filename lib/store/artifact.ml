@@ -31,8 +31,6 @@ let error_message = function
         found
   | Malformed msg -> "malformed payload: " ^ msg
 
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
-
 let encode codec v =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;

@@ -33,7 +33,6 @@ type error =
       (** frame intact but the payload failed codec validation *)
 
 val error_message : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val encode : 'a Codec.t -> 'a -> string
 (** The full frame as bytes (what {!save} writes). *)

@@ -11,8 +11,8 @@ type 'a t = {
 }
 
 (* Validation helpers: codec readers may only raise Wire.Corrupt, so
-   constructor-side Invalid_argument (Tree.of_parts, Dataset.create,
-   Forest.of_trees...) is rewrapped. *)
+   constructor-side Invalid_argument (Tree.of_parts, Forest.of_trees...)
+   is rewrapped. *)
 let guard f =
   try f () with Invalid_argument msg | Failure msg -> W.corrupt msg
 
@@ -238,31 +238,6 @@ let outcome_records =
     read = (fun r -> W.read_list read_record r);
   }
 
-(* --- datasets --------------------------------------------------------- *)
-
-let write_sample buf (s : Dataset.sample) =
-  W.array_ W.f64 buf s.Dataset.features;
-  W.u16 buf s.Dataset.label
-
-let read_sample r =
-  let features = W.read_array W.read_f64 r in
-  let label = W.read_u16 r in
-  { Dataset.features; label }
-
-let write_dataset buf ds =
-  W.array_ W.str buf (Dataset.feature_names ds);
-  W.u16 buf (Dataset.n_classes ds);
-  W.array_ write_sample buf (Dataset.samples ds)
-
-let read_dataset r =
-  let feature_names = W.read_array W.read_str r in
-  let n_classes = W.read_u16 r in
-  let samples = W.read_list read_sample r in
-  guard (fun () -> Dataset.create ~feature_names ~n_classes samples)
-
-let dataset =
-  { kind = "dataset"; version = 1; write = write_dataset; read = read_dataset }
-
 (* --- trees and forests ------------------------------------------------ *)
 
 let rec write_node buf (node : Tree.node) =
@@ -305,8 +280,6 @@ let read_tree r =
   let root = read_node r in
   guard (fun () -> Tree.of_parts ~root ~feature_names ~n_classes)
 
-let tree = { kind = "tree"; version = 1; write = write_tree; read = read_tree }
-
 let write_forest buf f =
   W.u16 buf (Forest.n_classes f);
   W.array_ write_tree buf (Forest.trees f)
@@ -315,9 +288,6 @@ let read_forest r =
   let n_classes = W.read_u16 r in
   let members = W.read_array read_tree r in
   guard (fun () -> Forest.of_trees ~n_classes members)
-
-let forest =
-  { kind = "forest"; version = 1; write = write_forest; read = read_forest }
 
 (* --- deployed detectors ----------------------------------------------- *)
 
@@ -447,63 +417,3 @@ let read_pareto r : Pareto.front =
 
 let pareto =
   { kind = "pareto"; version = 1; write = write_pareto; read = read_pareto }
-
-(* --- training corpora and the full pipeline result -------------------- *)
-
-let write_corpus buf (c : Training.corpus) =
-  write_dataset buf c.Training.dataset;
-  W.int_ buf c.Training.injection_runs;
-  W.int_ buf c.Training.fault_free_runs;
-  W.int_ buf c.Training.correct;
-  W.int_ buf c.Training.incorrect
-
-let read_corpus r : Training.corpus =
-  let dataset = read_dataset r in
-  let injection_runs = W.read_int r in
-  let fault_free_runs = W.read_int r in
-  let correct = W.read_int r in
-  let incorrect = W.read_int r in
-  { Training.dataset; injection_runs; fault_free_runs; correct; incorrect }
-
-let corpus =
-  { kind = "corpus"; version = 1; write = write_corpus; read = read_corpus }
-
-let write_confusion buf (c : Metrics.confusion) =
-  W.int_ buf c.Metrics.true_positive;
-  W.int_ buf c.Metrics.false_positive;
-  W.int_ buf c.Metrics.true_negative;
-  W.int_ buf c.Metrics.false_negative
-
-let read_confusion r : Metrics.confusion =
-  let true_positive = W.read_int r in
-  let false_positive = W.read_int r in
-  let true_negative = W.read_int r in
-  let false_negative = W.read_int r in
-  { Metrics.true_positive; false_positive; true_negative; false_negative }
-
-let write_trained buf (t : Training.trained) =
-  write_corpus buf t.Training.train_corpus;
-  write_corpus buf t.Training.test_corpus;
-  write_tree buf t.Training.decision_tree;
-  write_tree buf t.Training.random_tree;
-  write_confusion buf t.Training.decision_tree_eval;
-  write_confusion buf t.Training.random_tree_eval
-
-let read_trained r : Training.trained =
-  let train_corpus = read_corpus r in
-  let test_corpus = read_corpus r in
-  let decision_tree = read_tree r in
-  let random_tree = read_tree r in
-  let decision_tree_eval = read_confusion r in
-  let random_tree_eval = read_confusion r in
-  {
-    Training.train_corpus;
-    test_corpus;
-    decision_tree;
-    random_tree;
-    decision_tree_eval;
-    random_tree_eval;
-  }
-
-let trained =
-  { kind = "trained"; version = 1; write = write_trained; read = read_trained }

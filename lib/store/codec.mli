@@ -1,10 +1,10 @@
 (** Binary codecs for the expensive products of the pipeline.
 
-    One codec per artifact kind: campaign outcome records, datasets,
-    trees, forests, deployed detectors, training corpora and the full
-    trained pipeline.  Each codec carries its artifact [kind] tag and a
-    [version]; {!Artifact} frames the payload with a magic, the kind,
-    the version, a length and a CRC-32, so version skew and corruption
+    One codec per artifact kind: campaign outcome records, deployed
+    detectors (bare and versioned) and the optimizer's Pareto fronts.
+    Each codec carries its artifact [kind] tag and a [version];
+    {!Artifact} frames the payload with a magic, the kind, the
+    version, a length and a CRC-32, so version skew and corruption
     surface as typed load errors rather than exceptions.
 
     Encodings are explicit field-by-field writes over {!Wire} — sum
@@ -25,10 +25,6 @@ type 'a t = {
 val outcome_records : Xentry_faultinject.Outcome.record list t
 (** A batch of campaign records (the journal's shard payload). *)
 
-val dataset : Xentry_mlearn.Dataset.t t
-val tree : Xentry_mlearn.Tree.t t
-val forest : Xentry_mlearn.Forest.t t
-
 val detector : Xentry_core.Transition_detector.t t
 (** The legacy bare classifier: single tree, thresholded tree or
     ensemble — what pre-lifecycle [train --save] artifacts hold.
@@ -45,12 +41,6 @@ val pareto : Xentry_core.Pareto.front t
 (** A coverage-vs-overhead Pareto front from the configuration
     optimizer — what [optimize --save] writes and [serve --rungs]
     reloads. *)
-
-val corpus : Xentry_faultinject.Training.corpus t
-
-val trained : Xentry_faultinject.Training.trained t
-(** The full training-pipeline result: both corpora, both trees and
-    their evaluations. *)
 
 (** {2 Building blocks}
 

@@ -32,6 +32,4 @@ let low_bits w n =
   else if n = 0 then 0L
   else Int64.logand w (Int64.sub (Int64.shift_left 1L n) 1L)
 
-let sign_bit w = test w 63
-
 let to_hex w = Printf.sprintf "%016Lx" w

@@ -25,8 +25,5 @@ val low_bits : int64 -> int -> int64
 (** [low_bits w n] keeps only the [n] least significant bits
     ([n = 64] is the identity, [n = 0] is zero). *)
 
-val sign_bit : int64 -> bool
-(** Bit 63. *)
-
 val to_hex : int64 -> string
 (** Zero-padded 16-digit lowercase hex, e.g. ["0000000000001f2a"]. *)

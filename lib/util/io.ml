@@ -14,11 +14,6 @@ let rec really_write fd buf pos len =
 
 let write_string fd s = really_write fd (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let read_exactly fd n =
-  let buf = Bytes.create n in
-  let got = really_read fd buf 0 n in
-  if got = n then Some (Bytes.unsafe_to_string buf) else None
-
 let read_file path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect

@@ -26,10 +26,6 @@ val really_write : Unix.file_descr -> bytes -> int -> int -> unit
 val write_string : Unix.file_descr -> string -> unit
 (** {!really_write} of a whole string. *)
 
-val read_exactly : Unix.file_descr -> int -> string option
-(** [read_exactly fd n] reads exactly [n] bytes, or returns [None] if
-    end-of-file arrives first ([Some ""] when [n = 0]). *)
-
 val read_file : string -> string
 (** Whole-file read through {!really_read}.  Raises [Unix.Unix_error]
     on open/read failure. *)

@@ -56,10 +56,6 @@ let box_summary xs =
     bmax = maximum xs;
   }
 
-let pp_box ppf b =
-  Format.fprintf ppf "min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g" b.bmin b.q1
-    b.bmedian b.q3 b.bmax
-
 type cdf = { values : float array (* sorted *) }
 
 let cdf_of_samples xs =

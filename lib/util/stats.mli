@@ -39,8 +39,6 @@ type box = {
 val box_summary : float array -> box
 (** Raises [Invalid_argument] on an empty array. *)
 
-val pp_box : Format.formatter -> box -> unit
-
 type cdf
 (** Empirical cumulative distribution function. *)
 

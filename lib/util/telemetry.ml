@@ -160,8 +160,8 @@ type event_record = { ev_name : string; ev_fields : (string * Json.t) list }
 (* Per-domain event buffers, newest first; registration mirrors the
    histogram parts.  Buffers are bounded: an always-on service (the
    serve engine) emits events indefinitely, and an unbounded buffer
-   would be a slow leak.  Once a domain's buffer reaches the process
-   capacity, further events are counted in [telemetry.events_dropped]
+   would be a slow leak.  Once a domain's buffer holds [event_buffer_size]
+   records, further events are counted in [telemetry.events_dropped]
    instead of retained — the serve-smoke alias asserts that a healthy
    run drops nothing. *)
 type event_part = { mutable ep_items : event_record list; mutable ep_n : int }
@@ -169,15 +169,7 @@ type event_part = { mutable ep_items : event_record list; mutable ep_n : int }
 let event_parts : event_part list ref = ref []
 let event_lock = Mutex.create ()
 
-let default_event_capacity = 65_536
-let event_capacity_ref = ref default_event_capacity
-
-let set_event_capacity n =
-  if n < 1 then
-    invalid_arg (Printf.sprintf "Telemetry.set_event_capacity: %d" n)
-  else event_capacity_ref := n
-
-let event_capacity () = !event_capacity_ref
+let event_buffer_size = 65_536
 
 let dropped_counter = counter "telemetry.events_dropped"
 let events_dropped () = counter_value dropped_counter
@@ -191,7 +183,7 @@ let event_key : event_part Stdlib.Domain.DLS.key =
 let event name fields =
   if !enabled_ref then begin
     let buf = Stdlib.Domain.DLS.get event_key in
-    if buf.ep_n >= !event_capacity_ref then incr dropped_counter
+    if buf.ep_n >= event_buffer_size then incr dropped_counter
     else begin
       buf.ep_items <- { ev_name = name; ev_fields = fields } :: buf.ep_items;
       buf.ep_n <- buf.ep_n + 1

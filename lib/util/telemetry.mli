@@ -85,17 +85,10 @@ val with_span : string -> (unit -> 'a) -> 'a
 val event : string -> (string * Json.t) list -> unit
 (** Append a structured record (e.g. one campaign shard's summary) to
     the calling domain's event buffer; the fields export in the order
-    given.  Buffers are bounded (see {!set_event_capacity}): once the
+    given.  Buffers are bounded at 65,536 records per domain: once the
     calling domain's buffer is full the event is dropped and counted
     in [telemetry.events_dropped] instead — always-on services cannot
     leak memory through telemetry. *)
-
-val set_event_capacity : int -> unit
-(** Cap each domain's event buffer at [n] records (default 65_536).
-    Raises [Invalid_argument] when [n < 1].  Set between campaigns,
-    not while workers are recording. *)
-
-val event_capacity : unit -> int
 
 val events_dropped : unit -> int
 (** Events discarded because a buffer was full since the last

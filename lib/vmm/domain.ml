@@ -89,41 +89,5 @@ let set_upcall_pending t ~vcpu b =
 let vcpu_system_time t ~vcpu =
   Memory.load64 t.mem (vcpu_info_addr t ~vcpu Layout.vi_system_time)
 
-type region = { region_name : string; addr : int64; len : int }
-
-let guest_visible_regions t =
-  let regions = ref [] in
-  for v = Layout.vcpus_per_domain - 1 downto 0 do
-    regions :=
-      {
-        region_name = Printf.sprintf "dom%d/vcpu%d/user_regs" t.id v;
-        addr = Layout.vcpu_area ~dom:t.id ~vcpu:v;
-        len = 0x90;
-      }
-      :: {
-           region_name = Printf.sprintf "dom%d/vcpu%d/pending_traps" t.id v;
-           addr =
-             Int64.add (Layout.vcpu_area ~dom:t.id ~vcpu:v) Layout.vcpu_pending_traps;
-           len = Layout.vcpu_trap_slots * 8;
-         }
-      :: !regions
-  done;
-  {
-    region_name = Printf.sprintf "dom%d/shared_info" t.id;
-    addr = Layout.shared_info t.id;
-    len = 0x200;
-  }
-  :: {
-       region_name = Printf.sprintf "dom%d/evtchn_table" t.id;
-       addr = Layout.evtchn_entry ~dom:t.id ~port:0;
-       len = Layout.evtchn_ports * 16;
-     }
-  :: {
-       region_name = Printf.sprintf "dom%d/grant_table" t.id;
-       addr = Layout.grant_entry ~dom:t.id 0;
-       len = Layout.grant_entries * 16;
-     }
-  :: !regions
-
 let pp ppf t =
   Format.fprintf ppf "dom%d%s" t.id (if t.is_control then " (control)" else "")

@@ -4,8 +4,7 @@
     its state lives entirely in simulated memory per {!Layout} so that
     handler programs manipulate it with real loads and stores.  This
     module provides the OCaml-side constructors and typed accessors
-    used to set up hosts, to seed guest state, and to compare
-    guest-visible regions between golden and faulted runs. *)
+    used to set up hosts and to seed guest state. *)
 
 type t = {
   id : int;
@@ -47,14 +46,5 @@ val pending_trap : t -> vcpu:int -> slot:int -> int64
 val upcall_pending : t -> vcpu:int -> bool
 val set_upcall_pending : t -> vcpu:int -> bool -> unit
 val vcpu_system_time : t -> vcpu:int -> int64
-
-(** {1 Guest-visible regions for golden-run comparison} *)
-
-type region = { region_name : string; addr : int64; len : int }
-
-val guest_visible_regions : t -> region list
-(** The regions whose corruption propagates to this domain: user_regs
-    of every VCPU, the shared-info page (event channels and time), the
-    event-channel table and the grant table. *)
 
 val pp : Format.formatter -> t -> unit

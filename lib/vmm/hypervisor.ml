@@ -9,7 +9,6 @@ type t = {
   rng : Rng.t;
   hardened : bool;
   engine : Cpu.engine;
-  mutable exits : int;
 }
 
 let memory t = t.mem
@@ -17,8 +16,6 @@ let cpu t = t.cpu
 let engine t = t.engine
 let domains t = t.doms
 let scheduler t = t.sched
-let exits_handled t = t.exits
-let is_hardened t = t.hardened
 
 let current_domain t =
   let { Scheduler.dom; _ } = Scheduler.current t.sched in
@@ -127,7 +124,7 @@ let create ?(seed = 2014) ?(cpus = 1) ?(domains = 3) ?(hardened = false)
       (List.init domains (fun d -> ({ Scheduler.dom = d; vcpu = 0 }, 256)))
   in
   let cpu = Cpu.create ~cpu_id:0 mem in
-  let t = { mem; cpu; doms; sched; rng; hardened; engine; exits = 0 } in
+  let t = { mem; cpu; doms; sched; rng; hardened; engine } in
   init_bindings t;
   fill_guest_buffer mem rng 512;
   publish_current t;
@@ -265,7 +262,6 @@ let seed_cpu t (req : Request.t) =
 
 let execute t ?inject ?(fuel = 50_000) ?on_step (req : Request.t) =
   seed_cpu t req;
-  t.exits <- t.exits + 1;
   let result =
     match t.engine with
     | Cpu.Fast ->
@@ -304,17 +300,17 @@ let handle t req =
    the given scheduler, RNG and CPU-side state.  The CPU is fresh: its
    registers are seeded by every execution, and its RAS bank is
    per-host diagnostic state. *)
-let assemble t mem ~sched ~rng ~tsc ~assertions ~exits =
+let assemble t mem ~sched ~rng ~tsc ~assertions =
   let doms = Array.map (fun d -> { d with Domain.mem }) t.doms in
   let cpu = Cpu.create ~cpu_id:0 mem in
   Cpu.set_tsc cpu tsc;
   Cpu.set_assertions_enabled cpu assertions;
-  { mem; cpu; doms; sched; rng; hardened = t.hardened; engine = t.engine; exits }
+  { mem; cpu; doms; sched; rng; hardened = t.hardened; engine = t.engine }
 
 let clone t =
   assemble t (Memory.copy t.mem) ~sched:(Scheduler.copy t.sched)
     ~rng:(Rng.copy t.rng) ~tsc:(Cpu.get_tsc t.cpu)
-    ~assertions:(Cpu.assertions_enabled t.cpu) ~exits:t.exits
+    ~assertions:(Cpu.assertions_enabled t.cpu)
 
 (* A checkpoint is a memory journal epoch plus copies of the little
    OCaml-side state [clone] copies; the host itself runs on. *)
@@ -325,7 +321,6 @@ type checkpoint = {
   ck_rng : Rng.t;
   ck_tsc : int64;
   ck_assertions : bool;
-  ck_exits : int;
 }
 
 let checkpoint t =
@@ -336,7 +331,6 @@ let checkpoint t =
     ck_rng = Rng.copy t.rng;
     ck_tsc = Cpu.get_tsc t.cpu;
     ck_assertions = Cpu.assertions_enabled t.cpu;
-    ck_exits = t.exits;
   }
 
 (* The checkpoint's scheduler and RNG are copied again, so that one
@@ -344,7 +338,7 @@ let checkpoint t =
 let copy_checkpoint ck =
   assemble ck.ck_host (Memory.copy_checkpoint ck.ck_mem)
     ~sched:(Scheduler.copy ck.ck_sched) ~rng:(Rng.copy ck.ck_rng)
-    ~tsc:ck.ck_tsc ~assertions:ck.ck_assertions ~exits:ck.ck_exits
+    ~tsc:ck.ck_tsc ~assertions:ck.ck_assertions
 
 let release t = Memory.release t.mem
 
@@ -381,7 +375,6 @@ let dispatch t ?inject ~fuel ?on_step ?(pause_at = [||]) ?on_pause ?resume
 
 let execute_recorded t ?(fuel = 50_000) ?(snapshot_at = [||]) (req : Request.t) =
   seed_cpu t req;
-  t.exits <- t.exits + 1;
   let program = Handlers.program ~hardened:t.hardened req.Request.reason in
   let recorder = Golden_trace.recorder ~meta:program.Xentry_isa.Program.meta in
   let snaps = ref [] in
@@ -417,24 +410,8 @@ let restore snap = clone snap.snap_host
 let release_snapshot snap = release snap.snap_host
 
 let resume t snap ?inject ?(fuel = 50_000) (req : Request.t) =
-  t.exits <- t.exits + 1;
   let result = dispatch t ?inject ~fuel ~resume:snap.snap_state req in
   if !Telemetry.enabled_ref then record_execute t req result;
   result
-
-let guest_output_regions t =
-  let dom_regions =
-    Array.to_list t.doms
-    |> List.concat_map (fun d ->
-           List.map
-             (fun { Domain.region_name; addr; len } -> (region_name, addr, len))
-             (Domain.guest_visible_regions d))
-  in
-  dom_regions
-  @ Vtime.time_regions ()
-  @ [
-      ("hv/globals", Layout.hv_global_base, 0x40);
-      ("hv/irq_descs", Layout.irq_desc_base, Exit_reason.irq_lines * 32);
-    ]
 
 let observed_current_vcpu t = Memory.load64 t.mem Layout.global_current_vcpu

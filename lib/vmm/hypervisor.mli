@@ -42,8 +42,6 @@ val create :
     environment variable or the fast threaded-code engine); {!clone}
     preserves it. *)
 
-val is_hardened : t -> bool
-
 val engine : t -> Xentry_machine.Cpu.engine
 
 val memory : t -> Xentry_machine.Memory.t
@@ -51,7 +49,6 @@ val cpu : t -> Xentry_machine.Cpu.t
 val domains : t -> Domain.t array
 val scheduler : t -> Scheduler.t
 val current_domain : t -> Domain.t
-val exits_handled : t -> int
 
 val set_assertions_enabled : t -> bool -> unit
 (** Toggle Xentry's software-assertion runtime detection. *)
@@ -184,12 +181,6 @@ val resume :
     step.  [fuel] keeps its absolute meaning, counting the skipped
     prefix.  [inject] with a step at or after the snapshot step fires
     exactly as in a full run. *)
-
-val guest_output_regions : t -> (string * int64 * int) list
-(** Every region whose post-execution contents are guest-visible or
-    system-critical, labelled for consequence classification: per
-    domain (user_regs, pending traps, shared info, event channels,
-    grants), the time areas, and the hypervisor globals. *)
 
 val observed_current_vcpu : t -> int64
 (** The current-VCPU pointer as the handler left it in memory (used to

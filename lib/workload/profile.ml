@@ -12,7 +12,6 @@ type t = {
   wclass : workload_class;
   pv_rate : rate_spec;
   hvm_rate : rate_spec;
-  hv_share : float;
 }
 
 let all_benchmarks = [| Mcf; Bzip2; Freqmine; Canneal; X264; Postmark |]
@@ -29,8 +28,7 @@ let mode_name = function PV -> "para-virtualization" | HVM -> "hardware-assisted
 
 (* Activation-rate bands fitted to the paper's Fig 3: PV between
    5,000/s and 100,000/s with freqmine peaking near 650,000/s; HVM
-   mostly between 2,000/s and 10,000/s.  Hypervisor CPU shares follow
-   the Fig 11 ordering (postmark highest, bzip2/mcf lowest). *)
+   mostly between 2,000/s and 10,000/s. *)
 let get = function
   | Mcf ->
       {
@@ -38,7 +36,6 @@ let get = function
         wclass = Memory_bound;
         pv_rate = { median = 18_000.; sigma = 0.45; lo = 6_000.; hi = 80_000. };
         hvm_rate = { median = 3_500.; sigma = 0.40; lo = 1_800.; hi = 9_000. };
-        hv_share = 0.035;
       }
   | Bzip2 ->
       {
@@ -46,7 +43,6 @@ let get = function
         wclass = Cpu_bound;
         pv_rate = { median = 6_500.; sigma = 0.35; lo = 5_000.; hi = 22_000. };
         hvm_rate = { median = 2_300.; sigma = 0.30; lo = 1_500.; hi = 6_000. };
-        hv_share = 0.035;
       }
   | Freqmine ->
       {
@@ -55,7 +51,6 @@ let get = function
         pv_rate =
           { median = 90_000.; sigma = 0.85; lo = 20_000.; hi = 650_000. };
         hvm_rate = { median = 8_000.; sigma = 0.50; lo = 3_000.; hi = 20_000. };
-        hv_share = 0.065;
       }
   | Canneal ->
       {
@@ -63,7 +58,6 @@ let get = function
         wclass = Cpu_bound;
         pv_rate = { median = 12_000.; sigma = 0.45; lo = 5_000.; hi = 45_000. };
         hvm_rate = { median = 3_000.; sigma = 0.40; lo = 1_800.; hi = 8_000. };
-        hv_share = 0.05;
       }
   | X264 ->
       {
@@ -71,7 +65,6 @@ let get = function
         wclass = Io_bound;
         pv_rate = { median = 35_000.; sigma = 0.65; lo = 9_000.; hi = 200_000. };
         hvm_rate = { median = 6_000.; sigma = 0.45; lo = 2_500.; hi = 15_000. };
-        hv_share = 0.075;
       }
   | Postmark ->
       {
@@ -79,12 +72,10 @@ let get = function
         wclass = Io_bound;
         pv_rate = { median = 55_000.; sigma = 0.75; lo = 12_000.; hi = 300_000. };
         hvm_rate = { median = 9_000.; sigma = 0.50; lo = 4_000.; hi = 25_000. };
-        hv_share = 0.14;
       }
 
 let benchmark t = t.bench
 let workload_class t = t.wclass
-let hypervisor_cpu_share t = t.hv_share
 
 let sample_activation_rate t mode rng =
   let spec = match mode with PV -> t.pv_rate | HVM -> t.hvm_rate in

@@ -28,10 +28,6 @@ val get : benchmark -> t
 val benchmark : t -> benchmark
 val workload_class : t -> workload_class
 
-val hypervisor_cpu_share : t -> float
-(** Fraction of CPU time spent in hypervisor context while this
-    benchmark runs (feeds the recovery-overhead estimate, §VI). *)
-
 val sample_activation_rate : t -> virt_mode -> Xentry_util.Rng.t -> float
 (** One observed per-second hypervisor activation count.  PV rates
     fall in the paper's 5,000–100,000/s band (freqmine peaking toward

@@ -47,13 +47,10 @@ let pp_verdict ppf = function
         | None -> "")
 
 module Config = struct
-  type telemetry = Inherit | Off | Jsonl of string
-
   type t = {
     detection : detection;
     detector : Detector.t option;
     engine : Cpu.engine option;
-    telemetry : telemetry;
     fuel : int;
   }
 
@@ -62,13 +59,12 @@ module Config = struct
       detection = full_detection;
       detector = None;
       engine = None;
-      telemetry = Inherit;
       fuel = 20_000;
     }
 
-  let make ?(detection = full_detection) ?detector ?engine
-      ?(telemetry = Inherit) ?(fuel = 20_000) () =
-    { detection; detector; engine; telemetry; fuel }
+  let make ?(detection = full_detection) ?detector ?engine ?(fuel = 20_000) ()
+      =
+    { detection; detector; engine; fuel }
 end
 
 let verdict (cfg : Config.t) ?(ras = []) ~reason (result : Cpu.run_result) =
@@ -134,15 +130,3 @@ let run (cfg : Config.t) ~host ?(prepare = true) ?(retire = false) ?inject
   let verdict = verdict cfg ~ras ~reason:req.Request.reason result in
   if retire then Hypervisor.retire host req;
   { result; verdict }
-
-let with_telemetry (cfg : Config.t) f =
-  match cfg.Config.telemetry with
-  | Config.Inherit -> f ()
-  | Config.Off ->
-      Xentry_util.Telemetry.disable ();
-      f ()
-  | Config.Jsonl file ->
-      Xentry_util.Telemetry.enable ();
-      Fun.protect
-        ~finally:(fun () -> Xentry_util.Telemetry.export_file file)
-        f

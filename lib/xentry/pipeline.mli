@@ -51,11 +51,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** {1 Configuration} *)
 
 module Config : sig
-  type telemetry =
-    | Inherit  (** leave the process-wide {!Xentry_util.Telemetry} state alone *)
-    | Off  (** disable telemetry for this pipeline *)
-    | Jsonl of string  (** enable, and export JSONL to this file at the end *)
-
   type t = {
     detection : detection;  (** armed techniques *)
     detector : Detector.t option;
@@ -64,19 +59,16 @@ module Config : sig
     engine : Xentry_machine.Cpu.engine option;
         (** interpreter engine for hosts built by {!create_host};
             [None] = process default *)
-    telemetry : telemetry;  (** sink policy for {!with_telemetry} *)
     fuel : int;  (** watchdog budget per execution *)
   }
 
   val default : t
-  (** Full detection, no detector, default engine, [Inherit] telemetry,
-      fuel 20_000. *)
+  (** Full detection, no detector, default engine, fuel 20_000. *)
 
   val make :
     ?detection:detection ->
     ?detector:Detector.t ->
     ?engine:Xentry_machine.Cpu.engine ->
-    ?telemetry:telemetry ->
     ?fuel:int ->
     unit ->
     t
@@ -136,8 +128,3 @@ val run :
     retire with [~retire:true] (default false, matching the campaign
     engine's clone discipline where only the live host retires).
     Recovery is the caller's: see [Xentry_recover]. *)
-
-val with_telemetry : Config.t -> (unit -> 'a) -> 'a
-(** Apply the config's telemetry policy around [f]: [Inherit] runs [f]
-    unchanged, [Off] disables telemetry first, [Jsonl file] enables it
-    and exports to [file] afterwards (even on exceptions). *)

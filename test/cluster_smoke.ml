@@ -30,49 +30,18 @@ let fail fmt =
       exit 1)
     fmt
 
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun q -> rm_rf (Filename.concat p q)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
-let in_scratch name f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xentry-cluster-smoke-%d-%s" (Unix.getpid ()) name)
-  in
-  rm_rf dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let spawn_worker sock =
-  Unix.create_process Sys.executable_name
-    [| Sys.executable_name; "--worker"; sock; "2" |]
-    Unix.stdin Unix.stdout Unix.stderr
-
-(* Kill before waiting: workers are stateless once records merged, and
-   a straggler that missed the campaign entirely must not stall the
-   test through its connect retries. *)
-let reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-
-let run_distributed ?checkpoint ?on_progress ~name dir =
+(* Coordinate [config] over two worker processes of this binary;
+   [on_progress] gets the worker pids.  A coordinator failure fails
+   the check once the workers are reaped. *)
+let run_distributed ?checkpoint ?(on_progress = fun _ _ -> ()) ~name dir =
   let sock = Filename.concat dir "coord.sock" in
-  let pids = List.init 2 (fun _ -> spawn_worker sock) in
   match
-    Coordinator.run ?checkpoint ?on_progress ~idle_timeout_s:30.
-      ~listen:(Protocol.Unix_sock sock) config
+    Worker.with_workers ~n:2 [ "--worker"; sock; "2" ] (fun pids ->
+        Coordinator.run ?checkpoint ~on_progress:(on_progress pids)
+          ~idle_timeout_s:30. ~listen:(Protocol.Unix_sock sock) config)
   with
-  | records ->
-      List.iter reap pids;
-      (records, pids)
-  | exception e ->
-      List.iter (fun pid -> try Unix.kill pid Sys.sigkill with _ -> ()) pids;
-      List.iter reap pids;
-      fail "%s: coordinator failed: %s" name (Printexc.to_string e)
+  | records -> records
+  | exception e -> fail "%s: coordinator failed: %s" name (Printexc.to_string e)
 
 let checkpoint dir =
   match Journal.for_campaign ~dir config with
@@ -87,44 +56,31 @@ let () =
   | _ ->
       let baseline = Campaign.execute { config with Campaign.jobs = Some 1 } in
       (* 1: clean distributed run. *)
-      in_scratch "clean" (fun dir ->
-          let records, _ = run_distributed ~name:"clean" dir in
+      Worker.with_scratch_dir "clean" (fun dir ->
+          let records = run_distributed ~name:"clean" dir in
           if records <> baseline then
             fail "clean: distributed records diverge from single-process run";
           Printf.printf "cluster_smoke: clean 2-worker run bit-identical (%d shards)\n%!"
             nshards);
       (* 2: kill one worker as soon as the first shard lands. *)
-      in_scratch "kill" (fun dir ->
+      Worker.with_scratch_dir "kill" (fun dir ->
           let journal_dir = Filename.concat dir "journal" in
           let killed = ref false in
-          let victim = ref None in
-          let on_progress (p : Coordinator.progress) =
+          let on_progress pids (p : Coordinator.progress) =
             if (not !killed) && p.Coordinator.completed < p.Coordinator.total
             then begin
               killed := true;
-              match !victim with
-              | Some pid -> ( try Unix.kill pid Sys.sigkill with _ -> ())
-              | None -> ()
+              try Unix.kill (List.hd pids) Sys.sigkill
+              with Unix.Unix_error _ -> ()
             end
           in
-          let sock = Filename.concat dir "coord.sock" in
-          let pids = List.init 2 (fun _ -> spawn_worker sock) in
-          victim := Some (List.hd pids);
-          (match
-             Coordinator.run ~checkpoint:(checkpoint journal_dir) ~on_progress
-               ~idle_timeout_s:30. ~listen:(Protocol.Unix_sock sock) config
-           with
-          | records ->
-              List.iter reap pids;
-              if not !killed then fail "kill: no shard ever completed";
-              if records <> baseline then
-                fail "kill: records after worker kill diverge from baseline"
-          | exception e ->
-              List.iter
-                (fun pid -> try Unix.kill pid Sys.sigkill with _ -> ())
-                pids;
-              List.iter reap pids;
-              fail "kill: coordinator failed: %s" (Printexc.to_string e));
+          let records =
+            run_distributed ~checkpoint:(checkpoint journal_dir) ~on_progress
+              ~name:"kill" dir
+          in
+          if not !killed then fail "kill: no shard ever completed";
+          if records <> baseline then
+            fail "kill: records after worker kill diverge from baseline";
           Printf.printf
             "cluster_smoke: mid-campaign SIGKILL survived, records bit-identical\n%!";
           (* 3: the journal the killed run wrote must now resume a

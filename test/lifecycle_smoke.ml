@@ -36,23 +36,6 @@ let fail fmt =
       exit 1)
     fmt
 
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun q -> rm_rf (Filename.concat p q)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
-let in_scratch name f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xentry-lifecycle-smoke-%d-%s" (Unix.getpid ()) name)
-  in
-  rm_rf dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let conservation tag (s : Serve.summary) =
   if s.Serve.offered <> s.Serve.admitted + s.Serve.shed_queue_full then
     fail "%s: offered %d <> admitted %d + shed_queue_full %d" tag
@@ -161,7 +144,7 @@ let stale_incumbent () =
    the gate scores against is exactly the detector channel's.  The
    ladder is pinned to one tree-only rung. *)
 let single_process () =
-  in_scratch "artifacts" @@ fun dir ->
+  CWorker.with_scratch_dir "artifacts" @@ fun dir ->
   let rung =
     {
       Ladder.rung_name = "tree-only";
@@ -285,17 +268,8 @@ let pushed_detector =
      Detector.make ~version:7 ~origin:Detector.Streamed ~trained_on:60
        (Transition_detector.of_tree tree))
 
-let spawn_worker sock =
-  Unix.create_process Sys.executable_name
-    [| Sys.executable_name; "--worker"; sock; "2" |]
-    Unix.stdin Unix.stdout Unix.stderr
-
-let reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-
 let cluster () =
-  in_scratch "cluster" @@ fun dir ->
+  CWorker.with_scratch_dir "cluster" @@ fun dir ->
   let workers = 2 in
   let duration_s = 1.0 in
   let base =
@@ -307,7 +281,6 @@ let cluster () =
     { base with Serve.rate = 0.3 *. per_worker *. float_of_int workers }
   in
   let sock = Filename.concat dir "front.sock" in
-  let pids = List.init workers (fun _ -> spawn_worker sock) in
   let pushed = ref false in
   (* One broadcast, mid-run: every later-dequeued request on every
      worker runs under v7, and both ack it. *)
@@ -319,14 +292,12 @@ let cluster () =
     else None
   in
   let s =
-    match Front.run ~push ~listen:(CP.Unix_sock sock) ~workers cfg with
-    | s ->
-        List.iter reap pids;
-        s
-    | exception e ->
-        List.iter (fun pid -> try Unix.kill pid Sys.sigkill with _ -> ()) pids;
-        List.iter reap pids;
-        fail "front failed: %s" (Printexc.to_string e)
+    match
+      CWorker.with_workers ~n:workers [ "--worker"; sock; "2" ] (fun _pids ->
+          Front.run ~push ~listen:(CP.Unix_sock sock) ~workers cfg)
+    with
+    | s -> s
+    | exception e -> fail "front failed: %s" (Printexc.to_string e)
   in
   (* Total balance: every offered request lands in exactly one bucket
      — completed, or one of the typed sheds — across the push. *)

@@ -261,26 +261,6 @@ let test_csv_roundtrip () =
   Alcotest.(check bool) "same samples" true
     (Dataset.samples grid_dataset = Dataset.samples back)
 
-let test_tree_text_roundtrip () =
-  let tree = Tree.train grid_dataset in
-  let back = Tree_io.of_text (Tree_io.to_text tree) in
-  Alcotest.(check int) "same node count" (Tree.node_count tree)
-    (Tree.node_count back);
-  (* Roundtripped tree must predict identically everywhere sampled. *)
-  Array.iter
-    (fun s ->
-      Alcotest.(check int) "same prediction"
-        (Tree.predict tree s.Dataset.features)
-        (Tree.predict back s.Dataset.features))
-    (Dataset.samples grid_dataset)
-
-let test_tree_text_rejects_garbage () =
-  Alcotest.(check bool) "garbage rejected" true
-    (try
-       ignore (Tree_io.of_text "not a tree");
-       false
-     with Failure _ -> true)
-
 let test_tree_of_parts_validates () =
   Alcotest.check_raises "bad feature index"
     (Invalid_argument "Tree.of_parts: split feature out of range") (fun () ->
@@ -496,8 +476,6 @@ let () =
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "float boundary pinning" `Quick
             test_float_boundary_pinning;
-          Alcotest.test_case "tree text roundtrip" `Quick test_tree_text_roundtrip;
-          Alcotest.test_case "tree text garbage" `Quick test_tree_text_rejects_garbage;
           Alcotest.test_case "of_parts validates" `Quick test_tree_of_parts_validates;
           Alcotest.test_case "c codegen" `Quick test_tree_c_codegen;
         ] );

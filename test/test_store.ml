@@ -1,5 +1,5 @@
 (* Tests for Xentry_store: wire primitives, CRC-32, the artifact
-   frame's typed error surface, codecs for every pipeline product, and
+   frame's typed error surface, codecs for every artifact kind, and
    the shard journal's checkpoint/resume semantics. *)
 
 open Xentry_mlearn
@@ -44,6 +44,31 @@ let trained_small =
          ~fault_free_per_benchmark:100 ()
      in
      Training.train_and_evaluate ~train:(collect 11) ~test:(collect 12) ())
+
+let versioned_fixture () =
+  Detector.make ~version:5 ~origin:Detector.Streamed ~trained_on:321
+    (Transition_detector.of_tree (Tree.train grid_dataset))
+
+let front_fixture () =
+  let open Xentry_core.Pipeline in
+  let point label detection knob coverage fp_rate overhead comparisons =
+    { Pareto.label; detection; knob; coverage; fp_rate; overhead; comparisons }
+  in
+  Pareto.make ~source_version:5
+    [
+      point "full" full_detection Detector.Stock 0.9 0.01 5e-7 24;
+      point "depth4" full_detection (Detector.Depth 4) 0.85 0.008 4e-7 4;
+      point "tau90" full_detection (Detector.Threshold 0.9) 0.8 0.002 4.5e-7 24;
+      point "runtime_only" runtime_only Detector.Stock 0.6 0.0 2e-7 0;
+      (* dominated: same cost as depth4, worse everywhere else *)
+      point "dominated" runtime_only (Detector.Depth 2) 0.3 0.05 4e-7 2;
+    ]
+
+(* A forest-backed detector: its artifact carries every member tree. *)
+let ensemble_fixture () =
+  Detector.make ~version:3 ~trained_on:36
+    (Transition_detector.create
+       (Transition_detector.Ensemble (Forest.train ~trees:5 ~seed:9 grid_dataset)))
 
 let in_temp_dir name f =
   let dir =
@@ -157,22 +182,6 @@ let test_codec_records () =
 let test_codec_records_empty () =
   check_roundtrip "empty records" Codec.outcome_records []
 
-let test_codec_dataset () = check_roundtrip "dataset" Codec.dataset grid_dataset
-
-let test_codec_tree () =
-  check_roundtrip "tree" Codec.tree (Tree.train grid_dataset)
-
-let test_codec_forest () =
-  let forest = Forest.train ~trees:5 ~seed:9 grid_dataset in
-  match roundtrip Codec.forest forest with
-  | Error e -> Alcotest.fail (Artifact.error_message e)
-  | Ok back ->
-      Alcotest.(check int) "size" (Forest.size forest) (Forest.size back);
-      Alcotest.(check int) "classes" (Forest.n_classes forest)
-        (Forest.n_classes back);
-      Alcotest.(check bool) "members" true
-        (Forest.trees forest = Forest.trees back)
-
 let detector_equal a b =
   Transition_detector.classifier a = Transition_detector.classifier b
 
@@ -195,11 +204,6 @@ let test_codec_detector_variants () =
       | Error e -> Alcotest.fail (Artifact.error_message e))
     variants
 
-let test_codec_trained () =
-  let trained = Lazy.force trained_small in
-  check_roundtrip "corpus" Codec.corpus trained.Training.train_corpus;
-  check_roundtrip "trained" Codec.trained trained
-
 (* --- artifact frame -------------------------------------------------------- *)
 
 let error_label = function
@@ -217,37 +221,37 @@ let check_error name expected = function
 
 let test_artifact_save_load () =
   in_temp_dir "save-load" (fun dir ->
-      let path = Filename.concat dir "tree.xart" in
-      let tree = Tree.train grid_dataset in
-      Artifact.save Codec.tree path tree;
+      let path = Filename.concat dir "det.xart" in
+      let det = ensemble_fixture () in
+      Artifact.save Codec.versioned_detector path det;
       Alcotest.(check bool) "no temp residue" false
         (Sys.file_exists (path ^ ".tmp"));
-      match Artifact.load Codec.tree path with
-      | Ok back -> Alcotest.(check bool) "identical" true (tree = back)
+      match Artifact.load Codec.versioned_detector path with
+      | Ok back -> Alcotest.(check bool) "identical" true (det = back)
       | Error e -> Alcotest.fail (Artifact.error_message e))
 
 let test_artifact_missing_file () =
   check_error "missing file" "io"
-    (Artifact.load Codec.tree "/nonexistent/path/tree.xart")
+    (Artifact.load Codec.versioned_detector "/nonexistent/path/det.xart")
 
 let test_artifact_bad_magic () =
-  let data = Artifact.encode Codec.dataset grid_dataset in
+  let data = Artifact.encode Codec.pareto (front_fixture ()) in
   let b = Bytes.of_string data in
   Bytes.set b 0 'Y';
-  check_error "bad magic" "magic" (Artifact.decode Codec.dataset (Bytes.to_string b))
+  check_error "bad magic" "magic" (Artifact.decode Codec.pareto (Bytes.to_string b))
 
 let test_artifact_wrong_kind () =
-  let data = Artifact.encode Codec.dataset grid_dataset in
-  check_error "wrong kind" "kind" (Artifact.decode Codec.tree data)
+  let data = Artifact.encode Codec.pareto (front_fixture ()) in
+  check_error "wrong kind" "kind" (Artifact.decode Codec.versioned_detector data)
 
 let test_artifact_version_skew () =
-  let vnext = { Codec.dataset with Codec.version = Codec.dataset.Codec.version + 1 } in
-  let data = Artifact.encode vnext grid_dataset in
-  match Artifact.decode Codec.dataset data with
+  let vnext = { Codec.pareto with Codec.version = Codec.pareto.Codec.version + 1 } in
+  let data = Artifact.encode vnext (front_fixture ()) in
+  match Artifact.decode Codec.pareto data with
   | Error (Artifact.Version_skew { kind; expected; found }) ->
-      Alcotest.(check string) "kind" Codec.dataset.Codec.kind kind;
-      Alcotest.(check int) "expected" Codec.dataset.Codec.version expected;
-      Alcotest.(check int) "found" (Codec.dataset.Codec.version + 1) found
+      Alcotest.(check string) "kind" Codec.pareto.Codec.kind kind;
+      Alcotest.(check int) "expected" Codec.pareto.Codec.version expected;
+      Alcotest.(check int) "found" (Codec.pareto.Codec.version + 1) found
   | Error e -> Alcotest.failf "wrong error: %s" (Artifact.error_message e)
   | Ok _ -> Alcotest.fail "version skew accepted"
 
@@ -270,10 +274,10 @@ let test_codec_version_bumps () =
   skew "records" Codec.outcome_records (Lazy.force campaign_records)
 
 let test_artifact_truncation_sweep () =
-  let data = Artifact.encode Codec.tree (Tree.train grid_dataset) in
+  let data = Artifact.encode Codec.versioned_detector (ensemble_fixture ()) in
   let n = String.length data in
   for len = 0 to n - 1 do
-    match Artifact.decode Codec.tree (String.sub data 0 len) with
+    match Artifact.decode Codec.versioned_detector (String.sub data 0 len) with
     | Ok _ -> Alcotest.failf "truncation to %d bytes accepted" len
     | Error (Artifact.Truncated | Artifact.Crc_mismatch _) -> ()
     | Error e ->
@@ -281,28 +285,31 @@ let test_artifact_truncation_sweep () =
           (Artifact.error_message e)
   done
 
-let test_artifact_flip_sweep () =
-  (* Flipping any single byte anywhere in the frame must yield a typed
-     error — never Ok, never an exception. *)
-  let data = Artifact.encode Codec.tree (Tree.train grid_dataset) in
+(* Flipping any single byte anywhere in the frame must yield a typed
+   error: never Ok, never an exception. *)
+let flip_sweep name codec v =
+  let data = Artifact.encode codec v in
   for i = 0 to String.length data - 1 do
     let b = Bytes.of_string data in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
-    match Artifact.decode Codec.tree (Bytes.to_string b) with
-    | Ok _ -> Alcotest.failf "flipped byte %d accepted" i
+    match Artifact.decode codec (Bytes.to_string b) with
+    | Ok _ -> Alcotest.failf "%s: flipped byte %d accepted" name i
     | Error _ -> ()
     | exception e ->
-        Alcotest.failf "flipped byte %d escaped as exception %s" i
+        Alcotest.failf "%s: flipped byte %d escaped as exception %s" name i
           (Printexc.to_string e)
   done
 
+let test_artifact_flip_sweep () =
+  flip_sweep "ensemble detector" Codec.versioned_detector (ensemble_fixture ())
+
 let test_artifact_crc_reported () =
-  let data = Artifact.encode Codec.dataset grid_dataset in
+  let data = Artifact.encode Codec.pareto (front_fixture ()) in
   let b = Bytes.of_string data in
   (* Corrupt the final CRC field itself. *)
   let i = Bytes.length b - 1 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-  check_error "crc mismatch" "crc" (Artifact.decode Codec.dataset (Bytes.to_string b))
+  check_error "crc mismatch" "crc" (Artifact.decode Codec.pareto (Bytes.to_string b))
 
 (* --- journal --------------------------------------------------------------- *)
 
@@ -497,25 +504,6 @@ let test_saved_detector_identical_verdicts () =
 
 (* --- lifecycle codecs: versioned detectors and Pareto fronts --------------- *)
 
-let versioned_fixture () =
-  Detector.make ~version:5 ~origin:Detector.Streamed ~trained_on:321
-    (Transition_detector.of_tree (Tree.train grid_dataset))
-
-let front_fixture () =
-  let open Xentry_core.Pipeline in
-  let point label detection knob coverage fp_rate overhead comparisons =
-    { Pareto.label; detection; knob; coverage; fp_rate; overhead; comparisons }
-  in
-  Pareto.make ~source_version:5
-    [
-      point "full" full_detection Detector.Stock 0.9 0.01 5e-7 24;
-      point "depth4" full_detection (Detector.Depth 4) 0.85 0.008 4e-7 4;
-      point "tau90" full_detection (Detector.Threshold 0.9) 0.8 0.002 4.5e-7 24;
-      point "runtime_only" runtime_only Detector.Stock 0.6 0.0 2e-7 0;
-      (* dominated: same cost as depth4, worse everywhere else *)
-      point "dominated" runtime_only (Detector.Depth 2) 0.3 0.05 4e-7 2;
-    ]
-
 let test_codec_versioned_detector () =
   let det = versioned_fixture () in
   match roundtrip Codec.versioned_detector det with
@@ -558,22 +546,7 @@ let test_detector_codec_version_skew () =
   | Error e -> Alcotest.failf "wrong error: %s" (Artifact.error_message e)
   | Ok _ -> Alcotest.fail "new reader silently read a legacy artifact"
 
-(* Every-byte flip sweep over the two lifecycle codecs: any single
-   corrupted byte must surface as a typed error, never Ok and never an
-   exception (same guarantee the tree codec already pins). *)
-let flip_sweep name codec v =
-  let data = Artifact.encode codec v in
-  for i = 0 to String.length data - 1 do
-    let b = Bytes.of_string data in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
-    match Artifact.decode codec (Bytes.to_string b) with
-    | Ok _ -> Alcotest.failf "%s: flipped byte %d accepted" name i
-    | Error _ -> ()
-    | exception e ->
-        Alcotest.failf "%s: flipped byte %d escaped as exception %s" name i
-          (Printexc.to_string e)
-  done
-
+(* The every-byte flip sweep over the two lifecycle codecs. *)
 let test_lifecycle_codec_flip_sweeps () =
   flip_sweep "versioned detector" Codec.versioned_detector
     (versioned_fixture ());
@@ -601,12 +574,8 @@ let () =
         [
           Alcotest.test_case "records" `Quick test_codec_records;
           Alcotest.test_case "empty records" `Quick test_codec_records_empty;
-          Alcotest.test_case "dataset" `Quick test_codec_dataset;
-          Alcotest.test_case "tree" `Quick test_codec_tree;
-          Alcotest.test_case "forest" `Quick test_codec_forest;
           Alcotest.test_case "detector variants" `Quick
             test_codec_detector_variants;
-          Alcotest.test_case "corpus and trained" `Quick test_codec_trained;
         ] );
       ( "artifact",
         [

@@ -1,7 +1,8 @@
 (* Tests for Xentry_vmm: exit-reason taxonomy, hypercall table, layout,
-   domains, event channels, scheduler, timekeeping, and — most
-   importantly — that every synthesized handler executes fault-free
-   from VM exit to VM entry with correct guest-visible semantics. *)
+   domains, event channels, scheduler, timekeeping, the software
+   assertions compiled into the handlers, and — most importantly —
+   that every synthesized handler executes fault-free from VM exit to
+   VM entry with correct guest-visible semantics. *)
 
 open Xentry_machine
 open Xentry_vmm
@@ -120,17 +121,6 @@ let test_domain_pending_traps () =
         (Domain.pending_trap d ~vcpu:0 ~slot:0);
       Domain.set_pending_trap d ~vcpu:0 ~slot:2 ~trap:13;
       Alcotest.(check int64) "stored" 13L (Domain.pending_trap d ~vcpu:0 ~slot:2))
-
-let test_domain_regions_cover_user_regs () =
-  with_host (fun host ->
-      let d = (Hypervisor.domains host).(1) in
-      let regions = Domain.guest_visible_regions d in
-      Alcotest.(check bool) "has user_regs region" true
-        (List.exists
-           (fun r ->
-             r.Domain.addr = Layout.vcpu_area ~dom:1 ~vcpu:0
-             && r.Domain.len >= 0x90)
-           regions))
 
 (* --- Event channels ----------------------------------------------------------- *)
 
@@ -299,6 +289,60 @@ let test_handler_static_size () =
      substrate should be of a comparable order of magnitude. *)
   let n = Handlers.static_instruction_count () in
   Alcotest.(check bool) "plausible total size" true (n > 2_000 && n < 20_000)
+
+(* --- Software assertions (paper §III-A) ------------------------------------------ *)
+
+(* Every [Assert] compiled into the synthesized handlers. *)
+let handler_assertions () =
+  Handlers.all_programs ()
+  |> Array.to_list
+  |> List.concat_map (fun (_, p) ->
+         Array.to_list p.Xentry_isa.Program.code
+         |> List.filter_map (function
+              | Xentry_isa.Instr.Assert a -> Some a
+              | _ -> None))
+
+let assertion_named suffix =
+  List.exists
+    (fun a ->
+      let n = a.Xentry_isa.Instr.assert_name in
+      let k = String.length suffix in
+      String.length n >= k && String.sub n (String.length n - k) k = suffix)
+    (handler_assertions ())
+
+let test_assertions_indexed () =
+  Alcotest.(check bool) "hypervisor has assertions" true
+    (List.length (handler_assertions ()) > 10)
+
+let test_assertions_kind_classification () =
+  (* Both paper listing types: boundary (Listing 1) and condition
+     (Listing 2) assertions. *)
+  let boundary a =
+    match a.Xentry_isa.Instr.assert_kind with
+    | Xentry_isa.Instr.Assert_range _ | Assert_aligned _ -> true
+    | Assert_nonzero | Assert_zero | Assert_equals _ -> false
+  in
+  let kinds = List.map boundary (handler_assertions ()) in
+  Alcotest.(check bool) "boundary assertions exist" true (List.mem true kinds);
+  Alcotest.(check bool) "condition assertions exist" true (List.mem false kinds)
+
+let test_assertions_listing1_present () =
+  (* Listing 1's trap-number scan lives in the trap-delivery path. *)
+  Alcotest.(check bool) "trap_number assertion compiled" true
+    (assertion_named "trap_number")
+
+let test_assertions_listing2_present () =
+  Alcotest.(check bool) "is_idle_vcpu assertion compiled" true
+    (assertion_named "is_idle_vcpu")
+
+let test_assertions_lookup () =
+  (* A detection names its assertion by [assert_id], so no two
+     assertions may share one. *)
+  let ids =
+    List.map (fun a -> a.Xentry_isa.Instr.assert_id) (handler_assertions ())
+  in
+  Alcotest.(check int) "distinct ids" (List.length ids)
+    (List.length (List.sort_uniq compare ids))
 
 (* --- Handler semantics ----------------------------------------------------------- *)
 
@@ -688,7 +732,6 @@ let () =
           Alcotest.test_case "user regs" `Quick test_domain_user_regs_roundtrip;
           Alcotest.test_case "idle flags" `Quick test_domain_idle_flags;
           Alcotest.test_case "pending traps" `Quick test_domain_pending_traps;
-          Alcotest.test_case "regions" `Quick test_domain_regions_cover_user_regs;
         ] );
       ( "event_channel",
         [
@@ -717,6 +760,15 @@ let () =
             test_all_handlers_nontrivial_length;
           Alcotest.test_case "memoized" `Quick test_handlers_memoized;
           Alcotest.test_case "static size" `Quick test_handler_static_size;
+        ] );
+      ( "assertions",
+        [
+          Alcotest.test_case "indexed" `Quick test_assertions_indexed;
+          Alcotest.test_case "listing 1" `Quick test_assertions_listing1_present;
+          Alcotest.test_case "listing 2" `Quick test_assertions_listing2_present;
+          Alcotest.test_case "lookup" `Quick test_assertions_lookup;
+          Alcotest.test_case "kind classification" `Quick
+            test_assertions_kind_classification;
         ] );
       ( "handler-semantics",
         [

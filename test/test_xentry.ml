@@ -1,6 +1,6 @@
 (* Tests for Xentry_core: Table I features, the fatal-exception filter,
-   the assertion registry, transition detection, the framework's
-   attribution, and the overhead/recovery models. *)
+   transition detection, the framework's attribution, and the
+   overhead/recovery models. *)
 
 open Xentry_machine
 open Xentry_vmm
@@ -82,60 +82,6 @@ let test_filter_fatal_set_sizes () =
     (List.length (Exception_filter.fatal_set Exception_filter.Host_mode));
   Alcotest.(check int) "guest-servicing fatal count" 6
     (List.length (Exception_filter.fatal_set Exception_filter.Guest_servicing))
-
-(* --- Assertion registry ------------------------------------------------------ *)
-
-let test_assertions_indexed () =
-  let reg = Assertion_engine.build () in
-  Alcotest.(check bool) "hypervisor has assertions" true
-    (Assertion_engine.count reg > 10);
-  (* Both paper listing types are represented. *)
-  Alcotest.(check bool) "boundary assertions exist" true
-    (Assertion_engine.count_by_kind reg Assertion_engine.Boundary > 0);
-  Alcotest.(check bool) "condition assertions exist" true
-    (Assertion_engine.count_by_kind reg Assertion_engine.Condition > 0)
-
-let test_assertions_listing1_present () =
-  (* Listing 1's trap-number scan lives in the trap-delivery path. *)
-  let reg = Assertion_engine.build () in
-  let all = Assertion_engine.all reg in
-  Alcotest.(check bool) "trap_number assertion registered" true
-    (List.exists
-       (fun i ->
-         let n = i.Assertion_engine.name in
-         String.length n >= 11
-         && String.sub n (String.length n - 11) 11 = "trap_number")
-       all)
-
-let test_assertions_listing2_present () =
-  let reg = Assertion_engine.build () in
-  Alcotest.(check bool) "is_idle_vcpu assertion registered" true
-    (List.exists
-       (fun i ->
-         let n = i.Assertion_engine.name in
-         String.length n >= 12
-         && String.sub n (String.length n - 12) 12 = "is_idle_vcpu")
-       (Assertion_engine.all reg))
-
-let test_assertions_lookup () =
-  let reg = Assertion_engine.build () in
-  match Assertion_engine.all reg with
-  | [] -> Alcotest.fail "no assertions"
-  | first :: _ -> (
-      match Assertion_engine.find reg first.Assertion_engine.id with
-      | Some found ->
-          Alcotest.(check string) "found by id" first.Assertion_engine.name
-            found.Assertion_engine.name
-      | None -> Alcotest.fail "lookup failed")
-
-let test_assertion_kind_classification () =
-  Alcotest.(check bool) "range is boundary" true
-    (Assertion_engine.kind_of_assert_kind
-       (Xentry_isa.Instr.Assert_range (0L, 1L))
-    = Assertion_engine.Boundary);
-  Alcotest.(check bool) "equals is condition" true
-    (Assertion_engine.kind_of_assert_kind (Xentry_isa.Instr.Assert_equals 1L)
-    = Assertion_engine.Condition)
 
 (* --- Transition detector ------------------------------------------------------ *)
 
@@ -530,15 +476,6 @@ let () =
           Alcotest.test_case "guest servicing" `Quick
             test_filter_guest_servicing_benign;
           Alcotest.test_case "set sizes" `Quick test_filter_fatal_set_sizes;
-        ] );
-      ( "assertions",
-        [
-          Alcotest.test_case "indexed" `Quick test_assertions_indexed;
-          Alcotest.test_case "listing 1" `Quick test_assertions_listing1_present;
-          Alcotest.test_case "listing 2" `Quick test_assertions_listing2_present;
-          Alcotest.test_case "lookup" `Quick test_assertions_lookup;
-          Alcotest.test_case "kind classification" `Quick
-            test_assertion_kind_classification;
         ] );
       ( "transition_detector",
         [
