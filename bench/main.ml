@@ -1344,16 +1344,35 @@ let cluster () =
           Printf.eprintf "FATAL: serve kill leg never lost its worker\n%!";
           exit 1
         end;
+        (* Conservation across the kill: every offered request is
+           completed or shed for exactly one counted cause. *)
+        let { Front.offered; completed; shed_window_full; shed_worker_lost;
+              shed_draining; _ } =
+          summary
+        in
+        if
+          offered
+          <> completed + shed_window_full + shed_worker_lost + shed_draining
+        then begin
+          Printf.eprintf
+            "FATAL: serve kill leg lost requests: offered %d <> completed %d + \
+             shed window_full %d + worker_lost %d + draining %d\n%!"
+            offered completed shed_window_full shed_worker_lost shed_draining;
+          exit 1
+        end;
         Json.(
           Obj
             [ ("workers", Int workers);
               ("throughput_rps", Float summary.Front.throughput_rps);
-              ("completed", Int summary.Front.completed);
+              ("completed", Int completed);
               ("p50_us", Float (Front.latency_quantile summary 0.50));
               ("p99_us", Float (Front.latency_quantile summary 0.99));
               ("workers_lost", Int summary.Front.workers_lost);
               ("streams_remapped", Int summary.Front.streams_remapped);
-              ("shed_worker_lost", Int summary.Front.shed_worker_lost) ]))
+              ("shed_worker_lost", Int shed_worker_lost);
+              ("offered", Int offered);
+              ("shed_window_full", Int shed_window_full);
+              ("shed_draining", Int shed_draining) ]))
   in
   Json.(
     Obj

@@ -150,17 +150,6 @@ let workers_arg =
            records are bit-identical for every worker count, including \
            across worker crashes.")
 
-let addr_conv =
-  let parse s =
-    match Xentry_cluster.Protocol.addr_of_string s with
-    | Ok a -> Ok a
-    | Error m -> Error (`Msg m)
-  in
-  let print ppf a =
-    Format.pp_print_string ppf (Xentry_cluster.Protocol.addr_to_string a)
-  in
-  Arg.conv (parse, print)
-
 (* Run [f sock] with [workers] worker processes of this binary, [jobs]
    domains each, connecting to [sock]. *)
 let with_local_workers ~name ~workers ~jobs ~engine ~telemetry f =
@@ -654,7 +643,6 @@ let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
     else
       Some
         {
-          Serve.default_retrain with
           Serve.retrain_interval_s = retrain_interval;
           shadow_window;
           artifact_dir = retrain_dir;
@@ -819,13 +807,15 @@ let serve_cmd =
   in
   let retrain_interval =
     Arg.(
-      value & opt float 0.25
+      value
+      & opt float Xentry_serve.Server.(default_retrain.retrain_interval_s)
       & info [ "retrain-interval" ] ~docv:"SECONDS"
           ~doc:"Retrain manager wake-up cadence (with $(b,--retrain)).")
   in
   let shadow_window =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Xentry_serve.Server.(default_retrain.shadow_window)
       & info [ "shadow-window" ] ~docv:"N"
           ~doc:
             "Requests a candidate detector must shadow-score before the \
@@ -939,17 +929,16 @@ let recover_cmd =
 let worker connect jobs engine enable_telemetry =
   apply_engine engine;
   if enable_telemetry then Xentry_util.Telemetry.enable ();
-  Xentry_cluster.Worker.run ~jobs:(resolve_jobs jobs) ~connect ()
+  Xentry_cluster.Worker.run ~jobs:(resolve_jobs jobs)
+    ~connect:(Xentry_cluster.Protocol.Unix_sock connect) ()
 
 let worker_cmd =
   let connect =
     Arg.(
       required
-      & opt (some addr_conv) None
-      & info [ "connect" ] ~docv:"ADDR"
-          ~doc:
-            "Coordinator address: a Unix-domain socket path, or host:port \
-             for TCP.")
+      & opt (some string) None
+      & info [ "connect" ] ~docv:"SOCKET"
+          ~doc:"Path of the coordinator's Unix-domain socket.")
   in
   let enable_telemetry =
     Arg.(
@@ -964,10 +953,9 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Run a cluster worker process.  Spawned automatically by \
-          $(b,xentry inject --workers) and $(b,xentry serve --workers); \
-          start it by hand (with a TCP address) to spread a campaign \
-          across machines.")
+         "Run a cluster worker process.  $(b,xentry inject --workers) \
+          and $(b,xentry serve --workers) spawn these themselves, each \
+          connecting to a socket in a private temporary directory.")
     Term.(const worker $ connect $ jobs_arg $ engine_arg $ enable_telemetry)
 
 (* --- optimize ------------------------------------------------------------------- *)

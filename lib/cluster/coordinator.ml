@@ -29,8 +29,6 @@ type t = {
   mutable completed : int;
 }
 
-let ignore_exn f = try f () with _ -> ()
-
 (* A worker is gone: drop the connection, return its leases to
    pending, and let the caller top up the survivors. *)
 let drop_worker t w =
@@ -114,10 +112,6 @@ let handle_msg t w = function
       ignore (drop_worker t w : int list);
       top_up_all t
 
-let rec select_retry reads timeout =
-  try Unix.select reads [] [] timeout
-  with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry reads timeout
-
 (* After Bye, give workers a bounded grace period to flush their final
    telemetry dump and close — never hang on a stuck worker.  The
    listener stays in the select set so a straggler that connects after
@@ -131,7 +125,7 @@ let collect_goodbyes t ~listener ~grace_s =
       let remaining = deadline -. Xentry_util.Clock.monotonic () in
       if remaining > 0. then begin
         let fds = listener :: List.map (fun w -> P.fd w.conn) t.live in
-        let readable, _, _ = select_retry fds remaining in
+        let readable = P.select fds remaining in
         if List.mem listener readable then begin
           let conn = P.accept listener in
           (try P.send conn P.Bye
@@ -194,14 +188,7 @@ let run ?checkpoint ?(idle_timeout_s = 60.) ?(on_progress = fun _ -> ())
               | `Committed -> t.completed <- t.completed + 1
               | `Duplicate -> ()))
         plan);
-  let listener = P.listen listen in
-  let cleanup () =
-    ignore_exn (fun () -> Unix.close listener);
-    match listen with
-    | P.Unix_sock path -> ignore_exn (fun () -> Sys.remove path)
-    | P.Tcp _ -> ()
-  in
-  Fun.protect ~finally:cleanup (fun () ->
+  P.with_listener listen (fun listener ->
       let next_id = ref 0 in
       let last_event = ref (Xentry_util.Clock.monotonic ()) in
       while not (Lease.finished t.table) do
@@ -215,7 +202,7 @@ let run ?checkpoint ?(idle_timeout_s = 60.) ?(on_progress = fun _ -> ())
                   idle
                   (Lease.outstanding t.table)));
         let fds = listener :: List.map (fun w -> P.fd w.conn) t.live in
-        let readable, _, _ = select_retry fds 0.25 in
+        let readable = P.select fds 0.25 in
         if List.mem listener readable then begin
           let conn = P.accept listener in
           let id = !next_id in

@@ -1,8 +1,4 @@
 module Server = Xentry_serve.Server
-module Pipeline = Xentry_core.Pipeline
-module Profile = Xentry_workload.Profile
-module Stream = Xentry_workload.Stream
-module Rng = Xentry_util.Rng
 module Tm = Xentry_util.Telemetry
 module P = Protocol
 
@@ -63,38 +59,29 @@ type wstate = {
 (* Monotonic: drain deadlines survive NTP steps. *)
 let now () = Xentry_util.Clock.monotonic ()
 
-let rec select_retry reads timeout =
-  try Unix.select reads [] [] timeout
-  with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry reads timeout
-
 let stream_key s = Printf.sprintf "stream:%d" s
 
 let run ?(on_tick = fun ~elapsed:_ -> ()) ?push ~listen ~workers
     (cfg : Server.config) =
   if workers < 1 then invalid_arg "Front.run: workers < 1";
-  let { Pipeline.Config.detection; detector; fuel; _ } = cfg.Server.pipeline in
-  let listener = P.listen listen in
-  let cleanup_listener () =
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    match listen with
-    | P.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-    | P.Tcp _ -> ()
-  in
-  Fun.protect ~finally:cleanup_listener @@ fun () ->
+  P.with_listener listen @@ fun listener ->
   (* Setup: collect the full fleet before offering any load, so the
      measured window never includes a half-built ring. *)
   let fleet =
     Array.init workers (fun i ->
-        (match select_retry [ listener ] 30. with
-        | [], _, _ -> failwith "cluster front: timed out waiting for workers"
-        | _ -> ());
+        if P.select [ listener ] 30. = [] then
+          failwith "cluster front: timed out waiting for workers";
         let conn = P.accept listener in
         (match P.recv conn with
         | Some (P.Hello _) -> ()
         | _ -> failwith "cluster front: worker did not say hello");
         P.send conn
           (P.Serve_spec
-             { worker_index = i; seed = cfg.Server.seed; detection; detector; fuel });
+             {
+               worker_index = i;
+               seed = cfg.Server.seed;
+               pipeline = cfg.Server.pipeline;
+             });
         { wid = i; conn; inflight = Hashtbl.create 256; alive = true })
   in
   let ring = Ring.create () in
@@ -116,13 +103,7 @@ let run ?(on_tick = fun ~elapsed:_ -> ()) ?push ~listen ~workers
     !moved
   in
   ignore (remap () : int);
-  let streams =
-    Array.init cfg.Server.streams (fun i ->
-        Stream.create
-          (Profile.get cfg.Server.benchmark)
-          cfg.Server.mode
-          (Rng.create (Rng.derive cfg.Server.seed i)))
-  in
+  let arrivals = Server.arrivals cfg in
   let offered = ref 0 in
   let sent = ref 0 in
   let completed = ref 0 in
@@ -145,24 +126,41 @@ let run ?(on_tick = fun ~elapsed:_ -> ()) ?push ~listen ~workers
   in
   let window = cfg.Server.queue_capacity in
   let seq = ref 0 in
-  let kill_worker w =
+  (* A worker leaves the fleet.  Outside the drain that is a death:
+     the ring drops it, its streams remap, and whatever it still owed
+     is lost.  While draining it is an orderly goodbye: the worker
+     already flushed, so what is still in flight is billed as drained,
+     not as a death. *)
+  let retire_worker ~draining w =
     if w.alive then begin
       w.alive <- false;
       P.close w.conn;
-      Ring.remove ring w.wid;
-      incr workers_lost;
-      Tm.incr tm_rebalances;
-      streams_remapped := !streams_remapped + remap ();
-      (* Whatever it still owed us is lost. *)
-      Hashtbl.iter
-        (fun _ _ ->
-          incr shed_worker_lost;
-          Tm.incr tm_shed_lost)
-        w.inflight;
+      if draining then Hashtbl.iter (fun _ _ -> incr shed_draining) w.inflight
+      else begin
+        Ring.remove ring w.wid;
+        incr workers_lost;
+        Tm.incr tm_rebalances;
+        streams_remapped := !streams_remapped + remap ();
+        Hashtbl.iter
+          (fun _ _ ->
+            incr shed_worker_lost;
+            Tm.incr tm_shed_lost)
+          w.inflight
+      end;
       Hashtbl.clear w.inflight
     end
   in
-  let handle_response ~draining w m =
+  let kill_worker = retire_worker ~draining:false in
+  (* A send that fails means the worker just died. *)
+  let send w m =
+    try
+      P.send w.conn m;
+      true
+    with Unix.Unix_error _ | P.Protocol_error _ ->
+      kill_worker w;
+      false
+  in
+  let handle ~draining w m =
     match m with
     | P.Serve_response { seq = s; detected = d; shed } -> (
         match Hashtbl.find_opt w.inflight s with
@@ -188,77 +186,65 @@ let run ?(on_tick = fun ~elapsed:_ -> ()) ?push ~listen ~workers
     | P.Detector_ack { worker_index; version } ->
         if worker_index >= 0 && worker_index < workers then
           acked_version.(worker_index) <- max acked_version.(worker_index) version
+    | P.Bye -> if draining then retire_worker ~draining w
     | _ -> ()
   in
+  (* The one poll loop: wait up to [timeout] for any live worker, then
+     pump every readable one.  An EOF or a socket error retires the
+     worker. *)
   let poll ~draining timeout =
     let live = Array.to_list fleet |> List.filter (fun w -> w.alive) in
     if live = [] then Unix.sleepf (min timeout 0.01)
     else begin
-      let fds = List.map (fun w -> P.fd w.conn) live in
-      let readable, _, _ = select_retry fds timeout in
+      let readable = P.select (List.map (fun w -> P.fd w.conn) live) timeout in
       List.iter
         (fun w ->
           if List.mem (P.fd w.conn) readable then
             match P.pump w.conn with
             | msgs, eof ->
-                List.iter (handle_response ~draining w) msgs;
-                if eof then kill_worker w
+                List.iter (handle ~draining w) msgs;
+                if eof then retire_worker ~draining w
             | exception (Unix.Unix_error _ | P.Protocol_error _) ->
-                kill_worker w)
+                retire_worker ~draining w)
         live
     end
   in
   let t0 = now () in
   let last_tick = ref t0 in
-  let carry = ref 0. in
-  let rate_at elapsed =
-    match cfg.Server.burst with
-    | Some b
-      when elapsed >= b.Server.burst_start && elapsed < b.Server.burst_end ->
-        cfg.Server.rate *. b.Server.burst_factor
-    | _ -> cfg.Server.rate
-  in
-  let rr = ref 0 in
   while now () -. t0 < cfg.Server.duration_s do
-    poll ~draining:false cfg.Server.tick_s;
+    poll ~draining:false Server.tick_s;
     let t = now () in
-    if t -. !last_tick >= cfg.Server.tick_s then begin
+    if t -. !last_tick >= Server.tick_s then begin
       let dt = t -. !last_tick in
       last_tick := t;
       let elapsed = t -. t0 in
-      carry := !carry +. (rate_at elapsed *. dt);
-      let arrivals = int_of_float !carry in
-      carry := !carry -. float_of_int arrivals;
-      for _ = 1 to arrivals do
-        let s = !rr mod cfg.Server.streams in
-        incr rr;
-        incr offered;
-        Tm.incr tm_offered;
-        match owners.(s) with
-        | -1 ->
-            incr shed_worker_lost;
-            Tm.incr tm_shed_lost
-        | wid ->
-            let w = fleet.(wid) in
-            if (not w.alive) || Hashtbl.length w.inflight >= window then begin
-              incr shed_window_full;
-              Tm.incr tm_shed_window
-            end
-            else begin
-              let req = Stream.next_request streams.(s) in
-              let this_seq = !seq in
-              incr seq;
-              match P.send w.conn (P.Serve_request { seq = this_seq; req }) with
-              | () ->
+      arrivals ~elapsed ~dt (fun s stream ->
+          incr offered;
+          Tm.incr tm_offered;
+          match owners.(s) with
+          | -1 ->
+              incr shed_worker_lost;
+              Tm.incr tm_shed_lost
+          | wid ->
+              let w = fleet.(wid) in
+              if (not w.alive) || Hashtbl.length w.inflight >= window then begin
+                incr shed_window_full;
+                Tm.incr tm_shed_window
+              end
+              else begin
+                let req = Xentry_workload.Stream.next_request stream in
+                let this_seq = !seq in
+                incr seq;
+                if send w (P.Serve_request { seq = this_seq; req }) then begin
                   Hashtbl.replace w.inflight this_seq (now ());
                   incr sent;
                   Tm.incr tm_sent
-              | exception (Unix.Unix_error _ | P.Protocol_error _) ->
-                  kill_worker w;
+                end
+                else begin
                   incr shed_worker_lost;
                   Tm.incr tm_shed_lost
-            end
-      done;
+                end
+              end);
       (* Hot-swap broadcast: the caller decides when a (shadow-gated)
          detector is ready; the front just fans it out.  A worker that
          dies mid-push is killed exactly like a failed request send. *)
@@ -271,59 +257,19 @@ let run ?(on_tick = fun ~elapsed:_ -> ()) ?push ~listen ~workers
               incr detector_pushes;
               Array.iter
                 (fun w ->
-                  if w.alive then
-                    try P.send w.conn (P.Detector_push det)
-                    with Unix.Unix_error _ | P.Protocol_error _ ->
-                      kill_worker w)
+                  if w.alive then ignore (send w (P.Detector_push det) : bool))
                 fleet));
       on_tick ~elapsed
     end
   done;
   (* Drain: ask every survivor to flush, then collect stragglers,
      telemetry and goodbyes under a grace bound. *)
-  Array.iter
-    (fun w ->
-      if w.alive then
-        try P.send w.conn P.Drain
-        with Unix.Unix_error _ | P.Protocol_error _ -> kill_worker w)
-    fleet;
+  Array.iter (fun w -> if w.alive then ignore (send w P.Drain : bool)) fleet;
   let grace_deadline = now () +. 15. in
-  let rec drain_loop () =
-    let waiting = Array.exists (fun w -> w.alive) fleet in
-    if waiting && now () < grace_deadline then begin
-      let live = Array.to_list fleet |> List.filter (fun w -> w.alive) in
-      let fds = List.map (fun w -> P.fd w.conn) live in
-      let readable, _, _ = select_retry fds (min 0.25 (grace_deadline -. now ()))
-      in
-      List.iter
-        (fun w ->
-          if List.mem (P.fd w.conn) readable then
-            match P.pump w.conn with
-            | msgs, eof ->
-                List.iter
-                  (fun m ->
-                    match m with
-                    | P.Bye -> kill_worker_quietly w
-                    | m -> handle_response ~draining:true w m)
-                  msgs;
-                if eof then kill_worker_quietly w
-            | exception (Unix.Unix_error _ | P.Protocol_error _) ->
-                kill_worker_quietly w)
-        live;
-      drain_loop ()
-    end
-  and kill_worker_quietly w =
-    (* An orderly goodbye: nothing in flight is lost, the worker
-       already flushed; don't bill it as a death. *)
-    if w.alive then begin
-      w.alive <- false;
-      P.close w.conn;
-      Hashtbl.iter (fun _ _ -> incr shed_draining) w.inflight;
-      Hashtbl.clear w.inflight
-    end
-  in
-  drain_loop ();
-  Array.iter (fun w -> if w.alive then kill_worker w) fleet;
+  while Array.exists (fun w -> w.alive) fleet && now () < grace_deadline do
+    poll ~draining:true (Float.max 0. (min 0.25 (grace_deadline -. now ())))
+  done;
+  Array.iter kill_worker fleet;
   let wall_s = now () -. t0 in
   {
     wall_s;

@@ -2,9 +2,9 @@
     stream out to worker processes over the cluster protocol.
 
     The front owns everything the single-process engine's producer
-    owns — the workload streams, the offered-rate clock with
-    carry-based arrivals, admission control — but executes nothing
-    itself: each admitted request is framed and sent to the worker
+    owns — the workload streams and the offered-rate clock of
+    {!Xentry_serve.Server.arrivals}, admission control — but executes
+    nothing itself: each admitted request is framed and sent to the worker
     that the consistent-hash {!Ring} assigns its stream, bounded by a
     per-worker in-flight window (the cluster analogue of the ingress
     queue bound).  Responses stream back asynchronously and are
@@ -20,8 +20,10 @@
     {b Drain.}  After the duration the front sends [Drain]; workers
     flush their queues (executing nothing more — queued items come
     back flagged [shed], counted as [shed_draining]), dump telemetry
-    and say [Bye].  A grace period bounds the wait on a wedged
-    worker. *)
+    and say [Bye].  A [Bye], EOF or socket error now retires a worker
+    quietly, its remaining in-flight requests counted as
+    [shed_draining].  A 15 s grace period bounds the wait on a wedged
+    worker; one still alive after it is counted lost. *)
 
 type summary = {
   wall_s : float;

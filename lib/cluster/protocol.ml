@@ -6,7 +6,6 @@ module Fault = Xentry_faultinject.Fault
 module Profile = Xentry_workload.Profile
 module Pipeline = Xentry_core.Pipeline
 module Request = Xentry_vmm.Request
-module Exit_reason = Xentry_vmm.Exit_reason
 module Io = Xentry_util.Io
 module Tm = Xentry_util.Telemetry
 
@@ -15,22 +14,7 @@ let tm_frames_received = Tm.counter "cluster.frames_received"
 let tm_bytes_sent = Tm.counter "cluster.bytes_sent"
 let tm_bytes_received = Tm.counter "cluster.bytes_received"
 
-type addr = Unix_sock of string | Tcp of string * int
-
-let addr_of_string s =
-  match String.rindex_opt s ':' with
-  | Some i when i > 0 && i < String.length s - 1 -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 -> Ok (Tcp (host, p))
-      | Some p -> Error (Printf.sprintf "port %d out of range" p)
-      | None -> Ok (Unix_sock s))
-  | _ -> Ok (Unix_sock s)
-
-let addr_to_string = function
-  | Unix_sock path -> path
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+type addr = Unix_sock of string
 
 type msg =
   | Hello of { jobs : int }
@@ -43,9 +27,7 @@ type msg =
   | Serve_spec of {
       worker_index : int;
       seed : int;
-      detection : Pipeline.detection;
-      detector : Xentry_core.Detector.t option;
-      fuel : int;
+      pipeline : Pipeline.Config.t;
     }
   | Serve_request of { seq : int; req : Request.t }
   | Serve_response of { seq : int; detected : bool; shed : bool }
@@ -87,22 +69,6 @@ let read_mode r =
   | 1 -> Profile.HVM
   | n -> W.corrupt (Printf.sprintf "unknown virt mode %d" n)
 
-let write_detection buf (d : Pipeline.detection) =
-  let { Pipeline.hw_exceptions; sw_assertions; vm_transition; ras_polling } =
-    d
-  in
-  W.bool_ buf hw_exceptions;
-  W.bool_ buf sw_assertions;
-  W.bool_ buf vm_transition;
-  W.bool_ buf ras_polling
-
-let read_detection r =
-  let hw_exceptions = W.read_bool r in
-  let sw_assertions = W.read_bool r in
-  let vm_transition = W.read_bool r in
-  let ras_polling = W.read_bool r in
-  { Pipeline.hw_exceptions; sw_assertions; vm_transition; ras_polling }
-
 (* The campaign config ships whole so any worker can rebuild any shard
    from (config, index).  [jobs] deliberately does not travel: it is
    execution-only (the planner invariant keeps records identical for
@@ -131,7 +97,7 @@ let write_config buf (c : Campaign.Config.t) =
   W.u8 buf (benchmark_index benchmark);
   write_mode buf mode;
   W.opt Codec.versioned_detector.Codec.write buf detector;
-  write_detection buf framework;
+  Codec.write_detection_set buf framework;
   W.str buf (Fault.classes_to_string fault_classes);
   W.int_ buf fuel;
   W.bool_ buf hardened;
@@ -145,7 +111,7 @@ let read_config r =
   let benchmark = read_benchmark r in
   let mode = read_mode r in
   let detector = W.read_opt Codec.versioned_detector.Codec.read r in
-  let framework = read_detection r in
+  let framework = Codec.read_detection_set r in
   let fault_classes =
     match Fault.parse_classes (W.read_str r) with
     | Ok cs -> cs
@@ -173,18 +139,15 @@ let read_config r =
 
 let write_request buf (req : Request.t) =
   let { Request.reason; args; guest } = req in
-  W.u16 buf (Exit_reason.to_id reason);
+  Codec.write_reason buf reason;
   W.array_ W.i64 buf args;
   W.array_ W.i64 buf guest
 
 let read_request r =
-  let id = W.read_u16 r in
-  match Exit_reason.of_id id with
-  | None -> W.corrupt (Printf.sprintf "unknown exit reason id %d" id)
-  | Some reason ->
-      let args = W.read_array W.read_i64 r in
-      let guest = W.read_array W.read_i64 r in
-      { Request.reason; args; guest }
+  let reason = Codec.read_reason r in
+  let args = W.read_array W.read_i64 r in
+  let guest = W.read_array W.read_i64 r in
+  { Request.reason; args; guest }
 
 let write_msg buf = function
   | Hello { jobs } ->
@@ -200,11 +163,12 @@ let write_msg buf = function
       W.u8 buf 4;
       W.int_ buf shard;
       W.list_ Codec.write_record buf records
-  | Serve_spec { worker_index; seed; detection; detector; fuel } ->
+  | Serve_spec { worker_index; seed; pipeline = { detection; detector; fuel } }
+    ->
       W.u8 buf 5;
       W.int_ buf worker_index;
       W.int_ buf seed;
-      write_detection buf detection;
+      Codec.write_detection_set buf detection;
       W.opt Codec.versioned_detector.Codec.write buf detector;
       W.int_ buf fuel
   | Serve_request { seq; req } ->
@@ -243,10 +207,11 @@ let read_msg r =
   | 5 ->
       let worker_index = W.read_int r in
       let seed = W.read_int r in
-      let detection = read_detection r in
+      let detection = Codec.read_detection_set r in
       let detector = W.read_opt Codec.versioned_detector.Codec.read r in
       let fuel = W.read_int r in
-      Serve_spec { worker_index; seed; detection; detector; fuel }
+      let pipeline = { Pipeline.Config.detection; detector; fuel } in
+      Serve_spec { worker_index; seed; pipeline }
   | 6 ->
       let seq = W.read_int r in
       let req = read_request r in
@@ -394,60 +359,44 @@ let conn_of_fd conn_fd =
     closed = false;
   }
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    (* A bare Not_found escaping from gethostbyname is anonymous by
-       the time a caller sees it; surface resolution failure as the
-       same typed error every connect/listen site already catches. *)
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-        raise
-          (Protocol_error (Malformed (Printf.sprintf "unresolvable host %S" host)))
-    | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-
-let sockaddr_of_addr = function
-  | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  | Tcp (host, port) ->
-      (Unix.PF_INET, Unix.ADDR_INET (resolve_host host, port))
-
-let listen ?(backlog = 16) addr =
-  let domain, sockaddr = sockaddr_of_addr addr in
-  (match addr with
-  | Unix_sock path when Sys.file_exists path -> Sys.remove path
-  | _ -> ());
-  let sock = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (match addr with
-  | Tcp _ -> Unix.setsockopt sock Unix.SO_REUSEADDR true
-  | Unix_sock _ -> ());
-  (try
-     Unix.bind sock sockaddr;
-     Unix.listen sock backlog
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  sock
+let with_listener (Unix_sock path) f =
+  if Sys.file_exists path then Sys.remove path;
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Unix.bind sock (Unix.ADDR_UNIX path);
+      Unix.listen sock 16;
+      f sock)
 
 let accept listener =
   let fd, _peer = Unix.accept listener in
   conn_of_fd fd
 
-let connect ?(attempts = 100) ?(delay_s = 0.1) addr =
-  let domain, sockaddr = sockaddr_of_addr addr in
+(* 100 tries 0.1 s apart: workers may start up to 10 s before the
+   coordinator's socket exists. *)
+let connect (Unix_sock path) =
   let rec go tries_left =
-    let sock = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect sock sockaddr with
+    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect sock (Unix.ADDR_UNIX path) with
     | () -> conn_of_fd sock
     | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _)
       when tries_left > 1 ->
         (try Unix.close sock with Unix.Unix_error _ -> ());
-        Unix.sleepf delay_s;
+        Unix.sleepf 0.1;
         go (tries_left - 1)
     | exception e ->
         (try Unix.close sock with Unix.Unix_error _ -> ());
         raise e
   in
-  go (max 1 attempts)
+  go 100
+
+let rec select fds timeout =
+  match Unix.select fds [] [] timeout with
+  | readable, _, _ -> readable
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> select fds timeout
 
 let close c =
   if not c.closed then begin
@@ -514,20 +463,10 @@ let pump c =
   check_eof c;
   (msgs, c.eof)
 
-let readable c =
-  let rec go () =
-    try
-      match Unix.select [ c.conn_fd ] [] [] 0.0 with
-      | [], _, _ -> false
-      | _ -> true
-    with Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
 let try_pump c =
   let rec go acc =
     let acc = drain_decoded c acc in
-    if (not c.eof) && readable c then begin
+    if (not c.eof) && select [ c.conn_fd ] 0.0 <> [] then begin
       ignore (read_chunk c : int);
       go acc
     end

@@ -1,5 +1,5 @@
 (** The cluster wire protocol: length-prefixed, CRC-framed messages
-    over Unix-domain or TCP sockets.
+    over Unix-domain sockets.
 
     Every byte the coordinator, the serve front tier and the workers
     exchange travels in one frame format:
@@ -16,9 +16,9 @@
     re-frame the stream: either the CRC is looked up at the wrong
     offset (mismatch) or the frame is reported oversized.  Payloads are
     encoded with the artifact store's {!Wire} primitives and message
-    bodies reuse {!Xentry_store.Codec} building blocks (outcome
-    records, detectors), so values that already round-trip through the
-    store round-trip over the wire for free.
+    bodies reuse {!Xentry_store.Codec}'s encoders (outcome records,
+    detectors, detection sets, exit reasons), so values that already
+    round-trip through the store round-trip over the wire for free.
 
     Decoding is {e incremental} and {e total}: {!feed} arbitrary chunks
     (sockets deliver frames split at any byte boundary), {!next}
@@ -29,15 +29,7 @@
 
 (** {2 Addresses} *)
 
-type addr =
-  | Unix_sock of string  (** Unix-domain socket path *)
-  | Tcp of string * int  (** host, port *)
-
-val addr_of_string : string -> (addr, string) result
-(** ["host:port"] (port numeric) parses as {!Tcp}; anything else is a
-    {!Unix_sock} path. *)
-
-val addr_to_string : addr -> string
+type addr = Unix_sock of string  (** Unix-domain socket path *)
 
 (** {2 Messages} *)
 
@@ -57,9 +49,7 @@ type msg =
   | Serve_spec of {
       worker_index : int;  (** distinct host seeds per worker *)
       seed : int;
-      detection : Xentry_core.Pipeline.detection;
-      detector : Xentry_core.Detector.t option;
-      fuel : int;
+      pipeline : Xentry_core.Pipeline.Config.t;
     }  (** front → worker: arm the serving executors *)
   | Serve_request of { seq : int; req : Xentry_vmm.Request.t }
   | Serve_response of { seq : int; detected : bool; shed : bool }
@@ -82,13 +72,10 @@ type msg =
 
 (** {2 Framing} *)
 
-val max_frame : int
-(** Upper bound on payload size (64 MiB); larger frames are a typed
-    {!Oversized} error, not an allocation. *)
-
 type error =
   | Bad_magic
   | Oversized of int
+      (** a payload over 64 MiB: a typed error, not an allocation *)
   | Crc_mismatch of { stored : int32; computed : int32 }
   | Truncated  (** end-of-stream inside a frame *)
   | Malformed of string  (** CRC-clean frame whose payload failed to decode *)
@@ -126,19 +113,21 @@ val finish : decoder -> (unit, error) result
 type conn
 
 val fd : conn -> Unix.file_descr
-val conn_of_fd : Unix.file_descr -> conn
-(** Wrap an already-connected descriptor (fresh decoder). *)
-
-val listen : ?backlog:int -> addr -> Unix.file_descr
-(** Bind and listen.  A pre-existing Unix-socket file is unlinked; TCP
-    sockets get [SO_REUSEADDR]. *)
+val with_listener : addr -> (Unix.file_descr -> 'a) -> 'a
+(** [with_listener addr f] binds and listens on [addr] (backlog 16;
+    a pre-existing socket file is unlinked first), runs [f] on the
+    listening socket, then closes it and unlinks the socket file,
+    however [f] ends. *)
 
 val accept : Unix.file_descr -> conn
 
-val connect : ?attempts:int -> ?delay_s:float -> addr -> conn
-(** Retries [ECONNREFUSED]/[ENOENT] up to [attempts] times (default
-    100) sleeping [delay_s] (default 0.1s) between tries — workers may
-    start before the coordinator's socket exists. *)
+val connect : addr -> conn
+(** Retries [ECONNREFUSED]/[ENOENT] up to 100 times, 0.1 s apart —
+    workers may start before the coordinator's socket exists. *)
+
+val select : Unix.file_descr list -> float -> Unix.file_descr list
+(** The descriptors of the list that are readable within [timeout]
+    seconds ([Unix.select] on reads, retried on [EINTR]). *)
 
 val close : conn -> unit
 (** Idempotent. *)

@@ -1,14 +1,12 @@
 module Crc32 = Xentry_store.Crc32
 
 type t = {
-  vnodes : int;
   mutable nodes : int list;  (** ascending *)
   mutable entries : (int32 * int) array;  (** (vnode hash, node), sorted *)
 }
 
-let create ?(vnodes = 64) () =
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes < 1";
-  { vnodes; nodes = []; entries = [||] }
+let vnodes = 64
+let create () = { nodes = []; entries = [||] }
 
 (* Ties (two labels hashing equal) are broken by node id, so the ring
    layout is a pure function of the member set. *)
@@ -19,7 +17,7 @@ let rebuild t =
   let entries =
     List.concat_map
       (fun node ->
-        List.init t.vnodes (fun i ->
+        List.init vnodes (fun i ->
             (Crc32.digest (Printf.sprintf "node:%d:vnode:%d" node i), node)))
       t.nodes
     |> Array.of_list

@@ -15,8 +15,8 @@
 
 type t
 
-val create : ?vnodes:int -> unit -> t
-(** [vnodes] virtual nodes per member (default 64). *)
+val create : unit -> t
+(** An empty ring; each member it gains gets 64 virtual nodes. *)
 
 val add : t -> int -> unit
 (** Add member [node] (no-op if present). *)

@@ -1,6 +1,6 @@
 module Campaign = Xentry_faultinject.Campaign
 module Pipeline = Xentry_core.Pipeline
-module Microboot = Xentry_recover.Microboot
+module Step = Xentry_serve.Server.Step
 module Bounded_queue = Xentry_serve.Bounded_queue
 module Pool = Xentry_util.Pool
 module Rng = Xentry_util.Rng
@@ -89,16 +89,13 @@ let campaign_loop conn ~jobs config =
 (* --- serve mode ------------------------------------------------------ *)
 
 let executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~draining w =
-  let host =
-    ref
-      (Pipeline.create_host
-         ~seed:(Rng.derive seed (0xC1A5 + (worker_index * 131) + w))
-         (Atomic.get cfg_cell))
+  (* Micro-reboot on a verdict: a faulted executor recovers its own
+     hypervisor and replays the request instead of serving every later
+     request on a condemned host. *)
+  let step =
+    Step.create Xentry_serve.Server.Microboot
+      ~seed:(Rng.derive seed (0xC1A5 + (worker_index * 131) + w))
   in
-  (* Boot image for in-place micro-reboot on a verdict: a faulted
-     executor recovers its own hypervisor and replays the request
-     instead of serving every later request on a condemned host. *)
-  let image = Microboot.capture_image !host in
   let serve_one (seq, req) =
     if Atomic.get draining then begin
       Tm.incr tm_serve_shed;
@@ -109,20 +106,12 @@ let executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~draining w =
          mid-request swaps for the NEXT request, so detection and
          (on a verdict) the replay run under one detector version. *)
       let cfg = Atomic.get cfg_cell in
-      Xentry_vmm.Hypervisor.prepare !host req;
-      let ctx = Microboot.capture !host req in
-      let outcome = Pipeline.run cfg ~host:!host ~prepare:false req in
-      (match outcome.Pipeline.verdict with
-      | Pipeline.Detected _ ->
-          let fresh = Microboot.reboot image ctx in
-          ignore (Pipeline.run cfg ~host:fresh ~prepare:false ~retire:true req
-                  : Pipeline.outcome);
-          host := fresh;
-          Tm.incr tm_microboots
-      | Pipeline.Clean -> Xentry_vmm.Hypervisor.retire !host req);
       let detected =
-        match outcome.Pipeline.verdict with
-        | Pipeline.Detected _ -> true
+        match (Step.detect step cfg req).Pipeline.verdict with
+        | Pipeline.Detected _ ->
+            ignore (Step.recover step cfg req : Pipeline.outcome);
+            Tm.incr tm_microboots;
+            true
         | Pipeline.Clean -> false
       in
       Tm.incr tm_serve_executed;
@@ -144,10 +133,8 @@ let executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~draining w =
   in
   loop ()
 
-let serve_loop conn ~jobs ~worker_index ~seed ~detection ~detector ~fuel =
-  let cfg_cell =
-    Atomic.make (Pipeline.Config.make ~detection ?detector ~fuel ())
-  in
+let serve_loop conn ~jobs ~worker_index ~seed pipeline =
+  let cfg_cell = Atomic.make pipeline in
   let queue = Bounded_queue.create ~capacity:(max 16 (jobs * 64)) in
   let draining = Atomic.make false in
   let send_mutex = Mutex.create () in
@@ -198,8 +185,8 @@ let run ?jobs ~connect () =
   match P.recv conn with
   | Some (P.Campaign_spec config) ->
       campaign_loop conn ~jobs { config with Campaign.Config.jobs = Some jobs }
-  | Some (P.Serve_spec { worker_index; seed; detection; detector; fuel }) ->
-      serve_loop conn ~jobs ~worker_index ~seed ~detection ~detector ~fuel
+  | Some (P.Serve_spec { worker_index; seed; pipeline }) ->
+      serve_loop conn ~jobs ~worker_index ~seed pipeline
   | Some P.Bye | None -> P.close conn
   | Some _ -> P.close conn
 

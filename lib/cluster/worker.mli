@@ -12,12 +12,13 @@
       gathered greedily before spawning the pool, so the batch width
       recovers to [jobs] even though top-ups arrive one at a time.
 
-    - [Serve_spec]: spawn [jobs] executor domains, each owning a
-      hypervisor host seeded from the spec's worker index; the socket
-      reader pushes requests onto a bounded queue (shedding with a
-      [shed] response when full) until [Drain] or EOF, then the
-      executors flush the queue (shedding everything once draining)
-      and the worker says goodbye.
+    - [Serve_spec]: spawn [jobs] executor domains, each serving
+      through its own {!Xentry_serve.Server.Step} under [Microboot]
+      (a host seeded from the spec's worker index, micro-rebooted on
+      every verdict); the socket reader pushes requests onto a
+      bounded queue (shedding with a [shed] response when full) until
+      [Drain] or EOF, then the executors flush the queue (shedding
+      everything once draining) and the worker says goodbye.
 
     Either way the worker finishes by sending its telemetry dump (when
     telemetry is enabled) and [Bye].  A worker never decides anything

@@ -42,7 +42,6 @@ module Config = struct
 
   let pipeline t =
     {
-      Pipeline.Config.default with
       Pipeline.Config.detection = t.framework;
       detector = t.detector;
       fuel = t.fuel;

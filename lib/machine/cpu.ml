@@ -88,13 +88,10 @@ let file_bytes = 168
 let gpr_off g = 8 * Reg.gpr_index g
 
 type t = {
-  cpu_id : int;
   regs : Bytes.t;  (* the register file, laid out above *)
   mem : Memory.t;
   pmu_unit : Pmu.t;
   mutable tsc : int64;
-  tsc_step : int;
-  cpuid_fn : int64 -> int64 * int64 * int64 * int64;
   mutable assertions_on : bool;
   mutable watch : watch option;
   mutable mem_watch : mem_watch option;
@@ -153,6 +150,8 @@ let default_engine_ref = ref initial_engine
 let default_engine () = !default_engine_ref
 let set_default_engine e = default_engine_ref := e
 
+let tsc_step = 3 (* TSC increment per retired instruction *)
+
 let default_cpuid leaf =
   (* Deterministic synthetic CPUID: a fixed mixing of the leaf so that
      emulation results are stable across runs and corruptions of the
@@ -165,17 +164,14 @@ let default_cpuid leaf =
   in
   (mix 1, mix 2, mix 3, mix 4)
 
-let create ?(cpu_id = 0) ?(tsc_step = 3) ?(cpuid_fn = default_cpuid) mem =
+let create mem =
   let regs = Bytes.make file_bytes '\000' in
   set64 regs rflags_off 2L (* x86 bit 1 always set *);
   {
-    cpu_id;
     regs;
     mem;
     pmu_unit = Pmu.create ();
     tsc = 1_000_000L;
-    tsc_step;
-    cpuid_fn;
     assertions_on = true;
     watch = None;
     mem_watch = None;
@@ -193,7 +189,6 @@ let create ?(cpu_id = 0) ?(tsc_step = 3) ?(cpuid_fn = default_cpuid) mem =
 
 let memory t = t.mem
 let pmu t = t.pmu_unit
-let cpu_id t = t.cpu_id
 let get_gpr t g = get64 t.regs (gpr_off g)
 let set_gpr t g v = set64 t.regs (gpr_off g) v
 let get_rflags t = get64 t.regs rflags_off
@@ -368,12 +363,12 @@ let rip_of_index ~code_base idx =
    stop reason intact. *)
 let retire_terminal t =
   t.steps <- t.steps + 1;
-  t.tsc <- Int64.add t.tsc (Int64.of_int t.tsc_step);
+  t.tsc <- Int64.add t.tsc (Int64.of_int tsc_step);
   Pmu.add t.pmu_unit Pmu.Inst_retired 1
 
 let retire ?(n = 1) t fuel =
   t.steps <- t.steps + n;
-  t.tsc <- Int64.add t.tsc (Int64.of_int (n * t.tsc_step));
+  t.tsc <- Int64.add t.tsc (Int64.of_int (n * tsc_step));
   Pmu.add t.pmu_unit Pmu.Inst_retired n;
   if t.steps > fuel then raise (Stopped Out_of_fuel)
 
@@ -845,7 +840,7 @@ let run t ~program ~code_base ?entry ?(fuel = 100_000) ?inject ?on_step
         | Instr.Rep_stosq ->
             if exec_rep_stosq t then set_rip t (rip_of_index ~code_base idx)
         | Instr.Cpuid ->
-            let rax, rbx, rcx, rdx = t.cpuid_fn (get_gpr t Reg.RAX) in
+            let rax, rbx, rcx, rdx = default_cpuid (get_gpr t Reg.RAX) in
             set_gpr t Reg.RAX rax;
             set_gpr t Reg.RBX rbx;
             set_gpr t Reg.RCX rcx;
@@ -1409,7 +1404,7 @@ let compile_instr idx (instr : int Instr.t) : t -> unit =
         end
   | Instr.Cpuid ->
       fun t ->
-        let rax, rbx, rcx, rdx = t.cpuid_fn (get_gpr t Reg.RAX) in
+        let rax, rbx, rcx, rdx = default_cpuid (get_gpr t Reg.RAX) in
         set_gpr t Reg.RAX rax;
         set_gpr t Reg.RBX rbx;
         set_gpr t Reg.RCX rcx;
@@ -1421,7 +1416,7 @@ let compile_instr idx (instr : int Instr.t) : t -> unit =
            per-step [tsc_step] bumps the reference engine has applied
            by the time rdtsc executes. *)
         let tsc =
-          Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step))
+          Int64.add t.run_tsc_base (Int64.of_int (t.steps * tsc_step))
         in
         t.tsc <- tsc;
         set64 t.regs rax_off (Int64.logand tsc 0xFFFFFFFFL);
@@ -1470,14 +1465,14 @@ let run_compiled t ~compiled ~code_base ?entry ?(fuel = 100_000) ?inject
            TSC at the captured step.  A resumed run always takes the
            RIP-driven loop, so the returned entry index is unused. *)
         t.run_tsc_base <-
-          Int64.sub st.rs_tsc (Int64.of_int (st.rs_steps * t.tsc_step));
+          Int64.sub st.rs_tsc (Int64.of_int (st.rs_steps * tsc_step));
         0
   in
   (* Fast-engine capture: settle the lazy TSC into the state (the PMU
      batch is settled by [capture]) so it is engine-independent. *)
   let capture_at rip =
     capture t ~rip
-      ~tsc:(Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step)))
+      ~tsc:(Int64.add t.run_tsc_base (Int64.of_int (t.steps * tsc_step)))
   in
   (* Hot loop: driven by the instruction *index*, so a step is an
      array load, a closure call and a few integer tests, with no RIP
@@ -1604,7 +1599,7 @@ let run_compiled t ~compiled ~code_base ?entry ?(fuel = 100_000) ?inject
   Pmu.add t.pmu_unit Pmu.Mem_loads t.pend_loads;
   Pmu.add t.pmu_unit Pmu.Mem_stores t.pend_stores;
   clear_pending t;
-  t.tsc <- Int64.add t.run_tsc_base (Int64.of_int (t.steps * t.tsc_step));
+  t.tsc <- Int64.add t.run_tsc_base (Int64.of_int (t.steps * tsc_step));
   finish_run t ~inject stop_reason
 
 let pp_stop ppf = function

@@ -16,20 +16,13 @@
 
 type t
 
-val create :
-  ?cpu_id:int ->
-  ?tsc_step:int ->
-  ?cpuid_fn:(int64 -> int64 * int64 * int64 * int64) ->
-  Memory.t ->
-  t
-(** [create mem] makes a CPU attached to [mem].  [tsc_step] is the TSC
-    increment per retired instruction (default 3, a 2-ish IPC at a few
-    GHz is immaterial; only monotonicity and determinism matter).
-    [cpuid_fn] maps a leaf to the (rax, rbx, rcx, rdx) results. *)
+val create : Memory.t -> t
+(** [create mem] makes a CPU attached to [mem].  The TSC advances 3
+    per retired instruction (only monotonicity and determinism
+    matter), and CPUID answers with a fixed mixing of the leaf. *)
 
 val memory : t -> Memory.t
 val pmu : t -> Pmu.t
-val cpu_id : t -> int
 
 val get_gpr : t -> Xentry_isa.Reg.gpr -> int64
 val set_gpr : t -> Xentry_isa.Reg.gpr -> int64 -> unit

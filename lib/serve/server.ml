@@ -27,19 +27,16 @@ let recovery_policy_name = function
 type retrain = {
   retrain_interval_s : float;
   shadow_window : int;
-  min_corpus : int;
-  reservoir_capacity : int;
   artifact_dir : string option;
 }
 
 let default_retrain =
-  {
-    retrain_interval_s = 0.25;
-    shadow_window = 64;
-    min_corpus = 8;
-    reservoir_capacity = 512;
-    artifact_dir = None;
-  }
+  { retrain_interval_s = 0.25; shadow_window = 64; artifact_dir = None }
+
+(* Per-class samples a corpus needs before a candidate trains, and the
+   miner's per-class reservoir bound. *)
+let min_corpus = 8
+let reservoir_capacity = 512
 
 type config = {
   pipeline : Pipeline.Config.t;
@@ -56,7 +53,6 @@ type config = {
   jobs : int;
   queue_capacity : int;
   ladder : Ladder.config;
-  tick_s : float;
   seed : int;
   max_samples : int;
 }
@@ -64,7 +60,7 @@ type config = {
 let make ?(pipeline = Pipeline.Config.default) ?(mode = Profile.PV)
     ?(streams = 8) ?burst ?storm ?(recovery = Keep_serving) ?retrain
     ?deadline_us ?(duration_s = 2.0) ?(jobs = 2) ?(queue_capacity = 64)
-    ?(ladder = Ladder.default_config) ?(tick_s = 0.002) ?(seed = 42)
+    ?(ladder = Ladder.default_config) ?(seed = 42)
     ?(max_samples = 200_000) ~benchmark ~rate () =
   let cfg =
     {
@@ -82,7 +78,6 @@ let make ?(pipeline = Pipeline.Config.default) ?(mode = Profile.PV)
       jobs;
       queue_capacity;
       ladder;
-      tick_s;
       seed;
       max_samples;
     }
@@ -90,12 +85,10 @@ let make ?(pipeline = Pipeline.Config.default) ?(mode = Profile.PV)
   if
     not
       (streams >= 1 && jobs >= 1 && rate > 0. && duration_s > 0.
-     && tick_s > 0. && queue_capacity >= 1 && max_samples >= 1
+     && queue_capacity >= 1 && max_samples >= 1
      && (match deadline_us with Some d -> d >= 1 | None -> true)
      && (match retrain with
-        | Some r ->
-            r.retrain_interval_s > 0. && r.shadow_window >= 1
-            && r.min_corpus >= 1 && r.reservoir_capacity >= 1
+        | Some r -> r.retrain_interval_s > 0. && r.shadow_window >= 1
         | None -> true)
      &&
      match storm with
@@ -106,6 +99,8 @@ let make ?(pipeline = Pipeline.Config.default) ?(mode = Profile.PV)
      | None -> true)
   then invalid_arg "Server.make: invalid configuration";
   cfg
+
+let tick_s = 0.002
 
 (* --- telemetry ------------------------------------------------------ *)
 
@@ -126,6 +121,85 @@ let tm_swapped = Tm.counter "serve.lifecycle.swapped"
 let tm_latency = Tm.histogram "serve.latency_us"
 let tm_level = Tm.histogram "serve.degraded_level"
 let tm_recovery = Tm.histogram "serve.recovery_us"
+
+(* --- the serving step ----------------------------------------------- *)
+
+module Step = struct
+  type t = {
+    policy : recovery_policy;
+    seed : int;
+    mutable host : Hypervisor.t;
+    image : Mb.image option;
+    mutable ctx : Mb.context option;
+    mutable restarts : int;
+  }
+
+  let create policy ~seed =
+    let host = Hypervisor.create ~seed () in
+    (* The micro-reboot boot image: hypervisor-private scratch captured
+       from the freshly booted host, before any request dirties it. *)
+    let image =
+      if policy = Microboot then Some (Mb.capture_image host) else None
+    in
+    { policy; seed; host; image; ctx = None; restarts = 0 }
+
+  let host t = t.host
+
+  let detect t pcfg ?inject req =
+    match t.policy with
+    | Keep_serving -> Pipeline.run pcfg ~host:t.host ?inject ~retire:true req
+    | Microboot | Restart ->
+        (* Stage by hand so the micro-reboot context is captured
+           between staging and execution — exactly the state a replay
+           must resume from. *)
+        Hypervisor.prepare t.host req;
+        if t.policy = Microboot then t.ctx <- Some (Mb.capture t.host req);
+        let out = Pipeline.run pcfg ~host:t.host ~prepare:false ?inject req in
+        (match out.Pipeline.verdict with
+        | Pipeline.Clean -> Hypervisor.retire t.host req
+        | Pipeline.Detected _ -> ());
+        out
+
+  let recover t pcfg req =
+    match (t.image, t.ctx) with
+    | Some image, Some ctx ->
+        (* [reboot] already restaged the request on the fresh host. *)
+        t.host <- Mb.reboot image ctx;
+        Pipeline.run pcfg ~host:t.host ~prepare:false ~retire:true req
+    | _ ->
+        (* Restart-everything baseline: a whole new hypervisor, and
+           with it every guest's accumulated state. *)
+        t.restarts <- t.restarts + 1;
+        t.host <- Hypervisor.create ~seed:(Rng.derive t.seed t.restarts) ();
+        Pipeline.run pcfg ~host:t.host ~retire:true req
+end
+
+(* --- arrivals ------------------------------------------------------- *)
+
+let arrivals (cfg : config) =
+  let profile = Profile.get cfg.benchmark in
+  let streams =
+    Array.init cfg.streams (fun i ->
+        Stream.create profile cfg.mode (Rng.create (Rng.derive cfg.seed i)))
+  in
+  let carry = ref 0. and next = ref 0 in
+  fun ~elapsed ~dt f ->
+    let rate =
+      match cfg.burst with
+      | Some b when elapsed >= b.burst_start && elapsed < b.burst_end ->
+          cfg.rate *. b.burst_factor
+      | _ -> cfg.rate
+    in
+    (* Carrying the fractional arrival across ticks makes the offered
+       load integrate to rate * duration regardless of tick jitter. *)
+    carry := !carry +. (rate *. dt);
+    let n = int_of_float !carry in
+    carry := !carry -. float_of_int n;
+    for _ = 1 to n do
+      let s = !next mod cfg.streams in
+      incr next;
+      f s streams.(s)
+    done
 
 (* --- the engine ----------------------------------------------------- *)
 
@@ -229,16 +303,10 @@ type lifecycle = {
    instant at most one worker is actively sweeping a given stream. *)
 let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
     ~lifecycle ~owners w =
-  let host =
-    ref
-      (Pipeline.create_host ~seed:(Rng.derive cfg.seed (0x5E12 + w))
-         cfg.pipeline)
+  let step =
+    Step.create cfg.recovery ~seed:(Rng.derive cfg.seed (0x5E12 + w))
   in
-  (* The micro-reboot boot image: hypervisor-private scratch captured
-     from the freshly booted host, before any request dirties it. *)
-  let image = if cfg.recovery = Microboot then Some (Mb.capture_image !host) else None in
   let fault_rng = Rng.create (Rng.derive cfg.seed (0xFA17 + w)) in
-  let restarts = ref 0 in
   (* Adaptive injection window: faults land inside the dynamic
      instruction count of recent requests, like the campaign tiers. *)
   let last_steps = ref 256 in
@@ -295,30 +363,12 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
      in-flight request on it, exactly once.  The request was admitted,
      so its completion is counted from the replay outcome alone — the
      detection run produced no completion. *)
-  let recover_and_replay rung_cfg ctx item =
+  let recover_and_replay rung_cfg item =
     if neighbour <> w then set_home_owner neighbour;
     let t_rec = now () in
-    let fresh, replayed =
-      match (ctx, image) with
-      | Some ctx, Some image ->
-          let fresh = Mb.reboot image ctx in
-          Tm.incr tm_microboots;
-          (* [reboot] already restaged the request on the fresh host. *)
-          (fresh, Pipeline.run rung_cfg ~host:fresh ~prepare:false ~retire:true item.it_req)
-      | _ ->
-          (* Restart-everything baseline: a whole new hypervisor (and
-             with it, every guest's accumulated state). *)
-          incr restarts;
-          let fresh =
-            Pipeline.create_host
-              ~seed:(Rng.derive cfg.seed (0x5E12 + w + (0x10000 * !restarts)))
-              cfg.pipeline
-          in
-          Tm.incr tm_restarts;
-          (fresh, Pipeline.run rung_cfg ~host:fresh ~retire:true item.it_req)
-    in
+    let replayed = Step.recover step rung_cfg item.it_req in
     let dt = now () -. t_rec in
-    host := fresh;
+    Tm.incr (if cfg.recovery = Microboot then tm_microboots else tm_restarts);
     tally.t_recoveries <- tally.t_recoveries + 1;
     tally.t_recovery_s <- tally.t_recovery_s +. dt;
     tally.t_recovery_us <- (dt *. 1e6) :: tally.t_recovery_us;
@@ -383,40 +433,20 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
             Some (Fault.to_injection (Fault.sample fault_rng ~max_step:!last_steps))
         | _ -> None
       in
+      let first = Step.detect step rung_cfg ?inject item.it_req in
+      (* Mine the detection run, not the replay: the replay is a
+         synthetic re-execution, not arriving traffic. *)
+      observe item.it_req first;
       let outcome =
-        match cfg.recovery with
-        | Keep_serving ->
-            let out =
-              Pipeline.run rung_cfg ~host:!host ?inject ~retire:true item.it_req
-            in
-            observe item.it_req out;
-            out
-        | Microboot | Restart -> (
-            (* Stage by hand so the micro-reboot context is captured
-               between staging and execution — exactly the state a
-               replay must resume from. *)
-            Hypervisor.prepare !host item.it_req;
-            let ctx =
-              Option.map (fun _ -> Mb.capture !host item.it_req) image
-            in
-            let first =
-              Pipeline.run rung_cfg ~host:!host ~prepare:false ?inject
-                item.it_req
-            in
-            (* Mine the detection run, not the replay: the replay is a
-               synthetic re-execution, not arriving traffic. *)
-            observe item.it_req first;
-            match first.Pipeline.verdict with
-            | Pipeline.Clean ->
-                Hypervisor.retire !host item.it_req;
-                first
-            | Pipeline.Detected _ ->
-                (* Count the verdict here: the detection run is dropped
-                   with its host, so only the replay reaches the
-                   completion accounting below. *)
-                tally.t_detected <- tally.t_detected + 1;
-                Tm.incr tm_detected;
-                recover_and_replay rung_cfg ctx item)
+        match (cfg.recovery, first.Pipeline.verdict) with
+        | (Microboot | Restart), Pipeline.Detected _ ->
+            (* Count the verdict here: the detection run is dropped with
+               its host, so only the replay reaches the completion
+               accounting below. *)
+            tally.t_detected <- tally.t_detected + 1;
+            Tm.incr tm_detected;
+            recover_and_replay rung_cfg item
+        | _ -> first
       in
       let latency = now () -. item.it_enqueued in
       tally.t_completed <- tally.t_completed + 1;
@@ -502,7 +532,7 @@ let manager_loop (rt : retrain) ~t0 ~stop ~incumbent (lc : lifecycle) =
             incr rejected)
     | None ->
         let corpus = Miner.corpus lc.lc_miner in
-        if Retrainer.viable ~min_per_class:rt.min_corpus corpus then begin
+        if Retrainer.viable ~min_per_class:min_corpus corpus then begin
           let det = Retrainer.train_candidate ~version:!next_version corpus in
           incr next_version;
           incr retrained;
@@ -535,11 +565,7 @@ let manager_loop (rt : retrain) ~t0 ~stop ~incumbent (lc : lifecycle) =
   (List.rev !swaps, !retrained, !rejected)
 
 let run (cfg : config) =
-  let profile = Profile.get cfg.benchmark in
-  let streams =
-    Array.init cfg.streams (fun i ->
-        Stream.create profile cfg.mode (Rng.create (Rng.derive cfg.seed i)))
-  in
+  let arrivals = arrivals cfg in
   let queues =
     Array.init cfg.streams (fun _ ->
         Bounded_queue.create ~capacity:cfg.queue_capacity)
@@ -560,7 +586,7 @@ let run (cfg : config) =
           lc_miner =
             Miner.create
               ~seed:(Rng.derive cfg.seed 0x4C1F)
-              ~capacity:rt.reservoir_capacity ();
+              ~capacity:reservoir_capacity ();
           lc_shadow = Atomic.make None;
         })
       cfg.retrain
@@ -586,7 +612,6 @@ let run (cfg : config) =
   let offered = ref 0 in
   let admitted = ref 0 in
   let shed_queue_full = ref 0 in
-  let rr = ref 0 in
   let ladder = ref (Ladder.create ~config:cfg.ladder ()) in
   let rung_count = Array.length cfg.ladder.Ladder.rungs in
   let transitions = ref [] in
@@ -594,13 +619,6 @@ let run (cfg : config) =
   let time_at_rung = Array.make rung_count 0. in
   let peak_occupancy = ref 0. in
   let last_tick = ref t0 in
-  let rate_at elapsed =
-    match cfg.burst with
-    | Some b when elapsed >= b.burst_start && elapsed < b.burst_end ->
-        cfg.rate *. b.burst_factor
-    | _ -> cfg.rate
-  in
-  let carry = ref 0. in
   let sheds_last_tick = ref 0 in
   while now () -. t0 < cfg.duration_s do
     let t = now () in
@@ -625,15 +643,7 @@ let run (cfg : config) =
         /. total_capacity
     in
     sheds_last_tick := 0;
-    (* Arrival accounting carries the fractional request across ticks,
-       so the offered load integrates to rate * duration regardless of
-       tick jitter. *)
-    carry := !carry +. (rate_at elapsed *. dt);
-    let arrivals = int_of_float !carry in
-    carry := !carry -. float_of_int arrivals;
-    for _ = 1 to arrivals do
-      let s = !rr mod cfg.streams in
-      incr rr;
+    arrivals ~elapsed ~dt (fun s stream ->
       incr offered;
       Tm.incr tm_offered;
       let q = queues.(s) in
@@ -650,7 +660,7 @@ let run (cfg : config) =
         Tm.incr tm_shed_full
       end
       else begin
-        let req = Stream.next_request streams.(s) in
+        let req = Stream.next_request stream in
         (* Stamped at the actual push, not tick start: generating a
            batch takes real time, and a stale stamp would bill that
            generation time as queueing latency. *)
@@ -663,8 +673,7 @@ let run (cfg : config) =
             incr shed_queue_full;
             incr sheds_last_tick;
             Tm.incr tm_shed_full
-      end
-    done;
+      end);
     if occupancy > !peak_occupancy then peak_occupancy := occupancy;
     let ladder', transition = Ladder.observe !ladder ~occupancy in
     ladder := ladder';
@@ -688,7 +697,7 @@ let run (cfg : config) =
       time_at_rung.(Ladder.rung !ladder) +. dt;
     if !Tm.enabled_ref then
       Tm.observe tm_level (Ladder.rung !ladder);
-    Unix.sleepf cfg.tick_s
+    Unix.sleepf tick_s
   done;
   (* Shutdown: stop admitting, then let workers shed the backlog as
      draining (a latency-bound service must not stretch its shutdown
@@ -776,19 +785,17 @@ let run (cfg : config) =
 
 (* --- calibration ---------------------------------------------------- *)
 
-let calibrate ?(seconds = 0.25) (cfg : config) =
-  let host =
-    Pipeline.create_host ~seed:(Rng.derive cfg.seed 0xCA1B) cfg.pipeline
-  in
+let calibrate (cfg : config) =
+  let step = Step.create Keep_serving ~seed:(Rng.derive cfg.seed 0xCA1B) in
   let stream =
     Stream.create (Profile.get cfg.benchmark) cfg.mode
       (Rng.create (Rng.derive cfg.seed 0xCA1C))
   in
   let t0 = now () in
   let n = ref 0 in
-  while now () -. t0 < seconds do
+  while now () -. t0 < 0.25 do
     let req = Stream.next_request stream in
-    ignore (Pipeline.run cfg.pipeline ~host ~retire:true req);
+    ignore (Step.detect step cfg.pipeline req : Pipeline.outcome);
     incr n
   done;
   float_of_int !n /. (now () -. t0)

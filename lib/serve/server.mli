@@ -12,7 +12,7 @@
 
     Backpressure is explicit and counted per cause: a full queue
     sheds at admission, an expired deadline sheds at dequeue, and
-    shutdown sheds the backlog.  The producer ticks every [tick_s],
+    shutdown sheds the backlog.  The producer ticks every {!tick_s},
     feeding aggregate queue occupancy to the ladder; every admission,
     shed, completion, transition and latency is mirrored into
     {!Xentry_util.Telemetry} ([serve.*]).
@@ -23,15 +23,15 @@
 
     Failover: under a fault [storm] (injected bit flips, paper §V-B) a
     worker whose pipeline trips a verdict recovers per the configured
-    {!recovery_policy}.  [Microboot] rebuilds only the
-    hypervisor-private scratch from a boot-time image
-    ({!Xentry_recover.Microboot}) and replays the in-flight request on
-    the recovered host; [Restart] boots a whole new hypervisor (the
-    baseline, losing all accumulated guest state).  During the
-    recovery window the worker's home streams are re-assigned to its
-    neighbour so their queues keep draining.  Either way the in-flight
-    request completes exactly once — the conservation invariants above
-    hold verbatim under fault storms.
+    {!recovery_policy}, through the serving {!Step}.  [Microboot]
+    rebuilds only the hypervisor-private scratch from a boot-time
+    image ({!Xentry_recover.Microboot}) and replays the in-flight
+    request on the recovered host; [Restart] boots a whole new
+    hypervisor (the baseline, losing all accumulated guest state).
+    During the recovery window the worker's home streams are
+    re-assigned to its neighbour so their queues keep draining.
+    Either way the in-flight request completes exactly once — the
+    conservation invariants above hold verbatim under fault storms.
 
     Detector lifecycle (when [retrain] is configured): every execution
     that reaches VM entry feeds a bounded corpus miner
@@ -70,21 +70,19 @@ val recovery_policy_name : recovery_policy -> string
 type retrain = {
   retrain_interval_s : float;  (** manager wake-up cadence *)
   shadow_window : int;  (** scored requests before the gate decides *)
-  min_corpus : int;  (** per-class samples required to train *)
-  reservoir_capacity : int;  (** per-class miner reservoir bound *)
   artifact_dir : string option;
       (** persist each candidate as [detector-v%04d.xart] when set
           (directory is created if missing) *)
 }
+(** A candidate trains once the miner holds 8 samples of each class;
+    the miner keeps at most 512 per class. *)
 
 val default_retrain : retrain
-(** 0.25 s interval, window 64, min corpus 8, capacity 512, no
-    persistence. *)
+(** 0.25 s interval, window 64, no persistence. *)
 
 type config = {
   pipeline : Xentry_core.Pipeline.Config.t;
-      (** detection set (the ladder's top rung), detector, engine,
-          fuel; workers build their hosts from it *)
+      (** detection set (the ladder's top rung), detector, fuel *)
   benchmark : Xentry_workload.Profile.benchmark;
   mode : Xentry_workload.Profile.virt_mode;
   streams : int;  (** workload streams = ingress queues *)
@@ -98,7 +96,6 @@ type config = {
   jobs : int;  (** worker domains (the producer is separate) *)
   queue_capacity : int;  (** per-stream ingress bound *)
   ladder : Ladder.config;
-  tick_s : float;  (** producer tick: arrivals + ladder observation *)
   seed : int;
   max_samples : int;  (** latency samples retained across all workers *)
 }
@@ -116,7 +113,6 @@ val make :
   ?jobs:int ->
   ?queue_capacity:int ->
   ?ladder:Ladder.config ->
-  ?tick_s:float ->
   ?seed:int ->
   ?max_samples:int ->
   benchmark:Xentry_workload.Profile.benchmark ->
@@ -125,8 +121,69 @@ val make :
   config
 (** Defaults: default pipeline, PV, 8 streams, no burst, no storm,
     [Keep_serving], no retraining, no deadline, 2 s, 2 jobs, capacity
-    64, default ladder, 2 ms ticks, seed 42, 200k samples.  Raises
+    64, default ladder, seed 42, 200k samples.  Raises
     [Invalid_argument] on nonsensical values. *)
+
+val tick_s : float
+(** The producer's tick, 2 ms: arrivals and the ladder's occupancy
+    observation happen once per tick. *)
+
+(** {1 The serving step}
+
+    What every server serves a request through: a host, the detection
+    run, and on a verdict the recovery.  The service's workers, the
+    cluster's executors and {!calibrate} all call it. *)
+module Step : sig
+  type t
+
+  val create : recovery_policy -> seed:int -> t
+  (** A host booted from [seed]; under [Microboot] also its boot image
+      ({!Xentry_recover.Microboot.capture_image}). *)
+
+  val host : t -> Xentry_vmm.Hypervisor.t
+  (** The host the next request runs on. *)
+
+  val detect :
+    t ->
+    Xentry_core.Pipeline.Config.t ->
+    ?inject:Xentry_machine.Cpu.injection ->
+    Xentry_vmm.Request.t ->
+    Xentry_core.Pipeline.outcome
+  (** The detection run: prepare, capture the micro-reboot context
+      under [Microboot], execute (with the fault [inject] when given),
+      and retire.  Under [Keep_serving] the run always retires; under
+      [Microboot] and [Restart] only a [Clean] one does, and a
+      detected one waits for {!recover}. *)
+
+  val recover :
+    t ->
+    Xentry_core.Pipeline.Config.t ->
+    Xentry_vmm.Request.t ->
+    Xentry_core.Pipeline.outcome
+  (** Replace the host after a verdict on the request of the last
+      {!detect}, and replay that request on the new host exactly once,
+      with retire.  Under [Microboot] the new host is the micro-reboot
+      of the captured context; otherwise a whole new host boots, from
+      a seed derived from the step's seed and its restart count. *)
+end
+
+val arrivals :
+  config ->
+  elapsed:float ->
+  dt:float ->
+  (int -> Xentry_workload.Stream.t -> unit) ->
+  unit
+(** The open-loop arrival clock of this service and of the cluster's
+    front tier: [let tick = arrivals cfg] builds one workload stream
+    per [streams] (stream [i] seeded from [Rng.derive seed i]), and
+    [tick ~elapsed ~dt f] calls [f s stream] once per arrival due in a
+    tick of [dt] seconds starting [elapsed] seconds into the run —
+    [rate] (times [burst_factor] inside the burst window) times [dt],
+    plus the fraction carried over from earlier ticks — drawing the
+    streams round-robin.  Each producer keeps its own tick cadence,
+    admission rule and stream ownership, and generates a request
+    ({!Xentry_workload.Stream.next_request}) only for an arrival it
+    admits. *)
 
 type swap = {
   swap_t_s : float;  (** seconds since service start *)
@@ -194,10 +251,10 @@ val recovery_quantile : summary -> float -> float
 val run : config -> summary
 (** Run the service to completion (duration + drain) and summarize. *)
 
-val calibrate : ?seconds:float -> config -> float
+val calibrate : config -> float
 (** Measured single-worker service rate (requests/second) under the
-    config's pipeline at full detection — the capacity unit callers
-    use to pick overload [rate]s (default 0.25 s measurement). *)
+    config's pipeline at full detection, over 0.25 s of [Keep_serving]
+    steps — the capacity unit callers use to pick overload [rate]s. *)
 
 val summary_json : config -> summary -> Xentry_util.Json.t
 (** Self-contained JSON object (schema [xentry-serve-summary-v2]):

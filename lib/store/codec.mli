@@ -47,6 +47,15 @@ val pareto : Xentry_core.Pareto.front t
     Exposed for the journal and for tests that compose or fuzz
     encodings directly. *)
 
+val write_reason : Buffer.t -> Xentry_vmm.Exit_reason.t -> unit
+(** An exit reason as its dense id, a little-endian u16. *)
+
+val read_reason : Wire.reader -> Xentry_vmm.Exit_reason.t
+
+val write_detection_set : Buffer.t -> Xentry_core.Pipeline.detection -> unit
+(** The four technique switches as bools, in declaration order. *)
+
+val read_detection_set : Wire.reader -> Xentry_core.Pipeline.detection
 val write_record : Buffer.t -> Xentry_faultinject.Outcome.record -> unit
 val read_record : Wire.reader -> Xentry_faultinject.Outcome.record
 val write_tree : Buffer.t -> Xentry_mlearn.Tree.t -> unit

@@ -641,26 +641,26 @@ let build ~hardened reason =
       B.exit_audit ~hardened ctx b;
       B.epilogue b)
 
-(* The memo now caches *compiled* programs: synthesizing a handler and
-   pre-decoding it into the threaded-code engine's closure array happen
-   together, once per (reason, hardened) pair, so both engines draw
-   from the same cache ([program] projects the source back out).
-   Compiled programs are immutable once built; the cache itself is
-   mutated from every campaign worker domain, so probes and inserts
-   are serialized (building twice would be harmless, a torn Hashtbl
-   resize would not). *)
-let cache : (int * bool, Cpu.compiled) Hashtbl.t = Hashtbl.create 197
-let cache_mutex = Mutex.create ()
+(* One slot per (reason, hardened) pair, indexed by the reason's dense
+   id, holds the handler synthesized and pre-decoded for the
+   threaded-code engine; [program] projects the source back out, so
+   both engines draw from the same slot.  A lookup is an array read and
+   an atomic load: no lock, no allocation.  A slot fills on first use
+   through a compare-and-set; two domains racing on an empty slot both
+   compile, and the loser adopts the winner's program. *)
+let slots : Cpu.compiled option Atomic.t array =
+  Array.init (2 * Exit_reason.count) (fun _ -> Atomic.make None)
 
 let compiled ?(hardened = false) reason =
-  let key = (Exit_reason.to_id reason, hardened) in
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache key with
-      | Some c -> c
-      | None ->
-          let c = Cpu.compile (build ~hardened reason) in
-          Hashtbl.replace cache key c;
-          c)
+  let slot =
+    slots.((2 * Exit_reason.to_id reason) + if hardened then 1 else 0)
+  in
+  match Atomic.get slot with
+  | Some c -> c
+  | None ->
+      let c = Cpu.compile (build ~hardened reason) in
+      ignore (Atomic.compare_and_set slot None (Some c) : bool);
+      Option.get (Atomic.get slot)
 
 let program ?hardened reason = Cpu.compiled_source (compiled ?hardened reason)
 

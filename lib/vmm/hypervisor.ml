@@ -97,13 +97,15 @@ let init_bindings t =
       (Int64.of_int port)
   done
 
-let create ?(seed = 2014) ?(cpus = 1) ?(domains = 3) ?(hardened = false)
-    ?engine () =
+let create ?(seed = 2014) ?(hardened = false) ?engine () =
   let engine =
     match engine with Some e -> e | None -> Cpu.default_engine ()
   in
+  (* The paper's setup: one CPU (handler execution is per-CPU) and
+     three domains, Dom0 plus two DomUs. *)
+  let domains = 3 in
   let mem = Memory.create () in
-  Layout.map_host mem ~cpus ~domains;
+  Layout.map_host mem ~cpus:1 ~domains;
   let doms =
     Array.init domains (fun id ->
         let d = Domain.init mem ~id ~is_control:(id = 0) in
@@ -123,7 +125,7 @@ let create ?(seed = 2014) ?(cpus = 1) ?(domains = 3) ?(hardened = false)
     Scheduler.create
       (List.init domains (fun d -> ({ Scheduler.dom = d; vcpu = 0 }, 256)))
   in
-  let cpu = Cpu.create ~cpu_id:0 mem in
+  let cpu = Cpu.create mem in
   let t = { mem; cpu; doms; sched; rng; hardened; engine } in
   init_bindings t;
   fill_guest_buffer mem rng 512;
@@ -224,7 +226,7 @@ let stage ~refill t (req : Request.t) =
           ())
 
 let prepare t (req : Request.t) =
-  Scheduler.tick t.sched ();
+  Scheduler.tick t.sched;
   stage ~refill:true t req
 
 let restage t req = stage ~refill:false t req
@@ -250,29 +252,40 @@ let record_execute t (req : Request.t) (result : Cpu.run_result) =
     (match t.engine with Cpu.Fast -> tm_engine_fast | Cpu.Ref -> tm_engine_ref);
   Telemetry.observe tm_steps result.Cpu.steps
 
+(* The guest's registers at the exit: RAX..RDI from the request, the
+   rest zero, RSP at the stack top.  Loops over constant arrays, so
+   seeding allocates nothing. *)
+let guest_regs = Xentry_isa.Reg.[| RAX; RBX; RCX; RDX; RSI; RDI |]
+let zeroed_regs =
+  Xentry_isa.Reg.[| RBP; R8; R9; R10; R11; R12; R13; R14; R15 |]
+
 let seed_cpu t (req : Request.t) =
-  let open Xentry_isa.Reg in
-  let guest_order = [| RAX; RBX; RCX; RDX; RSI; RDI |] in
-  Array.iteri (fun k g -> Cpu.set_gpr t.cpu g req.Request.guest.(k)) guest_order;
-  List.iter
-    (fun g -> Cpu.set_gpr t.cpu g 0L)
-    [ RBP; R8; R9; R10; R11; R12; R13; R14; R15 ];
-  Cpu.set_gpr t.cpu RSP (Layout.stack_top ~cpu:0);
+  for k = 0 to Array.length guest_regs - 1 do
+    Cpu.set_gpr t.cpu guest_regs.(k) req.Request.guest.(k)
+  done;
+  for k = 0 to Array.length zeroed_regs - 1 do
+    Cpu.set_gpr t.cpu zeroed_regs.(k) 0L
+  done;
+  Cpu.set_gpr t.cpu Xentry_isa.Reg.RSP (Layout.stack_top ~cpu:0);
   Cpu.set_rflags t.cpu 2L
+
+let dispatch t ?inject ~fuel ?on_step ?pause_at ?on_pause ?resume
+    (req : Request.t) =
+  match t.engine with
+  | Cpu.Fast ->
+      Cpu.run_compiled t.cpu
+        ~compiled:(Handlers.compiled ~hardened:t.hardened req.Request.reason)
+        ~code_base:Layout.code_base ?inject ~fuel ?on_step ?pause_at ?on_pause
+        ?resume ()
+  | Cpu.Ref ->
+      Cpu.run t.cpu
+        ~program:(Handlers.program ~hardened:t.hardened req.Request.reason)
+        ~code_base:Layout.code_base ?inject ~fuel ?on_step ?pause_at ?on_pause
+        ?resume ()
 
 let execute t ?inject ?(fuel = 50_000) ?on_step (req : Request.t) =
   seed_cpu t req;
-  let result =
-    match t.engine with
-    | Cpu.Fast ->
-        Cpu.run_compiled t.cpu
-          ~compiled:(Handlers.compiled ~hardened:t.hardened req.Request.reason)
-          ~code_base:Layout.code_base ?inject ~fuel ?on_step ()
-    | Cpu.Ref ->
-        Cpu.run t.cpu
-          ~program:(Handlers.program ~hardened:t.hardened req.Request.reason)
-          ~code_base:Layout.code_base ?inject ~fuel ?on_step ()
-  in
+  let result = dispatch t ?inject ~fuel ?on_step req in
   if !Telemetry.enabled_ref then record_execute t req result;
   result
 
@@ -302,7 +315,7 @@ let handle t req =
    per-host diagnostic state. *)
 let assemble t mem ~sched ~rng ~tsc ~assertions =
   let doms = Array.map (fun d -> { d with Domain.mem }) t.doms in
-  let cpu = Cpu.create ~cpu_id:0 mem in
+  let cpu = Cpu.create mem in
   Cpu.set_tsc cpu tsc;
   Cpu.set_assertions_enabled cpu assertions;
   { mem; cpu; doms; sched; rng; hardened = t.hardened; engine = t.engine }
@@ -358,20 +371,6 @@ type snapshot = {
 }
 
 let snapshot_step s = s.snap_step
-
-let dispatch t ?inject ~fuel ?on_step ?(pause_at = [||]) ?on_pause ?resume
-    (req : Request.t) =
-  match t.engine with
-  | Cpu.Fast ->
-      Cpu.run_compiled t.cpu
-        ~compiled:(Handlers.compiled ~hardened:t.hardened req.Request.reason)
-        ~code_base:Layout.code_base ?inject ~fuel ?on_step ~pause_at ?on_pause
-        ?resume ()
-  | Cpu.Ref ->
-      Cpu.run t.cpu
-        ~program:(Handlers.program ~hardened:t.hardened req.Request.reason)
-        ~code_base:Layout.code_base ?inject ~fuel ?on_step ~pause_at ?on_pause
-        ?resume ()
 
 let execute_recorded t ?(fuel = 50_000) ?(snapshot_at = [||]) (req : Request.t) =
   seed_cpu t req;

@@ -25,16 +25,10 @@
 type t
 
 val create :
-  ?seed:int ->
-  ?cpus:int ->
-  ?domains:int ->
-  ?hardened:bool ->
-  ?engine:Xentry_machine.Cpu.engine ->
-  unit ->
-  t
-(** [create ()] builds a host with [domains] guests (default 3: Dom0 +
-    two DomUs, the paper's setup) and [cpus] CPUs (default 1 —
-    handler execution is per-CPU).  [seed] drives deterministic
+  ?seed:int -> ?hardened:bool -> ?engine:Xentry_machine.Cpu.engine -> unit -> t
+(** [create ()] builds a host with three guests (Dom0 + two DomUs, the
+    paper's setup) and one CPU (handler execution is per-CPU).  [seed]
+    drives deterministic
     initialization of buffers and bindings.  [hardened] selects the
     selective-duplication handler variants (paper SVI future work).
     [engine] picks the interpreter {!execute} dispatches to (default:

@@ -19,7 +19,7 @@ let find t id =
   | Some e -> e
   | None -> invalid_arg "Scheduler: unknown vcpu"
 
-let create ?rng_seed:_ vcpus =
+let create vcpus =
   if vcpus = [] then invalid_arg "Scheduler.create: no vcpus";
   List.iter
     (fun (_, w) ->
@@ -43,8 +43,8 @@ let priority_of e = if e.credit > 0 then Under else Over
 
 let priority t id = priority_of (find t id)
 
-let tick t ?(cost = 100) () =
-  match t.queue with e :: _ -> e.credit <- e.credit - cost | [] -> ()
+let tick t =
+  match t.queue with e :: _ -> e.credit <- e.credit - 100 | [] -> ()
 
 let refill_all t =
   List.iter (fun e -> e.credit <- e.credit + (e.weight * t.refill * 100)) t.entries

@@ -14,7 +14,7 @@ type priority = Under | Over
 
 type t
 
-val create : ?rng_seed:int -> (vcpu_id * int) list -> t
+val create : (vcpu_id * int) list -> t
 (** [create vcpus] builds a scheduler over [(id, weight)] pairs;
     weights must be positive.  The first VCPU in the list runs first.
     Raises [Invalid_argument] on an empty list or non-positive
@@ -28,9 +28,9 @@ val credits : t -> vcpu_id -> int
 
 val priority : t -> vcpu_id -> priority
 
-val tick : t -> ?cost:int -> unit -> unit
-(** Account one scheduler tick against the running VCPU (default cost
-    100 credits, as in Xen's 10 ms tick at weight 256). *)
+val tick : t -> unit
+(** Account one scheduler tick against the running VCPU: 100 credits,
+    as in Xen's 10 ms tick at weight 256. *)
 
 val pick_next : t -> vcpu_id
 (** Preempt the current VCPU, move it to the tail of its priority

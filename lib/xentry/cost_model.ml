@@ -68,7 +68,7 @@ let overhead p config ~tree_comparisons profile rng ~runs ~seconds_per_run =
     max = Xentry_util.Stats.maximum run_overheads;
   }
 
-let fig7 ?(params = default_params) ?(runs = 10) ~tree_comparisons ~seed () =
+let fig7 ~tree_comparisons ~seed () =
   let rng = Xentry_util.Rng.create seed in
   Array.to_list Xentry_workload.Profile.all_benchmarks
   |> List.map (fun bench ->
@@ -77,11 +77,11 @@ let fig7 ?(params = default_params) ?(runs = 10) ~tree_comparisons ~seed () =
             activation rate visible in the per-run maxima, as in the
             paper's run-to-run spread. *)
          let runtime =
-           overhead params Pipeline.runtime_only ~tree_comparisons profile
-             (Xentry_util.Rng.split rng) ~runs ~seconds_per_run:3
+           overhead default_params Pipeline.runtime_only ~tree_comparisons
+             profile (Xentry_util.Rng.split rng) ~runs:10 ~seconds_per_run:3
          in
          let full =
-           overhead params Pipeline.full_detection ~tree_comparisons profile
-             (Xentry_util.Rng.split rng) ~runs ~seconds_per_run:3
+           overhead default_params Pipeline.full_detection ~tree_comparisons
+             profile (Xentry_util.Rng.split rng) ~runs:10 ~seconds_per_run:3
          in
          (Xentry_workload.Profile.benchmark_name bench, runtime, full))

@@ -50,11 +50,7 @@ val overhead :
     per-exit cost. *)
 
 val fig7 :
-  ?params:params ->
-  ?runs:int ->
-  tree_comparisons:int ->
-  seed:int ->
-  unit ->
-  (string * series * series) list
+  tree_comparisons:int -> seed:int -> unit -> (string * series * series) list
 (** Per benchmark: (name, runtime-detection-only overhead,
-    runtime + VM transition overhead) — the two Fig 7 series. *)
+    runtime + VM transition overhead) — the two Fig 7 series, over 10
+    runs each under {!default_params}. *)

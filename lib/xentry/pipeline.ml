@@ -47,24 +47,12 @@ let pp_verdict ppf = function
         | None -> "")
 
 module Config = struct
-  type t = {
-    detection : detection;
-    detector : Detector.t option;
-    engine : Cpu.engine option;
-    fuel : int;
-  }
+  type t = { detection : detection; detector : Detector.t option; fuel : int }
 
-  let default =
-    {
-      detection = full_detection;
-      detector = None;
-      engine = None;
-      fuel = 20_000;
-    }
+  let default = { detection = full_detection; detector = None; fuel = 20_000 }
 
-  let make ?(detection = full_detection) ?detector ?engine ?(fuel = 20_000) ()
-      =
-    { detection; detector; engine; fuel }
+  let make ?(detection = full_detection) ?detector ?(fuel = 20_000) () =
+    { detection; detector; fuel }
 end
 
 let verdict (cfg : Config.t) ?(ras = []) ~reason (result : Cpu.run_result) =
@@ -116,8 +104,7 @@ let verdict (cfg : Config.t) ?(ras = []) ~reason (result : Cpu.run_result) =
           | Transition_detector.Correct, _ -> Clean)
       | _ -> Clean)
 
-let create_host ?seed ?cpus ?domains ?hardened (cfg : Config.t) =
-  Hypervisor.create ?seed ?cpus ?domains ?hardened ?engine:cfg.Config.engine ()
+let create_host ?seed (_ : Config.t) = Hypervisor.create ?seed ()
 
 type outcome = { result : Cpu.run_result; verdict : verdict }
 

@@ -56,22 +56,14 @@ module Config : sig
     detector : Detector.t option;
         (** versioned transition detector; [None] disarms the
             [vm_transition] technique even when enabled *)
-    engine : Xentry_machine.Cpu.engine option;
-        (** interpreter engine for hosts built by {!create_host};
-            [None] = process default *)
     fuel : int;  (** watchdog budget per execution *)
   }
 
   val default : t
-  (** Full detection, no detector, default engine, fuel 20_000. *)
+  (** Full detection, no detector, fuel 20_000. *)
 
   val make :
-    ?detection:detection ->
-    ?detector:Detector.t ->
-    ?engine:Xentry_machine.Cpu.engine ->
-    ?fuel:int ->
-    unit ->
-    t
+    ?detection:detection -> ?detector:Detector.t -> ?fuel:int -> unit -> t
 end
 
 (** {1 Entry points} *)
@@ -101,14 +93,11 @@ val verdict :
       [technique = Ras_report] — the channel only counts faults the
       synchronous techniques missed. *)
 
-val create_host :
-  ?seed:int ->
-  ?cpus:int ->
-  ?domains:int ->
-  ?hardened:bool ->
-  Config.t ->
-  Xentry_vmm.Hypervisor.t
-(** A hypervisor honouring the config's [engine]. *)
+val create_host : ?seed:int -> Config.t -> Xentry_vmm.Hypervisor.t
+(** A host to run the config's requests on: {!Xentry_vmm.Hypervisor.create}
+    with [seed], on the process's default engine
+    ({!Xentry_machine.Cpu.set_default_engine}).  No field of the config
+    changes the host. *)
 
 type outcome = { result : Xentry_machine.Cpu.run_result; verdict : verdict }
 

@@ -40,7 +40,7 @@ let overhead p profile ~mean_handler_instructions rng ~trials =
     max = Xentry_util.Stats.maximum results;
   }
 
-let fig11 ?(params = default_params) ?(trials = 100) ~seed () =
+let fig11 ?(trials = 100) ~seed () =
   let rng = Xentry_util.Rng.create seed in
   Array.to_list Xentry_workload.Profile.all_benchmarks
   |> List.map (fun bench ->
@@ -50,5 +50,5 @@ let fig11 ?(params = default_params) ?(trials = 100) ~seed () =
              Xentry_workload.Profile.PV
          in
          ( Xentry_workload.Profile.benchmark_name bench,
-           overhead params profile ~mean_handler_instructions
+           overhead default_params profile ~mean_handler_instructions
              (Xentry_util.Rng.split rng) ~trials ))

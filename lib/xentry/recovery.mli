@@ -33,6 +33,6 @@ val overhead :
     the configured rate, paying a re-execution.  Returns the overhead
     fraction over [trials] repetitions (100 in the paper). *)
 
-val fig11 :
-  ?params:params -> ?trials:int -> seed:int -> unit -> (string * series) list
-(** Per benchmark recovery overhead with false positives. *)
+val fig11 : ?trials:int -> seed:int -> unit -> (string * series) list
+(** Per benchmark recovery overhead with false positives, under
+    {!default_params}. *)

@@ -9,9 +9,9 @@
      exhaustive run's records and stay under [campaign_bound] words per
      record.  A campaign that stops recycling the frames of the hosts
      it discards lands far above it.
-   - Serve: one postmark PV host (seed 5, no detector) serves 200
-     warm-up requests, then 2,000 measured ones the micro-reboot way —
-     prepare, capture, run, retire — with a reboot forced every 500
+   - Serve: one micro-reboot serving step (postmark PV, host seed 5,
+     no detector) serves 200 warm-up requests, then 2,000 measured ones
+     — prepare, capture, run, retire — with a reboot forced every 500
      requests, and must stay under [serve_bound] words per request.  A
      capture that makes the next execution duplicate the pages it
      writes lands far above it.
@@ -34,7 +34,7 @@ open Xentry_workload
 open Xentry_vmm
 open Xentry_core
 open Xentry_faultinject
-module Microboot = Xentry_recover.Microboot
+module Step = Xentry_serve.Server.Step
 
 (* See test/dune for the base of these figures. *)
 let campaign_bound = 500.
@@ -72,21 +72,16 @@ let campaign_leg () =
 
 let serve_leg () =
   let pcfg = Pipeline.Config.make () in
-  let host = ref (Pipeline.create_host ~seed:5 pcfg) in
-  let image = Microboot.capture_image !host in
+  let step = Step.create Xentry_serve.Server.Microboot ~seed:5 in
   let stream = Stream.create (Profile.get Profile.Postmark) Profile.PV (Rng.create 5) in
   let reboots = ref 0 in
   let serve i =
     let req = Stream.next_request stream in
-    Hypervisor.prepare !host req;
-    let ctx = Microboot.capture !host req in
-    let out = Pipeline.run pcfg ~host:!host ~prepare:false req in
-    match out.Pipeline.verdict with
-    | Pipeline.Clean when (i + 1) mod 500 <> 0 -> Hypervisor.retire !host req
+    match (Step.detect step pcfg req).Pipeline.verdict with
+    | Pipeline.Clean when (i + 1) mod 500 <> 0 -> ()
     | _ ->
         incr reboots;
-        host := Microboot.reboot image ctx;
-        ignore (Pipeline.run pcfg ~host:!host ~prepare:false ~retire:true req)
+        ignore (Step.recover step pcfg req : Pipeline.outcome)
   in
   let warmup = 200 and measured = 2000 in
   for i = 0 to warmup - 1 do

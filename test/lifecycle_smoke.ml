@@ -158,8 +158,6 @@ let single_process () =
     {
       Serve.retrain_interval_s = 0.05;
       shadow_window = 32;
-      min_corpus = 8;
-      reservoir_capacity = 512;
       artifact_dir = Some dir;
     }
   in

@@ -53,14 +53,8 @@ let () =
   let engines = [ ("fast", Xentry_machine.Cpu.Fast); ("ref", Xentry_machine.Cpu.Ref) ] in
   List.iter
     (fun (label, engine) ->
-      let cfg =
-        {
-          base with
-          C.pipeline =
-            { base.C.pipeline with Xentry_core.Pipeline.Config.engine = Some engine };
-        }
-      in
-      let r = C.run cfg in
+      Xentry_machine.Cpu.set_default_engine engine;
+      let r = C.run base in
       check ~label r;
       Format.printf "recover-smoke %s OK: %a@." label C.pp r)
     engines

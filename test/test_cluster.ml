@@ -64,9 +64,8 @@ let sample_msgs () =
       {
         worker_index = 1;
         seed = 99;
-        detection = Pipeline.full_detection;
-        detector = Some (Lazy.force tiny_detector);
-        fuel = 20_000;
+        pipeline =
+          Pipeline.Config.make ~detector:(Lazy.force tiny_detector) ();
       };
     Protocol.Serve_request { seq = 12345; req = sample_request };
     Protocol.Serve_response { seq = 12345; detected = true; shed = false };
@@ -102,6 +101,46 @@ let check_roundtrip m =
         "re-encoding identical" true
         (String.equal (Protocol.encode m) (Protocol.encode m'))
   | l -> Alcotest.failf "expected 1 message, got %d" (List.length l)
+
+(* --- protocol: pinned frames ----------------------------------------------- *)
+
+(* The exact bytes of the four serve-path frames, taken when the
+   protocol still carried its own detection-set and exit-reason
+   encoders and a flat [Serve_spec].  Moving those onto
+   [Xentry_store.Codec]'s encoders and a [Pipeline.Config.t] must not
+   move a byte. *)
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_frame_pins () =
+  let pin name expected m =
+    Alcotest.(check string) name expected (hex (Protocol.encode m))
+  in
+  pin "Hello" "5843463109000000010400000000000000be1a22a8"
+    (Protocol.Hello { jobs = 4 });
+  pin "Serve_spec"
+    "584346315300000005010000000000000063000000000000000101000101030000000000\
+     000001240000000000000000020000000100000078010000007902000000000000000000\
+     00e03f2400000000000000204e000000000000290a1263"
+    (Protocol.Serve_spec
+       {
+         worker_index = 1;
+         seed = 99;
+         pipeline =
+           Pipeline.Config.make ~detection:Pipeline.runtime_only
+             ~detector:(Lazy.force tiny_detector) ();
+       });
+  pin "Serve_request"
+    "584346318300000006393000000000000003000800000007000000000000006300000000\
+     000000000000000000000000000000000000000000000000000000000000000000000000\
+     000000000000000000000000000000060000000100000000000000020000000000000003\
+     00000000000000000000000000000000000000000000000000000000000000c1e75e18"
+    (Protocol.Serve_request { seq = 12345; req = sample_request });
+  pin "Serve_response" "584346310b00000007393000000000000001005843e92c"
+    (Protocol.Serve_response { seq = 12345; detected = true; shed = false })
 
 (* --- protocol: round trips ------------------------------------------------- *)
 
@@ -395,6 +434,7 @@ let () =
     [
       ( "protocol",
         [
+          Alcotest.test_case "serve frames are pinned" `Quick test_frame_pins;
           Alcotest.test_case "round-trip each message" `Quick test_roundtrip_each;
           Alcotest.test_case "round-trip stream" `Quick test_roundtrip_stream;
           Alcotest.test_case "config strips jobs" `Quick test_config_strips_jobs;

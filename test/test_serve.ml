@@ -1,7 +1,8 @@
-(* Tests for the serve layer's two pure building blocks: the bounded
-   ingress queue (backpressure) and the degradation ladder (graceful
-   detection shedding).  The end-to-end engine is exercised by the
-   serve-smoke harness; here we pin the component semantics. *)
+(* Tests for the serve layer's building blocks: the bounded ingress
+   queue (backpressure), the degradation ladder (graceful detection
+   shedding) and the serving step (detection run and recovery).  The
+   end-to-end engine is exercised by the serve-smoke harness; here we
+   pin the component semantics. *)
 
 open Xentry_serve
 
@@ -294,6 +295,98 @@ let test_ladder_validates_config () =
   bad { cfg with Ladder.hold_ticks = 0 } "hold_ticks < 1";
   bad { cfg with Ladder.rungs = [||] } "empty rung list"
 
+(* --- the serving step ------------------------------------------------------ *)
+
+module Pipeline = Xentry_core.Pipeline
+module Hypervisor = Xentry_vmm.Hypervisor
+module Cpu = Xentry_machine.Cpu
+
+let step_seed = 5
+let pcfg = Pipeline.Config.default
+
+(* A softirq whose pending bits include the schedule softirq: retiring
+   it rotates the run queue, so whether a run retired shows in the
+   scheduler's current domain (0 when prepared, 1 once retired). *)
+let step_request =
+  Xentry_vmm.Request.make ~reason:Xentry_vmm.Exit_reason.Softirq ~args:[ 2L ]
+    ~guest:[ 1L; 2L; 3L ]
+
+(* A high RIP bit flipped before step 1: the next fetch faults in host
+   mode, which full detection reports. *)
+let rip_fault = Cpu.reg_injection Xentry_isa.Reg.Rip ~bit:62 ~step:1
+
+let current_dom host =
+  let module S = Xentry_vmm.Scheduler in
+  (S.current (Hypervisor.scheduler host)).S.dom
+
+(* Each domain's scheduler credits: a second [prepare] of one request
+   debits a second tick. *)
+let credits host =
+  let module S = Xentry_vmm.Scheduler in
+  List.map
+    (fun dom -> S.credits (Hypervisor.scheduler host) { S.dom; vcpu = 0 })
+    [ 0; 1; 2 ]
+
+let check_detected (out : Pipeline.outcome) =
+  Alcotest.(check bool) "the fault is detected" true
+    (match out.Pipeline.verdict with
+    | Pipeline.Detected _ -> true
+    | Pipeline.Clean -> false)
+
+let check_clean_entry what (out : Pipeline.outcome) =
+  Alcotest.(check bool) (what ^ " reaches VM entry") true
+    (out.Pipeline.result.Cpu.stop = Cpu.Vm_entry);
+  Alcotest.(check bool) (what ^ " is clean") true
+    (out.Pipeline.verdict = Pipeline.Clean)
+
+let test_step_keep_serving () =
+  let st = Server.Step.create Server.Keep_serving ~seed:step_seed in
+  let host = Server.Step.host st in
+  check_detected (Server.Step.detect st pcfg ~inject:rip_fault step_request);
+  Alcotest.(check bool) "same host" true (Server.Step.host st == host);
+  Alcotest.(check int) "retired" 1 (current_dom host)
+
+let test_step_microboot () =
+  let st = Server.Step.create Server.Microboot ~seed:step_seed in
+  let host = Server.Step.host st in
+  check_detected (Server.Step.detect st pcfg ~inject:rip_fault step_request);
+  Alcotest.(check int) "the detection run did not retire" 0 (current_dom host);
+  let replay = Server.Step.recover st pcfg step_request in
+  let rebooted = Server.Step.host st in
+  Alcotest.(check bool) "the host is replaced" true (rebooted != host);
+  check_clean_entry "the replay" replay;
+  Alcotest.(check int) "the replay retired" 1 (current_dom rebooted);
+  let golden = Hypervisor.create ~seed:step_seed () in
+  check_clean_entry "the golden run"
+    (Pipeline.run pcfg ~host:golden ~retire:true step_request);
+  let diffs = Xentry_faultinject.Classify.diffs ~golden ~faulted:rebooted in
+  Alcotest.(check bool) "guest-visible state equals the golden host's" true
+    (List.for_all (fun d -> d = Xentry_faultinject.Classify.Stack_diff) diffs);
+  Alcotest.(check (list int)) "prepared once, as the golden host"
+    (credits golden) (credits rebooted)
+
+let test_step_restart () =
+  let st = Server.Step.create Server.Restart ~seed:step_seed in
+  let host = Server.Step.host st in
+  check_detected (Server.Step.detect st pcfg ~inject:rip_fault step_request);
+  Alcotest.(check int) "the detection run did not retire" 0 (current_dom host);
+  let replay = Server.Step.recover st pcfg step_request in
+  Alcotest.(check bool) "a new host boots" true (Server.Step.host st != host);
+  check_clean_entry "the replay" replay;
+  Alcotest.(check int) "the replay retired" 1
+    (current_dom (Server.Step.host st))
+
+let test_step_clean () =
+  List.iter
+    (fun policy ->
+      let st = Server.Step.create policy ~seed:step_seed in
+      let host = Server.Step.host st in
+      check_clean_entry (Server.recovery_policy_name policy)
+        (Server.Step.detect st pcfg step_request);
+      Alcotest.(check bool) "same host" true (Server.Step.host st == host);
+      Alcotest.(check int) "retired" 1 (current_dom host))
+    [ Server.Keep_serving; Server.Microboot; Server.Restart ]
+
 (* --- summary arithmetic: availability and throughput ----------------------- *)
 
 let test_availability_robust () =
@@ -472,6 +565,17 @@ let () =
             test_ladder_default_rungs_replays_old_machine;
           Alcotest.test_case "config validation" `Quick
             test_ladder_validates_config;
+        ] );
+      ( "serving step",
+        [
+          Alcotest.test_case "keep-serving keeps the host and retires" `Quick
+            test_step_keep_serving;
+          Alcotest.test_case "micro-reboot replays on a golden-equal host"
+            `Quick test_step_microboot;
+          Alcotest.test_case "restart boots a new host" `Quick
+            test_step_restart;
+          Alcotest.test_case "a clean run retires on the same host" `Quick
+            test_step_clean;
         ] );
       ( "summary arithmetic",
         [

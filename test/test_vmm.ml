@@ -183,7 +183,7 @@ let test_scheduler_credit_priority () =
   let s = Scheduler.create [ (vid 0, 256); (vid 1, 256) ] in
   (* Drain dom0's credits far below zero. *)
   for _ = 1 to 10 do
-    Scheduler.tick s ()
+    Scheduler.tick s
   done;
   Alcotest.(check bool) "dom0 over" true (Scheduler.priority s (vid 0) = Scheduler.Over);
   let next = Scheduler.pick_next s in
@@ -192,7 +192,7 @@ let test_scheduler_credit_priority () =
 let test_scheduler_refill_when_all_over () =
   let s = Scheduler.create [ (vid 0, 256); (vid 1, 256) ] in
   for _ = 1 to 100 do
-    Scheduler.tick s ();
+    Scheduler.tick s;
     ignore (Scheduler.pick_next s)
   done;
   (* After refills someone must be runnable with sane credit. *)
@@ -682,7 +682,7 @@ let prop_scheduler_never_empty =
       List.iter
         (fun op ->
           match op with
-          | 0 -> Scheduler.tick s ()
+          | 0 -> Scheduler.tick s
           | 1 -> ignore (Scheduler.pick_next s)
           | _ ->
               (* keep at least one runnable: wake everyone first *)
