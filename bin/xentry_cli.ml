@@ -11,7 +11,9 @@
      optimize   sweep detector configurations for a Pareto front
      handlers   list the synthesized hypervisor handlers
      export     export the training corpus (ARFF) and classifier (C)
-     features   print Table I *)
+     features   print Table I
+     bench      regenerate the paper's figures and tables, the extensions
+                and the system measurements *)
 
 open Cmdliner
 open Xentry_vmm
@@ -150,8 +152,8 @@ let workers_arg =
            records are bit-identical for every worker count, including \
            across worker crashes.")
 
-(* Run [f sock] with [workers] worker processes of this binary, [jobs]
-   domains each, connecting to [sock]. *)
+(* Run [f sock pids] with [workers] worker processes of this binary,
+   [jobs] domains each, connecting to [sock]. *)
 let with_local_workers ~name ~workers ~jobs ~engine ~telemetry f =
   Xentry_cluster.Worker.with_scratch_dir name @@ fun dir ->
   let sock = Filename.concat dir "coord.sock" in
@@ -159,7 +161,7 @@ let with_local_workers ~name ~workers ~jobs ~engine ~telemetry f =
     ([ "worker"; "--connect"; sock; "-j"; string_of_int jobs; "--engine";
        Xentry_machine.Cpu.engine_name engine ]
     @ if telemetry <> None then [ "--enable-telemetry" ] else [])
-  @@ fun _pids -> f sock
+  @@ f sock
 
 (* --- simulate ------------------------------------------------------------- *)
 
@@ -242,20 +244,6 @@ let inject benchmark mode injections seed jobs engine detector_src checkpoint
             Printf.eprintf "loaded detector artifact %s (v%d)\n%!" file
               (Detector.version det);
             Some det
-        | Error (Xentry_store.Artifact.Version_skew { found = 1; _ }) -> (
-            (* A pre-lifecycle artifact: the bare legacy payload, which
-               adopts version 0 so any retrained candidate outranks it. *)
-            match
-              Xentry_store.Artifact.load Xentry_store.Codec.detector file
-            with
-            | Ok model ->
-                Printf.eprintf "loaded legacy detector artifact %s (as v0)\n%!"
-                  file;
-                Some (Detector.v0 model)
-            | Error e ->
-                Printf.eprintf "xentry: cannot load detector %s: %s\n%!" file
-                  (Xentry_store.Artifact.error_message e);
-                exit 1)
         | Error e ->
             Printf.eprintf "xentry: cannot load detector %s: %s\n%!" file
               (Xentry_store.Artifact.error_message e);
@@ -297,7 +285,7 @@ let inject benchmark mode injections seed jobs engine detector_src checkpoint
     if workers <= 0 then Campaign.execute ?checkpoint config
     else
       with_local_workers ~name:"inject" ~workers ~jobs ~engine ~telemetry
-      @@ fun sock ->
+      @@ fun sock _pids ->
       Xentry_cluster.Coordinator.run ?checkpoint
         ~on_worker_telemetry:(fun j -> worker_dumps := j :: !worker_dumps)
         ~listen:(Xentry_cluster.Protocol.Unix_sock sock)
@@ -692,7 +680,7 @@ let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
   else begin
     let summary =
       with_local_workers ~name:"serve" ~workers ~jobs ~engine ~telemetry
-      @@ fun sock ->
+      @@ fun sock _pids ->
       Xentry_cluster.Front.run
         ~listen:(Xentry_cluster.Protocol.Unix_sock sock)
         ~workers cfg
@@ -1075,6 +1063,151 @@ let features_cmd =
     (Cmd.info "features" ~doc:"Print the Table I feature set")
     Term.(const features $ const ())
 
+(* --- bench ---------------------------------------------------------------------- *)
+
+(* The experiments in the order "all" runs them.  One whose
+   measurements --json keeps returns them as a named section; the
+   report lists sections in this order, whatever order the command
+   line names them in. *)
+let experiments =
+  let open Xentry_bench in
+  let no_json f ctx =
+    f ctx;
+    None
+  in
+  let section key f ctx = Some (key, f ctx) in
+  [
+    ("fig3", no_json Paper.fig3);
+    ("table1", no_json Paper.table1);
+    ("accuracy", no_json Paper.accuracy);
+    ("fig6", no_json Paper.fig6);
+    ("fig7", no_json Paper.fig7);
+    ("fig8", no_json Paper.fig8);
+    ("fig9", no_json Paper.fig9);
+    ("fig10", no_json Paper.fig10);
+    ("table2", no_json Paper.table2);
+    ("fig11", no_json Paper.fig11);
+    ("ablation", no_json Extensions.ablation);
+    ("modes", no_json Extensions.modes);
+    ("exposure", no_json Extensions.exposure);
+    ("hardening", no_json Extensions.hardening);
+    ("campaign", section "campaign" Extensions.campaign);
+    ("cluster", section "cluster" Extensions.cluster);
+    ("serve", section "serve" Extensions.serve);
+    ("recover", section "recover" Extensions.recover);
+    ("micro", section "micro" Extensions.micro);
+    ("classes", section "fault_classes" Extensions.classes);
+  ]
+
+let bench names jobs engine json telemetry =
+  apply_engine engine;
+  with_telemetry telemetry @@ fun () ->
+  let scale =
+    match Option.bind (Sys.getenv_opt "XENTRY_SCALE") float_of_string_opt with
+    | Some v when v > 0.0 -> v
+    | _ -> 1.0
+  in
+  let jobs = resolve_jobs jobs in
+  let ctx =
+    Xentry_bench.Context.make ~scale ~jobs
+      {
+        with_workers =
+          (fun ~name ~n ~jobs f ->
+            with_local_workers ~name ~workers:n ~jobs ~engine ~telemetry f);
+      }
+  in
+  let names =
+    if names = [] || List.mem "all" names then List.map fst experiments
+    else names
+  in
+  Printf.printf
+    "Xentry benchmark harness (scale %.2f, jobs %d, engine %s; set \
+     XENTRY_SCALE / -j / --engine to adjust)\n"
+    scale jobs
+    (Xentry_machine.Cpu.engine_name engine);
+  let ran =
+    List.map
+      (fun name ->
+        let t0 = Unix.gettimeofday () in
+        let section = (List.assoc name experiments) ctx in
+        (name, Unix.gettimeofday () -. t0, section))
+      names
+  in
+  match json with
+  | None -> ()
+  | Some path -> (
+      (* An experiment named twice reports its last run. *)
+      let sections =
+        List.filter_map
+          (fun (name, _) ->
+            List.find_map
+              (fun (n, _, section) -> if n = name then section else None)
+              (List.rev ran))
+          experiments
+      in
+      let doc =
+        Xentry_util.Json.(
+          Obj
+            ([ ("scale", Float scale); ("jobs", Int jobs);
+               ("engine", String (Xentry_machine.Cpu.engine_name engine)) ]
+            @ sections
+            @ [ ( "experiments",
+                  List
+                    (List.map
+                       (fun (name, seconds, _) ->
+                         Obj
+                           [ ("name", String name); ("seconds", Float seconds) ])
+                       ran) ) ]))
+      in
+      match open_out path with
+      | exception Sys_error msg ->
+          Printf.eprintf "xentry: cannot write %s: %s\n%!" path msg;
+          exit 1
+      | oc ->
+          output_string oc (Xentry_util.Json.to_string doc);
+          output_char oc '\n';
+          close_out oc;
+          Printf.printf "[json] wrote %s\n" path)
+
+let bench_cmd =
+  let names =
+    let all = "all" :: List.map fst experiments in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) all)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run, in the order given, each %s.  None, or \
+                $(b,all), runs every experiment in the order listed."
+               (Arg.doc_alts all)))
+  in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write one single-line JSON object to $(docv): the scale, jobs \
+             and engine, the measurements the $(b,campaign), $(b,cluster), \
+             $(b,serve), $(b,recover), $(b,micro) and $(b,classes) \
+             experiments return, and each experiment's wall seconds.")
+  in
+  let scale_env =
+    Cmd.Env.info "XENTRY_SCALE"
+      ~doc:
+        "Campaign sizes relative to the paper's (default 1.0: 23,400 \
+         training and 17,700 testing injections, 30,000 for the coverage \
+         study)."
+  in
+  Cmd.v
+    (Cmd.info "bench" ~envs:[ scale_env ]
+       ~doc:
+         "Regenerate the paper's evaluation (Fig 3 to Fig 11, Tables I and \
+          II), the ablations and extensions, and the system measurements. \
+          Experiments that check an identity exit 1 when it fails.")
+    Term.(const bench $ names $ jobs_arg $ engine_arg $ json $ telemetry_arg)
+
 (* --- main ----------------------------------------------------------------------- *)
 
 let () =
@@ -1086,5 +1219,5 @@ let () =
           [
             simulate_cmd; inject_cmd; train_cmd; serve_cmd; recover_cmd;
             worker_cmd; optimize_cmd;
-            handlers_cmd; features_cmd; export_cmd;
+            handlers_cmd; features_cmd; export_cmd; bench_cmd;
           ]))

@@ -1,7 +1,6 @@
 open Xentry_isa
 
 type t = {
-  index : int array;
   meta : int array;
   result_steps : int;
   asserted : bool;
@@ -16,7 +15,6 @@ let equal a b =
   a.result_steps = b.result_steps
   && a.asserted = b.asserted
   && a.fetch_faulted = b.fetch_faulted
-  && a.index = b.index
   && a.meta = b.meta
   && a.accesses = b.accesses
   && String.equal a.access_addrs b.access_addrs
@@ -25,7 +23,6 @@ let equal a b =
 
 type recorder = {
   prog_meta : int array;
-  mutable buf_index : int array;
   mutable buf_meta : int array;
   mutable len : int;
   mutable log : int array;
@@ -36,7 +33,6 @@ type recorder = {
 let recorder ~meta =
   {
     prog_meta = meta;
-    buf_index = Array.make 256 0;
     buf_meta = Array.make 256 0;
     len = 0;
     log = Array.make 128 0;
@@ -45,12 +41,9 @@ let recorder ~meta =
   }
 
 let grow r =
-  let cap = Array.length r.buf_index in
-  let index = Array.make (cap * 2) 0 in
+  let cap = Array.length r.buf_meta in
   let meta = Array.make (cap * 2) 0 in
-  Array.blit r.buf_index 0 index 0 cap;
   Array.blit r.buf_meta 0 meta 0 cap;
-  r.buf_index <- index;
   r.buf_meta <- meta
 
 let grow_log r =
@@ -63,8 +56,7 @@ let grow_log r =
   r.log_addrs <- addrs
 
 let on_step r idx (_ : int Instr.t) =
-  if r.len = Array.length r.buf_index then grow r;
-  r.buf_index.(r.len) <- idx;
+  if r.len = Array.length r.buf_meta then grow r;
   r.buf_meta.(r.len) <- r.prog_meta.(idx);
   r.len <- r.len + 1
 
@@ -89,7 +81,6 @@ let finish r ~(result : Cpu.run_result) =
     | _ -> false
   in
   {
-    index = Array.sub r.buf_index 0 r.len;
     meta = Array.sub r.buf_meta 0 r.len;
     result_steps = result.Cpu.steps;
     asserted;

@@ -3,13 +3,13 @@
     prunes against.
 
     One trace describes one fault-free handler execution: for every
-    dynamic step, the static instruction index executed and its packed
-    metadata word ({!Xentry_isa.Instr.metadata} — read/write register
-    masks plus branch/flags bits); for every load and store, the step
-    that issued it, its address and whether it stored; and the stop
-    shape the planner's soundness argument needs.  Both engines
-    produce bit-identical traces for the same execution (the recorder
-    only consumes the [on_step] callback and the {!Cpu.set_mem_hook}
+    dynamic step, the packed metadata word of the instruction executed
+    ({!Xentry_isa.Instr.metadata} — read/write register masks plus
+    branch/flags bits); for every load and store, the step that issued
+    it, its address and whether it stored; and the stop shape the
+    planner's soundness argument needs.  Both engines produce
+    bit-identical traces for the same execution (the recorder only
+    consumes the [on_step] callback and the {!Cpu.set_mem_hook}
     observer both engines already share), so the planner prunes the
     same faults under either engine.
 
@@ -22,7 +22,6 @@
     faulting step never reached execute). *)
 
 type t = {
-  index : int array;  (** static instruction index per dynamic step *)
   meta : int array;
       (** packed {!Xentry_isa.Instr.metadata} word per dynamic step *)
   result_steps : int;  (** [steps] of the recorded run's result *)

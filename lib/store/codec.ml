@@ -316,19 +316,9 @@ let read_detector r =
             ~min_incorrect_probability:threshold)
   | n -> W.corrupt (Printf.sprintf "bad classifier tag %d" n)
 
-let detector =
-  {
-    kind = "detector";
-    version = 1;
-    write = write_detector;
-    read = read_detector;
-  }
-
-(* Versioned detector (lifecycle metadata + model).  Same kind as the
-   legacy bare-model codec but frame version 2: an old reader opening
-   a lifecycle artifact reports [Version_skew { found = 2; _ }]
-   instead of misparsing, and loaders that still meet version-1 files
-   can fall back to [detector] + [Detector.v0]. *)
+(* Versioned detector (lifecycle metadata + model).  Frame version 2:
+   version 1 framed the bare model, so a version-1 file reports
+   [Version_skew] instead of misparsing. *)
 
 let write_versioned_detector buf (d : Detector.t) =
   W.int_ buf (Detector.version d);

@@ -1,7 +1,7 @@
 (** Binary codecs for the expensive products of the pipeline.
 
-    One codec per artifact kind: campaign outcome records, deployed
-    detectors (bare and versioned) and the optimizer's Pareto fronts.
+    One codec per artifact kind: campaign outcome records, versioned
+    detectors and the optimizer's Pareto fronts.
     Each codec carries its artifact [kind] tag and a [version];
     {!Artifact} frames the payload with a magic, the kind, the
     version, a length and a CRC-32, so version skew and corruption
@@ -25,17 +25,11 @@ type 'a t = {
 val outcome_records : Xentry_faultinject.Outcome.record list t
 (** A batch of campaign records (the journal's shard payload). *)
 
-val detector : Xentry_core.Transition_detector.t t
-(** The legacy bare classifier: single tree, thresholded tree or
-    ensemble — what pre-lifecycle [train --save] artifacts hold.
-    Loaders should prefer {!versioned_detector} and fall back to this
-    plus [Detector.v0] on [Version_skew { found = 1; _ }]. *)
-
 val versioned_detector : Xentry_core.Detector.t t
-(** The lifecycle detector artifact: version, origin, corpus size and
-    the model.  Same ["detector"] kind as {!detector} but frame
-    version 2, so an old reader meeting a lifecycle artifact reports
-    [Version_skew] instead of misparsing. *)
+(** The detector artifact: version, origin, corpus size and the
+    model.  Kind ["detector"], frame version 2: a version-1 file (the
+    bare model that pre-lifecycle [train --save] wrote) fails to load
+    with [Version_skew] instead of misparsing. *)
 
 val pareto : Xentry_core.Pareto.front t
 (** A coverage-vs-overhead Pareto front from the configuration

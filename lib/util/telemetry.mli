@@ -103,11 +103,7 @@ val export : out_channel -> unit
 
 val export_file : string -> unit
 
-val json : unit -> Json.t
-(** The same data as a single JSON object
-    [{"counters": {...}, "histograms": {...}, "events": [...]}] — the
-    ["telemetry"] section of [bench/main.exe --json]. *)
-
 val to_json : unit -> string
-(** {!json} rendered on one line — the dump a cluster worker sends
-    its coordinator. *)
+(** The same data as one single-line JSON object
+    [{"counters": {...}, "histograms": {...}, "events": [...]}] — the
+    dump a cluster worker sends its coordinator. *)

@@ -26,11 +26,6 @@ let make ?(version = 1) ?(origin = Offline) ?(trained_on = 0) model =
   if trained_on < 0 then invalid_arg "Detector.make: negative trained_on";
   { version; origin; trained_on; model }
 
-(* Wrap a bare model as the pre-lifecycle legacy shape: version 0,
-   offline, unknown corpus.  Old artifacts and hand-built detectors
-   enter the new API through here. *)
-let v0 model = { version = 0; origin = Offline; trained_on = 0; model }
-
 let with_version t version =
   if version < 0 then invalid_arg "Detector.with_version: negative version";
   { t with version }

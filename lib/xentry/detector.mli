@@ -37,10 +37,6 @@ val make :
 (** Defaults: version 1, [Offline], 0 samples.  Raises
     [Invalid_argument] on negative version or sample count. *)
 
-val v0 : Transition_detector.t -> t
-(** Legacy wrap: version 0, [Offline], unknown corpus — how bare
-    models and pre-lifecycle artifacts enter the new API. *)
-
 val with_version : t -> int -> t
 (** Raises [Invalid_argument] on a negative version. *)
 

@@ -47,7 +47,8 @@ let toy_detector () =
       (Dataset.create ~feature_names:Xentry_core.Features.names ~n_classes:2
          samples)
   in
-  Xentry_core.Detector.v0 (Xentry_core.Transition_detector.of_tree tree)
+  Xentry_core.Detector.make ~version:0
+    (Xentry_core.Transition_detector.of_tree tree)
 
 let () =
   let module Tm = Xentry_util.Telemetry in

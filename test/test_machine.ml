@@ -1840,10 +1840,10 @@ let prop_engines_agree =
 (* --- qcheck: golden-trace recorder -------------------------------------------- *)
 
 (* The recorder consumes the same [on_step] stream and memory hook the
-   engines already share, so its per-step (index, metadata) content and
-   its access log must match a naive reference rebuilt directly from
-   the callbacks — and both engines must seal bit-identical traces,
-   access logs included, for the same execution. *)
+   engines already share, so its per-step metadata and its access log
+   must match a naive reference rebuilt directly from the callbacks —
+   and both engines must seal bit-identical traces, access logs
+   included, for the same execution. *)
 let prop_recorder_matches_naive =
   QCheck.Test.make
     ~name:"golden-trace recorder matches the naive per-step def/use reference"
@@ -1863,7 +1863,7 @@ let prop_recorder_matches_naive =
       let ra =
         Cpu.run a ~program:p ~code_base ~fuel:300
           ~on_step:(fun idx i ->
-            naive := (idx, Instr.metadata i) :: !naive;
+            naive := Instr.metadata i :: !naive;
             Golden_trace.on_step rec_a idx i)
           ()
       in
@@ -1885,8 +1885,7 @@ let prop_recorder_matches_naive =
               e land 1 = 1 ))
       in
       Golden_trace.equal ta tb
-      && ta.Golden_trace.index = Array.map fst naive
-      && ta.Golden_trace.meta = Array.map snd naive
+      && ta.Golden_trace.meta = naive
       && Golden_trace.length ta = Array.length naive
       && ta.Golden_trace.result_steps = ra.Cpu.steps
       && logged = List.rev !naive_log)

@@ -206,7 +206,7 @@ let process config ~detector ~reason result =
     {
       Pipeline.Config.default with
       Pipeline.Config.detection = config;
-      detector = Option.map Detector.v0 detector;
+      detector = Option.map (Detector.make ~version:0) detector;
     }
     ~reason result
 
